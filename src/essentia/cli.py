@@ -2,13 +2,14 @@
 
 Reports go to stdout as JSON with exact "p/q" rationals.  Exit codes: 0 on
 success, 1 on input errors, 2 when a resource cap (cut budget, search nodes,
-size cap) is hit.
+size cap, a --jobs worker count below 1) is hit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -41,6 +42,14 @@ def _load_instance(path: str, fmt: str, problem_tag: Optional[str]) -> Instance:
             raise InputError("--format dimacs-edges requires --problem")
         return serialize.parse_dimacs_edges(text, Problem.from_tag(problem_tag))
     raise InputError(f"unknown format {fmt!r}")
+
+
+def _worker_count(jobs: int) -> int:
+    """The --jobs value bounded by this machine: below 1 is refused, above
+    the CPU count is clamped to it."""
+    if jobs < 1:
+        raise ResourceCapError(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _emit(payload: dict) -> None:
@@ -241,6 +250,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        args.jobs = _worker_count(args.jobs)
         return args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

@@ -352,7 +352,8 @@ def solve_exact(
         if search.completable(prefix | {v}, size):
             prefix.add(v)
             base = search.best
-    assert len(prefix) == size, "prefix construction must reach the optimum size"
+    if len(prefix) != size:
+        raise AssertionError("prefix construction must reach the optimum size")
     return frozenset(prefix)
 
 
@@ -361,7 +362,8 @@ def opt_value(inst: Instance, node_cap: Optional[int] = None) -> int:
     cap = node_cap if node_cap is not None else default_node_cap()
     search = _Search(inst, frozenset(), cap)
     best = search.minimum(None)
-    assert best is not None, "deleting all vertices always hits every obstacle"
+    if best is None:
+        raise AssertionError("deleting all vertices always hits every obstacle")
     return len(best)
 
 

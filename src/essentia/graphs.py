@@ -320,7 +320,8 @@ def min_vertex_separator(
     vertices only, so that no valid separator exists.
     """
     flow, cut = _vertex_split_maxflow(g, sources, targets, frozenset(forbidden))
-    assert len(cut) == flow, "min-cut size must equal the max-flow value"
+    if len(cut) != flow:
+        raise AssertionError("min-cut size must equal the max-flow value")
     return cut
 
 

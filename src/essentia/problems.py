@@ -157,7 +157,10 @@ def iter_induced_p4s(
                     yield (a, b, c, d)
 
 
-@lru_cache(maxsize=512)
+# One driver call reads the P4s of one instance graph through all n pinned
+# LPs, then those of a few restricted graphs; a small cache serves that reuse
+# without holding P4 tuples of graphs from earlier calls for the process's life.
+@lru_cache(maxsize=8)
 def all_induced_p4s(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
     """All induced 4-vertex paths of the graph, each once (cached per graph)."""
     return tuple(iter_induced_p4s(g))

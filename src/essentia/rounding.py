@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import InputError, PreconditionError
 from .graphs import (
     Graph,
     HALF,
@@ -52,10 +52,15 @@ class RoundingCertificate:
     pinned_vertex: int
 
     def __post_init__(self):
-        assert self.pinned_vertex not in self.integral_set, "rounded set must avoid the pinned vertex"
-        assert (
-            len(self.integral_set) <= self.factor_bound * self.fractional_value
-        ), f"factor bound violated: {len(self.integral_set)} > {self.factor_bound} * {self.fractional_value}"
+        # certificates are also rebuilt from serialized data, so a violation
+        # is bad input rather than an internal fault
+        if self.pinned_vertex in self.integral_set:
+            raise InputError("rounded set must avoid the pinned vertex")
+        if len(self.integral_set) > self.factor_bound * self.fractional_value:
+            raise InputError(
+                f"factor bound violated: {len(self.integral_set)} > "
+                f"{self.factor_bound} * {self.fractional_value}"
+            )
 
 
 def _check_inputs(inst: Instance, v: int, x: FractionalSolution) -> None:
@@ -169,8 +174,8 @@ def round_cograph(g: Graph, v: int, x: FractionalSolution) -> RoundingCertificat
     for quad in iter_induced_p4s(g, frozenset(removed)):
         v_star.update(quad)
     v_star.discard(v)
-    for u in v_star:
-        assert x.weights[u] >= POINT_TWO, "light vertex on a residual P4 contradicts feasibility"
+    if any(x.weights[u] < POINT_TWO for u in v_star):
+        raise AssertionError("light vertex on a residual P4 contradicts feasibility")
     neigh = frozenset(sorted(v_star & g.neighbors(v)))
     non_neigh = frozenset(sorted(v_star - g.neighbors(v)))
     picked = neigh if len(neigh) < len(non_neigh) else non_neigh

@@ -1,4 +1,4 @@
-"""Exact rational simplex for hitting-set covering LPs.
+"""Exact simplex for hitting-set covering LPs.
 
 The LP to solve is  min sum(x_u)  s.t.  sum(x_u for u in S) >= 1 per pooled
 constraint set S, 0 <= x <= 1, optionally x_pin = 0.  Because the constraint
@@ -10,19 +10,24 @@ per vertex u, y >= 0, whose origin is feasible: no artificial variables or
 phase-one are ever needed, and adding a cut to the covering LP is just a new
 column here, so the current basis warm-starts every re-solve.
 
-All arithmetic is over `fractions.Fraction` and pivoting follows Bland's
-rule, so the optimum is exact and cycling is impossible.  The optimal
-covering solution is read off the objective row: x_u equals the negated
-reduced cost of vertex u's slack column.
+Arithmetic is exact over Python ints: each tableau row keeps the integer
+numerators of its nonzero entries over one positive row denominator, and the
+objective row keeps dense integer numerators over one shared denominator.
+`fractions.Fraction` values are built only at the boundary, by
+`covering_solution` and `objective`.  Pivoting follows Bland's rule, so the
+optimum is exact and cycling is impossible.  The optimal covering solution is
+read off the objective row: x_u equals the negated reduced cost of vertex u's
+slack column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional
 
 from .errors import PinInfeasibleError
-from .graphs import ONE, ZERO, VertexWeights
+from .graphs import ZERO, VertexWeights
 
 
 class PackingSimplex:
@@ -32,36 +37,37 @@ class PackingSimplex:
     and constraint columns are appended in insertion order; Bland's entering
     rule uses that fixed column order.  The pinned vertex never receives a
     row, which realises the x_pin = 0 restriction of the covering LP.
+
+    Row k holds the entries `tab[k][c] / den[k]` (absent columns are zero)
+    and the right-hand side `rhs[k] / den[k]`; the reduced cost of column c
+    is `obj[c] / obj_den` and the objective value `value_num / obj_den`.
+    Every denominator is positive.
     """
 
     def __init__(self, pinned: Optional[int] = None):
         self.pinned = pinned
-        self.rows: list[int] = []  # vertex of each tableau row
         self.slack_col: dict[int, int] = {}
-        self.tab: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
-        self.obj: list[Fraction] = []  # reduced costs, one per column
+        self.tab: list[dict[int, int]] = []
+        self.den: list[int] = []
+        self.rhs: list[int] = []
+        self.obj: list[int] = []
+        self.obj_den = 1
+        self.value_num = 0
         self.basis: list[int] = []  # basic column of each row
-        self.value = ZERO
         self.ncols = 0
-        self.pool: list[tuple[int, ...]] = []
 
     def _new_row(self, u: int) -> None:
         # A fresh vertex appears in no pooled constraint, so its new slack
         # stays basic and the inverse-basis block extends by an identity
         # row/column: existing rows get a zero entry, the new row is a unit.
-        for row in self.tab:
-            row.append(ZERO)
-        self.obj.append(ZERO)
         col = self.ncols
         self.ncols += 1
+        self.obj.append(0)
         self.slack_col[u] = col
-        new_row = [ZERO] * self.ncols
-        new_row[col] = ONE
-        self.tab.append(new_row)
-        self.rhs.append(ONE)
+        self.tab.append({col: 1})
+        self.den.append(1)
+        self.rhs.append(1)
         self.basis.append(col)
-        self.rows.append(u)
 
     def add_constraint(self, vertices: Iterable[int]) -> None:
         """Add the covering constraint sum(x_u for u in vertices) >= 1."""
@@ -76,53 +82,93 @@ class PackingSimplex:
         cols = [self.slack_col[u] for u in members]
         # New packing column in current-basis coordinates: B^-1 a equals the
         # sum of the members' slack columns, since a is their 0/1 indicator.
-        transformed = [sum(row[c] for c in cols) for row in self.tab]
-        reduced = ONE + sum(self.obj[c] for c in cols)
-        for row, entry in zip(self.tab, transformed):
-            row.append(entry)
-        self.obj.append(reduced)
+        # Row numerators share the row's denominator, so they simply add up.
+        col = self.ncols
         self.ncols += 1
-        self.pool.append(tuple(members))
+        for row in self.tab:
+            entry = 0
+            for c in cols:
+                entry += row.get(c, 0)
+            if entry:
+                row[col] = entry
+        obj = self.obj
+        reduced = self.obj_den
+        for c in cols:
+            reduced += obj[c]
+        obj.append(reduced)
 
     def _pivot(self, i: int, j: int) -> None:
-        piv = self.tab[i][j]
-        if piv != 1:
-            inv = 1 / piv
-            self.tab[i] = [a * inv for a in self.tab[i]]
-            self.rhs[i] *= inv
-        prow, prhs = self.tab[i], self.rhs[i]
-        for k, row in enumerate(self.tab):
-            if k == i:
+        # Dividing row i by its pivot entry p / den[i] cancels den[i]: the
+        # pivot row becomes its own numerators over p.
+        prow, p, prhs = self.tab[i], self.tab[i][j], self.rhs[i]
+        g = gcd(prhs, *prow.values())
+        if g != 1:
+            prow = {c: a // g for c, a in prow.items()}
+            p //= g
+            prhs //= g
+        self.tab[i], self.den[i], self.rhs[i] = prow, p, prhs
+        # Row k with entry t in column j becomes (row·p − t·prow) / (den·p);
+        # rows with no entry in column j are unchanged.
+        tab, den, rhs = self.tab, self.den, self.rhs
+        for k, row in enumerate(tab):
+            t = row.get(j)
+            if t is None or k == i:
                 continue
-            f = row[j]
-            if f:
-                self.tab[k] = [a - f * b for a, b in zip(row, prow)]
-                self.rhs[k] -= f * prhs
-        f = self.obj[j]
-        self.obj = [a - f * b for a, b in zip(self.obj, prow)]
-        self.value += f * prhs
+            new = {c: a * p for c, a in row.items()} if p != 1 else row
+            for c, b in prow.items():
+                v = new.get(c, 0) - t * b
+                if v:
+                    new[c] = v
+                else:
+                    del new[c]
+            r = rhs[k] * p - t * prhs
+            d = den[k] * p
+            if d != 1:
+                g = gcd(d, r, *new.values())
+                if g != 1:
+                    new = {c: a // g for c, a in new.items()}
+                    r //= g
+                    d //= g
+            tab[k], den[k], rhs[k] = new, d, r
+        obj = self.obj
+        f = obj[j]
+        if p != 1:
+            obj = [a * p for a in obj]
+            self.value_num *= p
+            self.obj_den *= p
+        for c, b in prow.items():
+            obj[c] -= f * b
+        self.value_num += f * prhs
+        if p != 1:
+            g = gcd(self.obj_den, self.value_num, *obj)
+            if g != 1:
+                obj = [a // g for a in obj]
+                self.value_num //= g
+                self.obj_den //= g
+        self.obj = obj
         self.basis[i] = j
 
     def optimize(self) -> None:
         """Pivot to optimality (Bland's rule: lowest eligible index)."""
+        tab, rhs, basis = self.tab, self.rhs, self.basis
         while True:
-            enter = None
-            for j, r in enumerate(self.obj):
-                if r > 0:
-                    enter = j
-                    break
+            enter = next((j for j, r in enumerate(self.obj) if r > 0), None)
             if enter is None:
                 return
-            leave = None
-            best: Optional[tuple[Fraction, int]] = None
-            for i, row in enumerate(self.tab):
-                a = row[enter]
+            # Ratio rhs/a per row: the row denominator cancels, so rows i and
+            # l compare as rhs_i·a_l against rhs_l·a_i (a_i, a_l > 0); ties
+            # break on the lower basic column.
+            leave = -1
+            best_r = best_a = 0
+            for i, row in enumerate(tab):
+                a = row.get(enter, 0)
                 if a > 0:
-                    key = (self.rhs[i] / a, self.basis[i])
-                    if best is None or key < best:
-                        best = key
-                        leave = i
-            if leave is None:
+                    if leave >= 0:
+                        lhs, rhs_l = rhs[i] * best_a, best_r * a
+                        if lhs > rhs_l or (lhs == rhs_l and basis[i] > basis[leave]):
+                            continue
+                    leave, best_r, best_a = i, rhs[i], a
+            if leave < 0:
                 # each packing column has a +1 row at optimum-relevant bases;
                 # the LP is bounded, so this cannot happen
                 raise AssertionError("packing LP reported unbounded")
@@ -132,8 +178,8 @@ class PackingSimplex:
         """Optimal covering LP solution over n vertices (duals of the packing)."""
         x = [ZERO] * n
         for u, c in self.slack_col.items():
-            x[u] = -self.obj[c]
+            x[u] = Fraction(-self.obj[c], self.obj_den)
         return tuple(x)
 
     def objective(self) -> Fraction:
-        return self.value
+        return Fraction(self.value_num, self.obj_den)

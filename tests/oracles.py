@@ -1,8 +1,8 @@
 """Independent brute-force baselines used to validate the library.
 
 Everything here recomputes answers from first principles (subset and path
-enumeration, networkx traversals, float LP via scipy) without touching the
-library's solvers, so agreement is meaningful.
+enumeration, networkx traversals, float LP via scipy, a dense `Fraction`
+simplex) without touching the library's solvers, so agreement is meaningful.
 """
 
 from fractions import Fraction
@@ -10,6 +10,7 @@ from itertools import combinations
 
 import networkx as nx
 
+from essentia.errors import PinInfeasibleError
 from essentia.graphs import Graph
 from essentia.problems import Instance, Problem
 
@@ -180,3 +181,95 @@ def float_lp_value(obstacle_sets, n, pinned=None):
     res = linprog([1.0] * n, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.status == 0, f"float LP failed: {res.message}"
     return res.fun
+
+
+class DenseFractionSimplex:
+    """Reference packing-dual simplex: dense `Fraction` rows, Bland's rule.
+
+    Same interface and the same pivoting rule as `essentia.simplex.
+    PackingSimplex` (vertex rows created lazily, columns in insertion order,
+    lowest eligible entering column, ratio ties broken on the basic column),
+    so both must reach the same bases and the same exact values.
+    """
+
+    def __init__(self, pinned=None):
+        self.pinned = pinned
+        self.slack_col = {}
+        self.tab = []
+        self.rhs = []
+        self.obj = []  # reduced costs, one per column
+        self.basis = []  # basic column of each row
+        self.value = Fraction(0)
+        self.ncols = 0
+
+    def _new_row(self, u):
+        for row in self.tab:
+            row.append(Fraction(0))
+        self.obj.append(Fraction(0))
+        col = self.ncols
+        self.ncols += 1
+        self.slack_col[u] = col
+        new_row = [Fraction(0)] * self.ncols
+        new_row[col] = Fraction(1)
+        self.tab.append(new_row)
+        self.rhs.append(Fraction(1))
+        self.basis.append(col)
+
+    def add_constraint(self, vertices):
+        members = sorted(set(vertices) - {self.pinned})
+        if not members:
+            raise PinInfeasibleError("constraint consists of the pinned vertex alone")
+        for u in members:
+            if u not in self.slack_col:
+                self._new_row(u)
+        cols = [self.slack_col[u] for u in members]
+        transformed = [sum(row[c] for c in cols) for row in self.tab]
+        reduced = 1 + sum(self.obj[c] for c in cols)
+        for row, entry in zip(self.tab, transformed):
+            row.append(entry)
+        self.obj.append(reduced)
+        self.ncols += 1
+
+    def _pivot(self, i, j):
+        piv = self.tab[i][j]
+        if piv != 1:
+            inv = 1 / piv
+            self.tab[i] = [a * inv for a in self.tab[i]]
+            self.rhs[i] *= inv
+        prow, prhs = self.tab[i], self.rhs[i]
+        for k, row in enumerate(self.tab):
+            if k == i:
+                continue
+            f = row[j]
+            if f:
+                self.tab[k] = [a - f * b for a, b in zip(row, prow)]
+                self.rhs[k] -= f * prhs
+        f = self.obj[j]
+        self.obj = [a - f * b for a, b in zip(self.obj, prow)]
+        self.value += f * prhs
+        self.basis[i] = j
+
+    def optimize(self):
+        while True:
+            enter = next((j for j, r in enumerate(self.obj) if r > 0), None)
+            if enter is None:
+                return
+            leave, best = None, None
+            for i, row in enumerate(self.tab):
+                a = row[enter]
+                if a > 0:
+                    key = (self.rhs[i] / a, self.basis[i])
+                    if best is None or key < best:
+                        best, leave = key, i
+            if leave is None:
+                raise AssertionError("packing LP reported unbounded")
+            self._pivot(leave, enter)
+
+    def covering_solution(self, n):
+        x = [Fraction(0)] * n
+        for u, c in self.slack_col.items():
+            x[u] = -self.obj[c]
+        return tuple(x)
+
+    def objective(self):
+        return self.value

@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from essentia.errors import PreconditionError
+from essentia import serialize
+from essentia.errors import InputError, PreconditionError
 from essentia.exact import SolveBudget, opt_value_avoiding, solve_exact
 from essentia.graphs import Graph
 from essentia.lab import gen_matching_apex, gen_star_multicut
@@ -16,6 +17,21 @@ from oracles import naive_min_separator_size
 
 def pinned_optimum(inst, v):
     return solve(LpProblem(inst, pinned_vertex=v))
+
+
+class TestCertificateInvariants:
+    # raised explicitly, so the checks also hold under `python -O`
+    @pytest.mark.parametrize(
+        "integral_set, match",
+        [([0], "pinned vertex"), ([1, 2, 3, 4, 5, 6, 7], "factor bound")],
+    )
+    def test_rebuilt_certificate_violation_is_input_error(self, integral_set, match):
+        inst = gen_star_multicut(6).instance
+        cert = round_multicut(inst, 0, pinned_optimum(inst, 0))
+        data = serialize.rounding_certificate_to_dict(cert)
+        data["integral_set"] = integral_set
+        with pytest.raises(InputError, match=match):
+            serialize.rounding_certificate_from_dict(data)
 
 
 class TestRoundMulticut:

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from essentia import serialize
-from essentia.cli import run
-from essentia.errors import InputError
+from essentia.cli import _worker_count, run
+from essentia.errors import InputError, ResourceCapError
 from essentia.graphs import Graph
 from essentia.lab import gen_matching_apex, gen_star_multicut
 from essentia.lp import LpProblem, solve
@@ -222,6 +222,20 @@ class TestCli:
         path = self.write_star(tmp_path, m=4)
         assert run(["detect", "--k", "1", "--jobs", "2", path]) == 0
         assert json.loads(capsys.readouterr().out)["selected"] == [0]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_refused(self, tmp_path, capsys, jobs):
+        path = self.write_star(tmp_path, m=4)
+        assert run(["detect", "--k", "1", "--jobs", jobs, path]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_worker_count_clamps_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr("essentia.cli.os.cpu_count", lambda: 4)
+        assert [_worker_count(j) for j in (1, 3, 4, 5, 10**6)] == [1, 3, 4, 4, 4]
+        monkeypatch.setattr("essentia.cli.os.cpu_count", lambda: None)
+        assert _worker_count(8) == 1
+        with pytest.raises(ResourceCapError):
+            _worker_count(0)
 
     def test_round_trip_via_cli_generate(self, tmp_path, capsys):
         assert run(["generate", "--family", "star", "--m", "7"]) == 0
