@@ -29,15 +29,7 @@ from .errors import (
     SizeCapError,
 )
 from .exact import SolveBudget, opt_value, opt_value_avoiding, solve_exact
-from .graphs import (
-    Graph,
-    Path,
-    VertexWeights,
-    count_vertex_disjoint_paths,
-    min_vertex_separator,
-    min_weight_cycle_through,
-    shortest_weighted_path,
-)
+from .graphs import Graph, Path, VertexWeights, min_vertex_separator
 from .lab import (
     GapReport,
     GnpGapRow,
@@ -52,14 +44,13 @@ from .lab import (
     gnp_gap_experiment,
     measure_gap,
 )
-from .lp import FractionalSolution, LpProblem, solve, solve_restricted, verify_feasible
+from .lp import FractionalSolution, LpProblem, solve, verify_feasible
 from .problems import (
     Instance,
     Obstacle,
     ObstacleKind,
     Problem,
     all_obstacles,
-    enumerate_obstacles_minimal,
     find_violated_obstacle,
     is_solution,
 )
@@ -70,5 +61,23 @@ from .rounding import (
     round_multicut,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# One group per submodule, in import order.
+__all__ = [
+    "DETECTION_THRESHOLDS", "DetectionRequest", "DetectionResult", "detect",
+    "essential_vertices_exact", "lp_values",
+    "DriverReport", "restrict_instance", "solve_with_detection",
+    "EssentiaError", "InfeasibleSeparatorError", "InputError", "IterationCapError",
+    "NodeCapError", "PinInfeasibleError", "PreconditionError", "ResourceCapError",
+    "SizeCapError",
+    "SolveBudget", "opt_value", "opt_value_avoiding", "solve_exact",
+    "Graph", "Path", "VertexWeights", "min_vertex_separator",
+    "GapReport", "GnpGapRow", "LabeledInstance", "convert", "gap_csv_rows",
+    "gen_dfvs_gadget", "gen_gnp", "gen_matching_apex", "gen_star_multicut",
+    "gen_vc_gadget", "gnp_gap_experiment", "measure_gap",
+    "FractionalSolution", "LpProblem", "solve", "verify_feasible",
+    "Instance", "Obstacle", "ObstacleKind", "Problem", "all_obstacles",
+    "find_violated_obstacle", "is_solution",
+    "RoundingCertificate", "round_cograph", "round_directed_multicut",
+    "round_multicut",
+]
 __version__ = "0.1.0"

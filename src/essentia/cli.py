@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -44,12 +43,10 @@ def _load_instance(path: str, fmt: str, problem_tag: Optional[str]) -> Instance:
     raise InputError(f"unknown format {fmt!r}")
 
 
-def _worker_count(jobs: int) -> int:
-    """The --jobs value bounded by this machine: below 1 is refused, above
-    the CPU count is clamped to it."""
+def _check_jobs(jobs: int) -> None:
+    """Refuse a --jobs value below 1; `lp_values` clamps large ones."""
     if jobs < 1:
         raise ResourceCapError(f"--jobs must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
 
 
 def _emit(payload: dict) -> None:
@@ -250,7 +247,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        args.jobs = _worker_count(args.jobs)
+        _check_jobs(args.jobs)
         return args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ optima on small instances.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,12 +82,14 @@ def _pinned_value(payload: tuple[Instance, int]) -> Fraction:
 def lp_values(inst: Instance, jobs: int = 1) -> tuple[Fraction, ...]:
     """Value of the v-pinned LP for every vertex v (the f_v vector).
 
-    The n solves are independent; jobs > 1 fans them out over processes.
+    The n solves are independent; jobs > 1 fans them out over at most
+    min(jobs, CPU count, n) processes.
     """
     payloads = [(inst, v) for v in range(inst.n)]
-    if jobs <= 1 or inst.n <= 1:
+    workers = min(jobs, os.cpu_count() or 1, inst.n)
+    if workers <= 1:
         return tuple(_pinned_value(p) for p in payloads)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return tuple(pool.map(_pinned_value, payloads))
 
 

@@ -17,13 +17,12 @@ the optimum size is known.
 
 from __future__ import annotations
 
-import heapq
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import InputError, NodeCapError
-from .graphs import Graph
+from .graphs import shortest_weighted_path
 from .problems import Instance, Problem, all_induced_p4s, is_solution
 
 _INFEASIBLE = 10**9
@@ -42,49 +41,6 @@ class SolveBudget:
     max_k: Optional[int] = None
     forbidden: frozenset[int] = frozenset()
     node_cap: int = field(default_factory=default_node_cap)
-
-
-def _min_allowed_path01(
-    g: Graph,
-    removed: frozenset[int],
-    blocked: frozenset[int],
-    sources: Iterable[int],
-    targets: Iterable[int],
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Surviving source->target path with the fewest non-blocked vertices.
-
-    Vertices in `removed` are absent from the graph; `blocked` vertices cost
-    0 (they cannot be deleted), all others cost 1.  Returns (cost, path) with
-    lexicographic tie-breaking, or None when no path survives.
-    """
-    sources = [s for s in sorted(set(sources)) if s not in removed]
-    target_set = {t for t in targets if t not in removed}
-    if not sources or not target_set:
-        return None
-    heap = [(0 if s in blocked else 1, (s,)) for s in sources]
-    heapq.heapify(heap)
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for entry in heap:
-        v = entry[1][-1]
-        if v not in best or entry < best[v]:
-            best[v] = entry
-    settled: set[int] = set()
-    while heap:
-        cost, path = heapq.heappop(heap)
-        u = path[-1]
-        if u in settled:
-            continue
-        settled.add(u)
-        if u in target_set:
-            return cost, path
-        for v in g.adj[u]:
-            if v in settled or v in removed:
-                continue
-            cand = (cost + (0 if v in blocked else 1), path + (v,))
-            if v not in best or cand < best[v]:
-                best[v] = cand
-                heapq.heappush(heap, cand)
-    return None
 
 
 class _Search:
@@ -135,11 +91,13 @@ class _Search:
             if best is None:
                 return None
             return sorted(set(best[1])), best[2]
+        # cheapest surviving path/cycle counting only deletable vertices
+        cost = [0 if u in blocked else 1 for u in range(self.g.n)]
         best_path: Optional[tuple[int, tuple[int, ...]]] = None
         if p in (Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT):
             for s in sorted(self.by_source):
-                found = _min_allowed_path01(
-                    self.g, removed, blocked, (s,), self.by_source[s]
+                found = shortest_weighted_path(
+                    self.g, cost, (s,), self.by_source[s], removed
                 )
                 if found is not None and (best_path is None or found < best_path):
                     best_path = found
@@ -149,10 +107,7 @@ class _Search:
             for v in range(self.g.n):
                 if v in removed:
                     continue
-                starts = [u for u in self.g.adj[v] if u not in removed]
-                if not starts:
-                    continue
-                found = _min_allowed_path01(self.g, removed, blocked, starts, (v,))
+                found = shortest_weighted_path(self.g, cost, self.g.adj[v], (v,), removed)
                 if found is not None and (best_path is None or found < best_path):
                     best_path = found
                     if best_path[0] <= 1:

@@ -1,11 +1,12 @@
 """Exact-arithmetic graph primitives.
 
-Everything downstream is built on four operations defined here: simple graphs
-(directed or not), vertex-weighted shortest paths, minimum-weight directed
-cycles through a vertex, and minimum vertex separators computed by
-vertex-splitting max-flow.  Path and cycle weights are sums of *vertex*
-weights, endpoints included, and all weights are exact `fractions.Fraction`
-values so that downstream threshold comparisons are never approximate.
+Everything downstream is built on the operations defined here: simple graphs
+(directed or not), one label-setting search for the cheapest paths under
+per-vertex costs (shortest weighted paths and minimum-weight directed cycles
+through a vertex are thin uses of it), and minimum vertex separators computed
+by vertex-splitting max-flow.  Path and cycle weights are sums of *vertex*
+costs, endpoints included; LP weights are exact `fractions.Fraction` values,
+so downstream threshold comparisons are never approximate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InfeasibleSeparatorError, InputError, PreconditionError
 
@@ -113,83 +114,73 @@ def reachable_set(g: Graph, starts: Iterable[int], removed: frozenset[int] = fro
     return seen
 
 
-def has_path(g: Graph, s: int, t: int, removed: frozenset[int] = frozenset()) -> bool:
-    """True if a path from s to t survives the removal of `removed`."""
-    if s in removed or t in removed:
-        return False
-    return t in reachable_set(g, (s,), removed)
-
-
-def shortest_weighted_path(
+def cheapest_paths(
     g: Graph,
-    w: VertexWeights,
+    cost: Sequence,
     sources: Iterable[int],
-    targets: Iterable[int],
-) -> Optional[tuple[Fraction, Path]]:
-    """Minimum-weight simple path from any source to any target.
+    removed: frozenset[int] = frozenset(),
+) -> Iterator[tuple]:
+    """Settled labels of a label-setting search under per-vertex costs.
 
-    The weight of a path is the sum of the weights of its vertices, endpoints
-    included; a single vertex that is both source and target is a valid path
-    of weight w(s).  Among equal-weight paths the lexicographically smallest
-    vertex sequence is returned, which makes results deterministic.  Returns
-    None when no target is reachable.
+    A label is (cost, path): the path's vertex costs summed, endpoints
+    included, so a lone source s has label (cost[s], (s,)).  `cost` is any
+    nonnegative per-vertex sequence (exact `Fraction` weights, 0/1 ints);
+    it is trusted, not validated.  Vertices in `removed` are neither
+    started from nor entered.  Every vertex reachable from the surviving
+    sources is yielded once, with its cheapest path and, among equal-cost
+    paths, the lexicographically least one.  Labels come in nondecreasing
+    (cost, path) order, so a consumer may stop at the first label it wants.
     """
-    check_weights(g, w)
-    sources = sorted(set(sources))
-    target_set = set(targets)
-    if not sources or not target_set:
-        raise PreconditionError("sources and targets must be nonempty")
-    for u in sources + sorted(target_set):
-        if not 0 <= u < g.n:
-            raise InputError(f"vertex {u} out of range (n={g.n})")
-
-    # Label-setting search: a label is (weight, path); entering vertex u adds
-    # w[u], and the source's own weight initialises its label.  The combined
-    # (weight, path) key is monotone along arcs, so the first time a vertex is
-    # popped its label is final, and ties resolve to the lex-least path.
-    heap: list[tuple[Fraction, Path]] = [(w[s], (s,)) for s in sources]
+    heap = [(cost[s], (s,)) for s in sorted(set(sources)) if s not in removed]
+    best = {label[1][0]: label for label in heap}
     heapq.heapify(heap)
-    best: dict[int, tuple[Fraction, Path]] = {s: (w[s], (s,)) for s in sources}
     settled: set[int] = set()
+    adj, push, pop = g.adj, heapq.heappush, heapq.heappop
+    # Extending a path adds a nonnegative cost and lengthens the tuple, so
+    # the (cost, path) key is monotone along arcs: the first pop of a vertex
+    # is final.
     while heap:
-        dist, path = heapq.heappop(heap)
+        label = pop(heap)
+        dist, path = label
         u = path[-1]
         if u in settled:
             continue
         settled.add(u)
-        if u in target_set:
-            return dist, path
-        for v in g.adj[u]:
-            if v in settled:
+        yield label
+        for v in adj[u]:
+            if v in settled or v in removed:
                 continue
-            cand = (dist + w[v], path + (v,))
+            cand = (dist + cost[v], path + (v,))
             if v not in best or cand < best[v]:
                 best[v] = cand
-                heapq.heappush(heap, cand)
-    return None
+                push(heap, cand)
 
 
-def weighted_distances(
-    g: Graph, w: VertexWeights, sources: Iterable[int]
-) -> dict[int, Fraction]:
-    """Minimum path weight from the source set to every reachable vertex.
+def shortest_weighted_path(
+    g: Graph,
+    w: Sequence,
+    sources: Iterable[int],
+    targets: Iterable[int],
+    removed: frozenset[int] = frozenset(),
+) -> Optional[tuple[Fraction, Path]]:
+    """Minimum-weight simple path from any source to any target.
 
-    Same charging rule as `shortest_weighted_path` (endpoints included);
-    unreachable vertices are absent from the result.
+    The first label of `cheapest_paths` that ends in a target: a single
+    vertex that is both source and target is a valid path of weight w(s),
+    and equal-weight paths resolve to the lexicographically least vertex
+    sequence.  Returns None when no target is reachable without entering
+    `removed`, including when no source or no target survives it.  Vertex
+    ids and weights are trusted: `Instance` validates the former and
+    `problems.find_violated_obstacle` the latter where they enter.
     """
-    check_weights(g, w)
-    heap = [(w[s], s) for s in sorted(set(sources))]
-    heapq.heapify(heap)
-    dist: dict[int, Fraction] = {}
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in dist:
-            continue
-        dist[u] = d
-        for v in g.adj[u]:
-            if v not in dist:
-                heapq.heappush(heap, (d + w[v], v))
-    return dist
+    target_set = set(targets) - removed
+    if not target_set:
+        # nothing to find: do not settle the whole component first
+        return None
+    for label in cheapest_paths(g, w, sources, removed):
+        if label[1][-1] in target_set:
+            return label
+    return None
 
 
 def reverse_graph(g: Graph) -> Graph:
@@ -202,15 +193,15 @@ def reverse_graph(g: Graph) -> Graph:
 def min_weight_cycle_through(
     g: Graph, w: VertexWeights, v: int
 ) -> Optional[tuple[Fraction, Path]]:
-    """Minimum-weight directed simple cycle containing v.
+    """Minimum-weight directed simple cycle containing v (trusted weights).
 
-    Each vertex on the cycle is charged once.  The cycle is returned as the
+    The cheapest path from an out-neighbor of v back to v, rotated; each
+    vertex on the cycle is charged once.  The cycle is returned as the
     tuple of its vertices starting at v; the final vertex has an arc back to
     v.  Returns None when v lies on no cycle.
     """
     if not g.directed:
         raise PreconditionError("cycle search requires a directed graph")
-    check_weights(g, w)
     if not 0 <= v < g.n:
         raise InputError(f"vertex {v} out of range (n={g.n})")
     starts = g.adj[v]

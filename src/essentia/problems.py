@@ -250,6 +250,7 @@ def find_violated_obstacle(
     cycle search, every quadruple for induced P4s, every edge for vertex
     cover.  Hence a None answer certifies that all obstacles weigh at least
     the threshold.  Ties break toward the lexicographically least witness.
+    The weights are validated here, once; the graph searches trust them.
     """
     g = inst.graph
     check_weights(g, w)

@@ -27,13 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, PreconditionError
-from .graphs import (
-    Graph,
-    HALF,
-    min_vertex_separator,
-    reverse_graph,
-    weighted_distances,
-)
+from .graphs import Graph, HALF, cheapest_paths, min_vertex_separator, reverse_graph
 from .lp import FractionalSolution, LpProblem, verify_feasible
 from .problems import Instance, Problem, has_induced_p4, is_solution, iter_induced_p4s
 
@@ -76,9 +70,9 @@ def _heavy_set(g: Graph, x: FractionalSolution, v: int) -> frozenset[int]:
     """Vertices whose every path to the source set {v} weighs at least 1/2.
 
     Computed from single-source distances out of v; vertices unreachable
-    from v qualify vacuously.
+    from v qualify vacuously.  `_check_inputs` has validated the weights.
     """
-    dist = weighted_distances(g, x.weights, (v,))
+    dist = {path[-1]: d for d, path in cheapest_paths(g, x.weights, (v,))}
     return frozenset(u for u in range(g.n) if dist.get(u, None) is None or dist[u] >= HALF)
 
 

@@ -85,21 +85,24 @@ def naive_min_solution(inst: Instance, forbidden=frozenset()):
     return None
 
 
-def all_simple_paths(g: Graph, s: int, t: int):
+def all_simple_paths(g: Graph, s: int, t: int, removed=frozenset()):
+    if s in removed or t in removed:
+        return
     if s == t:
         yield (s,)
         return
-    gx = to_nx(g)
+    gx = to_nx(g, removed)
     for path in nx.all_simple_paths(gx, s, t):
         yield tuple(path)
 
 
-def naive_shortest_weighted_path(g: Graph, w, sources, targets):
-    """Minimum vertex-weight path by exhaustive simple-path enumeration."""
+def naive_shortest_weighted_path(g: Graph, w, sources, targets, removed=frozenset()):
+    """Minimum vertex-weight path by exhaustive simple-path enumeration,
+    over the networkx graph `to_nx(g, removed)`."""
     best = None
     for s in sorted(set(sources)):
         for t in sorted(set(targets)):
-            for path in all_simple_paths(g, s, t):
+            for path in all_simple_paths(g, s, t, removed):
                 cand = (sum((w[u] for u in path), Fraction(0)), path)
                 if best is None or cand < best:
                     best = cand

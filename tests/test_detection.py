@@ -58,6 +58,40 @@ class TestDetect:
         inst = gen_matching_apex(4).instance
         assert lp_values(inst, jobs=2) == lp_values(inst, jobs=1)
 
+    def test_jobs_clamped_to_cpu_count_and_n(self, monkeypatch):
+        # the fake pool records its worker count and maps in-process, so no
+        # worker process starts
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("essentia.detection.ProcessPoolExecutor", RecordingPool)
+        inst = gen_star_multicut(4).instance  # n = 5
+        want = lp_values(inst)
+        monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 4)
+        assert [lp_values(inst, jobs=j) for j in (1, 3, 4, 5, 10**6)] == [want] * 5
+        assert seen == [3, 4, 4, 4]  # jobs=1 stays in-process
+        seen.clear()
+        monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 64)
+        assert lp_values(inst, jobs=10**6) == want
+        assert seen == [5]  # one worker per vertex at most
+        seen.clear()
+        monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: None)
+        assert lp_values(inst, jobs=8) == want
+        assert lp_values(inst, jobs=0) == want
+        assert seen == []  # an unknown CPU count means one worker
+
     @pytest.mark.parametrize("problem", list(Problem))
     @pytest.mark.parametrize("seed", range(6))
     def test_guarantees_at_k_equals_opt(self, problem, seed):

@@ -6,12 +6,13 @@ import pytest
 from essentia.errors import InfeasibleSeparatorError, InputError
 from essentia.graphs import (
     Graph,
+    cheapest_paths,
     count_vertex_disjoint_paths,
     min_vertex_separator,
     min_weight_cycle_through,
     shortest_weighted_path,
-    weighted_distances,
 )
+from essentia.problems import Instance, Problem, find_violated_obstacle
 
 from conftest import random_graph
 from oracles import naive_min_cycle_through, naive_min_separator_size, naive_shortest_weighted_path
@@ -29,6 +30,28 @@ def rational_weights(n, rng):
     return tuple(out)
 
 
+def path_cases(seeds):
+    """Seeds of the plain rational-weight cases (ids kept as the bare seed),
+    then the same seeds with a removed set, and with 0/1 costs plus a removed
+    set as exact search uses them."""
+    plain = [pytest.param(seed, "rational", id=str(seed)) for seed in seeds]
+    return plain + [
+        pytest.param(seed, variant, id=f"{variant}-{seed}")
+        for variant in ("removed", "zero-one")
+        for seed in seeds
+    ]
+
+
+def vary_costs(w, variant, rng):
+    """(costs, removed set) for one case; the rational case is left as is."""
+    n = len(w)
+    if variant == "rational":
+        return w, frozenset()
+    if variant == "zero-one":
+        w = tuple(rng.randint(0, 1) for _ in range(n))
+    return w, frozenset(u for u in range(n) if rng.random() < 0.25)
+
+
 class TestShortestWeightedPath:
     def test_star_leaf_to_leaf(self):
         g = star(6)
@@ -43,26 +66,28 @@ class TestShortestWeightedPath:
         g = Graph(3, False, [(0, 1)])
         assert shortest_weighted_path(g, (F(1), F(1), F(1)), [0], [2]) is None
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_random_digraph_matches_enumeration(self, seed):
+    @pytest.mark.parametrize("seed, variant", path_cases(range(30)))
+    def test_random_digraph_matches_enumeration(self, seed, variant):
         rng = random.Random(seed)
         g = random_graph(5, rng.randrange(1 << 30), directed=True, p=0.4)
         w = rational_weights(5, rng)
         s, t = rng.randrange(5), rng.randrange(5)
-        got = shortest_weighted_path(g, w, [s], [t])
-        want = naive_shortest_weighted_path(g, w, [s], [t])
+        w, removed = vary_costs(w, variant, rng)
+        got = shortest_weighted_path(g, w, [s], [t], removed)
+        want = naive_shortest_weighted_path(g, w, [s], [t], removed)
         assert got == want  # distance and lex-least path both
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_multi_source_target_matches_enumeration(self, seed):
+    @pytest.mark.parametrize("seed, variant", path_cases(range(10)))
+    def test_multi_source_target_matches_enumeration(self, seed, variant):
         rng = random.Random(1000 + seed)
         g = random_graph(6, rng.randrange(1 << 30), directed=False, p=0.4)
         w = rational_weights(6, rng)
         sources = rng.sample(range(6), 2)
         targets = rng.sample(range(6), 2)
-        assert shortest_weighted_path(g, w, sources, targets) == naive_shortest_weighted_path(
-            g, w, sources, targets
-        )
+        w, removed = vary_costs(w, variant, rng)
+        assert shortest_weighted_path(
+            g, w, sources, targets, removed
+        ) == naive_shortest_weighted_path(g, w, sources, targets, removed)
 
     def test_reported_distance_recomputes_bit_exact(self):
         rng = random.Random(5)
@@ -82,12 +107,23 @@ class TestShortestWeightedPath:
         w = (F(0), F(0), F(0), F(0))
         assert shortest_weighted_path(g, w, [0], [3])[1] == (0, 1, 3)
 
+    def test_removed_vertices_are_avoided(self):
+        # 0-1-3 is cheaper than 0-2-3 until 1 is removed
+        g = Graph(4, False, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        w = (F(0), F(1, 4), F(1, 2), F(0))
+        assert shortest_weighted_path(g, w, [0], [3]) == (F(1, 4), (0, 1, 3))
+        assert shortest_weighted_path(g, w, [0], [3], frozenset({1})) == (F(1, 2), (0, 2, 3))
+        assert shortest_weighted_path(g, w, [0, 1], [3], frozenset({0})) == (F(1, 4), (1, 3))
+        assert shortest_weighted_path(g, w, [0], [3], frozenset({3})) is None
+        assert shortest_weighted_path(g, w, [0], [3], frozenset({1, 2})) is None
+
     def test_weight_validation(self):
-        g = star(2)
+        # the path search trusts its weights; the oracle validates them on entry
+        inst = Instance(Problem.VERTEX_MULTICUT, star(2), ((1, 2),))
         with pytest.raises(InputError):
-            shortest_weighted_path(g, (F(0), F(1)), [0], [1])  # wrong length
+            find_violated_obstacle(inst, (F(0), F(1)))  # wrong length
         with pytest.raises(InputError):
-            shortest_weighted_path(g, (F(0), F(1), F(3, 2)), [0], [1])  # > 1
+            find_violated_obstacle(inst, (F(0), F(1), F(3, 2)))  # > 1
 
 
 class TestMinWeightCycleThrough:
@@ -210,7 +246,10 @@ class TestGraphValidation:
         rng = random.Random(3)
         g = random_graph(7, 17, p=0.45)
         w = rational_weights(7, rng)
-        dist = weighted_distances(g, w, (0,))
+        labels = list(cheapest_paths(g, w, (0,)))
+        assert labels == sorted(labels)  # settled in (cost, path) order
+        dist = {path[-1]: d for d, path in labels}
+        assert len(dist) == len(labels)  # each vertex settled once
         for t in range(7):
             found = shortest_weighted_path(g, w, [0], [t])
             if found is None:

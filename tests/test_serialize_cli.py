@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import essentia
 from essentia import serialize
-from essentia.cli import _worker_count, run
+from essentia.cli import _check_jobs, run
 from essentia.errors import InputError, ResourceCapError
 from essentia.graphs import Graph
 from essentia.lab import gen_matching_apex, gen_star_multicut
@@ -228,14 +233,24 @@ class TestCli:
         path = self.write_star(tmp_path, m=4)
         assert run(["detect", "--k", "1", "--jobs", jobs, path]) == 2
         assert "--jobs" in capsys.readouterr().err
-
-    def test_worker_count_clamps_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr("essentia.cli.os.cpu_count", lambda: 4)
-        assert [_worker_count(j) for j in (1, 3, 4, 5, 10**6)] == [1, 3, 4, 4, 4]
-        monkeypatch.setattr("essentia.cli.os.cpu_count", lambda: None)
-        assert _worker_count(8) == 1
         with pytest.raises(ResourceCapError):
-            _worker_count(0)
+            _check_jobs(int(jobs))
+
+    @pytest.mark.parametrize("command", ["solve", "reduce"])
+    def test_optimized_mode_matches_in_process(self, tmp_path, capsys, command):
+        # `python -O` strips assert statements; the package's invariants
+        # must not rest on them, so its output must not change
+        path = self.write_star(tmp_path, m=4)
+        assert run([command, path]) == 0
+        want = json.loads(capsys.readouterr().out)
+        src = Path(essentia.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "essentia.cli", command, path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == want
 
     def test_round_trip_via_cli_generate(self, tmp_path, capsys):
         assert run(["generate", "--family", "star", "--m", "7"]) == 0

@@ -1,6 +1,7 @@
 """Guards on the package source itself."""
 
 import ast
+import types
 from pathlib import Path
 
 import essentia
@@ -16,3 +17,9 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in essentia: {found}"
+
+
+def test_public_names_resolve_and_are_not_modules():
+    for name in essentia.__all__:
+        obj = getattr(essentia, name)  # AttributeError if it does not resolve
+        assert not isinstance(obj, types.ModuleType), name
