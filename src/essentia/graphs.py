@@ -6,7 +6,8 @@ per-vertex costs (shortest weighted paths and minimum-weight directed cycles
 through a vertex are thin uses of it), and minimum vertex separators computed
 by vertex-splitting max-flow.  Path and cycle weights are sums of *vertex*
 costs, endpoints included; LP weights are exact `fractions.Fraction` values,
-so downstream threshold comparisons are never approximate.
+and `check_weights` puts them over one common denominator so that the
+separation oracle can compare integer numerators, never approximations.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InfeasibleSeparatorError, InputError, PreconditionError
@@ -25,7 +27,6 @@ VertexWeights = tuple[Fraction, ...]
 Path = tuple[int, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -90,15 +91,27 @@ class Graph:
         return f"Graph({kind}, n={self.n}, m={len(self.edges)})"
 
 
-def check_weights(g: Graph, w: VertexWeights) -> None:
-    """Validate a weight vector against a graph: length n, entries in [0, 1]."""
+def check_weights(g: Graph, w: VertexWeights) -> tuple[int, list[int]]:
+    """Validate a weight vector and put it over its least common denominator.
+
+    The vector must have length n and hold `Fraction` entries in [0, 1].
+    Returns (den, nums) with nums[u] == w[u] * den.  Multiplying by one
+    positive den keeps the order of every sum of weights, so callers may
+    compare sums of the integer numerators instead of `Fraction` sums.
+    """
     if len(w) != g.n:
         raise InputError(f"weight vector has length {len(w)}, expected {g.n}")
+    den = 1
     for u, x in enumerate(w):
-        if not isinstance(x, Fraction):
+        if type(x) is not Fraction and not isinstance(x, Fraction):
             raise InputError(f"weight of vertex {u} is not an exact rational: {x!r}")
-        if x < 0 or x > 1:
+        # a Fraction's denominator is positive, so 0 <= x <= 1 is 0 <= p <= q
+        p, q = x.numerator, x.denominator
+        if p < 0 or p > q:
             raise InputError(f"weight of vertex {u} out of [0, 1]: {x}")
+        if den % q:
+            den = den // gcd(den, q) * q
+    return den, [x.numerator * (den // x.denominator) for x in w]
 
 
 def reachable_set(g: Graph, starts: Iterable[int], removed: frozenset[int] = frozenset()) -> set[int]:
@@ -162,8 +175,8 @@ def shortest_weighted_path(
     sources: Iterable[int],
     targets: Iterable[int],
     removed: frozenset[int] = frozenset(),
-) -> Optional[tuple[Fraction, Path]]:
-    """Minimum-weight simple path from any source to any target.
+) -> Optional[tuple]:
+    """Minimum-weight simple path from any source to any target, as (cost, path).
 
     The first label of `cheapest_paths` that ends in a target: a single
     vertex that is both source and target is a valid path of weight w(s),
@@ -171,7 +184,8 @@ def shortest_weighted_path(
     sequence.  Returns None when no target is reachable without entering
     `removed`, including when no source or no target survives it.  Vertex
     ids and weights are trusted: `Instance` validates the former and
-    `problems.find_violated_obstacle` the latter where they enter.
+    `problems.find_violated_obstacle` the latter where they enter (it passes
+    their integer numerators, which order paths as the weights do).
     """
     target_set = set(targets) - removed
     if not target_set:
@@ -190,15 +204,14 @@ def reverse_graph(g: Graph) -> Graph:
     return Graph(g.n, True, [(v, u) for u, v in g.edges])
 
 
-def min_weight_cycle_through(
-    g: Graph, w: VertexWeights, v: int
-) -> Optional[tuple[Fraction, Path]]:
-    """Minimum-weight directed simple cycle containing v (trusted weights).
+def min_weight_cycle_through(g: Graph, w: Sequence, v: int) -> Optional[tuple]:
+    """Minimum-weight directed simple cycle containing v, as (cost, cycle).
 
     The cheapest path from an out-neighbor of v back to v, rotated; each
     vertex on the cycle is charged once.  The cycle is returned as the
     tuple of its vertices starting at v; the final vertex has an arc back to
-    v.  Returns None when v lies on no cycle.
+    v.  Returns None when v lies on no cycle.  The weights are trusted, as
+    in `shortest_weighted_path`.
     """
     if not g.directed:
         raise PreconditionError("cycle search requires a directed graph")

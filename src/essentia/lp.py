@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, IterationCapError
-from .graphs import ONE, ZERO, VertexWeights
+from .graphs import ZERO, VertexWeights
 from .problems import (
     Instance,
     Obstacle,
@@ -145,4 +145,4 @@ def verify_feasible(lp: LpProblem, sol: FractionalSolution) -> bool:
         return False
     if lp.pinned_vertex is not None and sol.weights[lp.pinned_vertex] != 0:
         return False
-    return find_violated_obstacle(inst, sol.weights, v_pinned=lp.pinned_vertex, threshold=ONE) is None
+    return find_violated_obstacle(inst, sol.weights, v_pinned=lp.pinned_vertex) is None

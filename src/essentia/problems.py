@@ -16,8 +16,10 @@ feedback vertex set  directed    vertex sets of directed simple cycles
 An instance never enumerates its obstacles up front; feasibility checks and
 the weighted separation oracle inspect the graph directly.  The oracle is the
 workhorse of the cutting-plane solver: given rational vertex weights it
-either certifies that every obstacle weighs at least the threshold or
-produces a minimum-weight violating obstacle.
+either certifies that every obstacle weighs at least 1 (the right-hand side
+of every covering constraint) or produces a minimum-weight obstacle lighter
+than that.  It validates the weights once, puts them over their least
+common denominator and prices obstacles in integer numerators.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from typing import Iterable, Iterator, Optional
 from .errors import InputError, PreconditionError
 from .graphs import (
     Graph,
-    ONE,
     Path,
     VertexWeights,
     check_weights,
@@ -238,51 +239,50 @@ def is_solution(inst: Instance, x: Iterable[int]) -> bool:
 
 
 def find_violated_obstacle(
-    inst: Instance,
-    w: VertexWeights,
-    v_pinned: Optional[int] = None,
-    threshold: Fraction = ONE,
+    inst: Instance, w: VertexWeights, v_pinned: Optional[int] = None
 ) -> Optional[Obstacle]:
-    """Minimum-weight obstacle of weight < threshold, or None if none exists.
+    """Minimum-weight obstacle of weight < 1, or None if none exists.
 
     A minimum-weight obstacle of every subfamily is examined: per terminal
     pair via vertex-weighted shortest path, per vertex via minimum-weight
     cycle search, every quadruple for induced P4s, every edge for vertex
     cover.  Hence a None answer certifies that all obstacles weigh at least
-    the threshold.  Ties break toward the lexicographically least witness.
-    The weights are validated here, once; the graph searches trust them.
+    1.  Ties break toward the lexicographically least witness.  The weights
+    are validated here, once, and scaled to integer numerators over their
+    least common denominator den; every family is priced in those ints, so
+    an obstacle is violated when its numerator sum is below den.
     """
     g = inst.graph
-    check_weights(g, w)
-    if v_pinned is not None and w[v_pinned] != 0:
+    den, nums = check_weights(g, w)
+    if v_pinned is not None and nums[v_pinned] != 0:
         raise PreconditionError(f"pinned vertex {v_pinned} must have weight 0")
     p = inst.problem
-    best: Optional[tuple[Fraction, tuple[int, ...]]] = None
+    best: Optional[tuple[int, tuple[int, ...]]] = None
 
     if p in (Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT):
         by_source: dict[int, list[int]] = {}
         for s, t in inst.terminals:
             by_source.setdefault(s, []).append(t)
         for s in sorted(by_source):
-            found = shortest_weighted_path(g, w, (s,), by_source[s])
+            found = shortest_weighted_path(g, nums, (s,), by_source[s])
             if found is not None and (best is None or found < best):
                 best = found
         kind = ObstacleKind.TERMINAL_PATH
     elif p is Problem.COGRAPH_DELETION:
         for quad in all_induced_p4s(g):
-            wt = w[quad[0]] + w[quad[1]] + w[quad[2]] + w[quad[3]]
+            wt = nums[quad[0]] + nums[quad[1]] + nums[quad[2]] + nums[quad[3]]
             if best is None or (wt, quad) < best:
                 best = (wt, quad)
         kind = ObstacleKind.INDUCED_P4
     elif p is Problem.VERTEX_COVER:
         for u, v in g.edges:
-            wt = w[u] + w[v]
+            wt = nums[u] + nums[v]
             if best is None or (wt, (u, v)) < best:
                 best = (wt, (u, v))
         kind = ObstacleKind.EDGE
     elif p is Problem.DFVS:
         for v in range(g.n):
-            found = min_weight_cycle_through(g, w, v)
+            found = min_weight_cycle_through(g, nums, v)
             if found is None:
                 continue
             cand = (found[0], _canonical_cycle(found[1]))
@@ -292,7 +292,7 @@ def find_violated_obstacle(
     else:
         raise AssertionError(p)
 
-    if best is None or best[0] >= threshold:
+    if best is None or best[0] >= den:
         return None
     return Obstacle(kind, frozenset(best[1]), best[1])
 

@@ -2,7 +2,11 @@
 
 Everything here recomputes answers from first principles (subset and path
 enumeration, networkx traversals, float LP via scipy, a dense `Fraction`
-simplex) without touching the library's solvers, so agreement is meaningful.
+simplex, matchings for the vertex-cover LP) without touching the library's
+solvers, so agreement is meaningful.  The `Fraction` separation oracle is
+the exception: it is the library's earlier scan, kept to check that pricing
+in integer numerators changed no answer, and it reuses the library's path
+searches, which take any cost type.
 """
 
 from fractions import Fraction
@@ -11,8 +15,20 @@ from itertools import combinations
 import networkx as nx
 
 from essentia.errors import PinInfeasibleError
-from essentia.graphs import Graph
-from essentia.problems import Instance, Problem
+from essentia.graphs import (
+    Graph,
+    count_vertex_disjoint_paths,
+    min_weight_cycle_through,
+    shortest_weighted_path,
+)
+from essentia.problems import (
+    Instance,
+    Obstacle,
+    ObstacleKind,
+    Problem,
+    _canonical_cycle,
+    all_induced_p4s,
+)
 
 
 def to_nx(g: Graph, removed=frozenset()):
@@ -186,6 +202,33 @@ def float_lp_value(obstacle_sets, n, pinned=None):
     return res.fun
 
 
+def vertex_cover_lp_values(inst: Instance):
+    """Every pinned vertex-cover LP value by matching, with no LP solved.
+
+    Pinning v to 0 forces all of N(v) to 1 and leaves the LP of G - N[v].
+    That LP is half-integral (Nemhauser-Trotter): its value is half the
+    maximum matching of the bipartite double cover H of G - N[v], which is
+    the number of vertex-disjoint left-to-right paths in H.  So
+    f_v = |N(v)| + nu(H) / 2.
+    """
+    g = inst.graph
+    assert inst.problem is Problem.VERTEX_COVER
+    n = g.n
+    values = []
+    for v in range(n):
+        closed = g.neighbors(v) | {v}
+        edges = []
+        for a, b in g.edges:
+            if a not in closed and b not in closed:
+                edges += [(a, n + b), (b, n + a)]
+        alive = [u for u in range(n) if u not in closed]
+        nu = count_vertex_disjoint_paths(
+            Graph(2 * n, False, edges), alive, [n + u for u in alive]
+        )
+        values.append(len(g.neighbors(v)) + Fraction(nu, 2))
+    return tuple(values)
+
+
 class DenseFractionSimplex:
     """Reference packing-dual simplex: dense `Fraction` rows, Bland's rule.
 
@@ -276,3 +319,52 @@ class DenseFractionSimplex:
 
     def objective(self):
         return self.value
+
+
+def fraction_violated_obstacle(inst: Instance, w, v_pinned=None):
+    """Reference separation oracle that prices obstacles in `Fraction` sums.
+
+    The scan `essentia.problems.find_violated_obstacle` made before it moved
+    to integer numerators over one denominator: same families, same
+    (weight, witness) tie-break, weights compared with 1 directly.  It does
+    not validate `w`.
+    """
+    g = inst.graph
+    assert v_pinned is None or w[v_pinned] == 0
+    p = inst.problem
+    best = None
+    if p in (Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT):
+        by_source = {}
+        for s, t in inst.terminals:
+            by_source.setdefault(s, []).append(t)
+        for s in sorted(by_source):
+            found = shortest_weighted_path(g, w, (s,), by_source[s])
+            if found is not None and (best is None or found < best):
+                best = found
+        kind = ObstacleKind.TERMINAL_PATH
+    elif p is Problem.COGRAPH_DELETION:
+        for quad in all_induced_p4s(g):
+            wt = w[quad[0]] + w[quad[1]] + w[quad[2]] + w[quad[3]]
+            if best is None or (wt, quad) < best:
+                best = (wt, quad)
+        kind = ObstacleKind.INDUCED_P4
+    elif p is Problem.VERTEX_COVER:
+        for u, v in g.edges:
+            wt = w[u] + w[v]
+            if best is None or (wt, (u, v)) < best:
+                best = (wt, (u, v))
+        kind = ObstacleKind.EDGE
+    elif p is Problem.DFVS:
+        for v in range(g.n):
+            found = min_weight_cycle_through(g, w, v)
+            if found is None:
+                continue
+            cand = (found[0], _canonical_cycle(found[1]))
+            if best is None or cand < best:
+                best = cand
+        kind = ObstacleKind.DIRECTED_CYCLE
+    else:
+        raise AssertionError(p)
+    if best is None or best[0] >= 1:
+        return None
+    return Obstacle(kind, frozenset(best[1]), best[1])

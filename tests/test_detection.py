@@ -13,12 +13,12 @@ from essentia.detection import (
 from essentia.errors import SizeCapError
 from essentia.exact import opt_value
 from essentia.graphs import Graph
-from essentia.lab import gen_matching_apex, gen_star_multicut
+from essentia.lab import gen_matching_apex, gen_star_multicut, gen_vc_gadget
 from essentia.lp import solve_restricted
 from essentia.problems import Instance, Problem
 
-from conftest import random_instance
-from oracles import naive_all_obstacle_sets, naive_opt
+from conftest import random_graph, random_instance
+from oracles import naive_all_obstacle_sets, naive_opt, vertex_cover_lp_values
 
 
 class TestDetect:
@@ -112,6 +112,33 @@ def _opt_with_forced(inst, forced):
 
     sub, _ = restrict_instance(inst, frozenset(forced))
     return len(forced) + naive_opt(sub)
+
+
+class TestVertexCoverLpByMatching:
+    """f_v from the simplex against f_v from matchings in the double cover."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_graphs(self, seed):
+        rng = random.Random(4100 + seed)
+        g = random_graph(rng.randint(6, 14), seed, p=rng.choice([0.15, 0.3, 0.5]))
+        inst = Instance(Problem.VERTEX_COVER, g)
+        assert lp_values(inst) == vertex_cover_lp_values(inst)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("eps", [F(1, 4), F(1, 2)])
+    def test_gadgets(self, seed, eps):
+        base = random_instance(Problem.VERTEX_COVER, 5, 4200 + seed)
+        inst = gen_vc_gadget(base, eps).instance
+        assert lp_values(inst) == vertex_cover_lp_values(inst)
+
+    def test_triangle_left_over_is_half_integral(self):
+        # an edge 0-1 beside a triangle 2-3-4: pinning 0 or 1 forces the other
+        # and leaves the triangle (LP 3/2); pinning a triangle vertex forces
+        # its two neighbours and leaves the edge (LP 1)
+        inst = Instance(Problem.VERTEX_COVER, Graph(5, False, [(0, 1), (2, 3), (3, 4), (2, 4)]))
+        expected = (F(5, 2), F(5, 2), F(3), F(3), F(3))
+        assert vertex_cover_lp_values(inst) == expected
+        assert lp_values(inst) == expected
 
 
 class TestEssentialExact:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -7,6 +8,7 @@ from essentia.errors import InfeasibleSeparatorError, InputError
 from essentia.graphs import (
     Graph,
     cheapest_paths,
+    check_weights,
     count_vertex_disjoint_paths,
     min_vertex_separator,
     min_weight_cycle_through,
@@ -124,6 +126,55 @@ class TestShortestWeightedPath:
             find_violated_obstacle(inst, (F(0), F(1)))  # wrong length
         with pytest.raises(InputError):
             find_violated_obstacle(inst, (F(0), F(1), F(3, 2)))  # > 1
+
+
+class TestCheckWeights:
+    """The one pass over the LP weights: validation plus integer numerators."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_least_common_denominator_and_numerators(self, seed):
+        rng = random.Random(900 + seed)
+        n = rng.randint(1, 12)
+        w = []
+        for _ in range(n):
+            den = rng.randint(1, 12)
+            w.append(F(rng.randint(0, den), den))
+        den, nums = check_weights(Graph(n, False, []), tuple(w))
+        lcd = 1
+        for x in w:
+            lcd = lcd * x.denominator // gcd(lcd, x.denominator)
+        assert den == lcd
+        assert all(nums[u] == w[u] * den for u in range(n))
+        assert all(type(a) is int for a in nums)
+
+    def test_examples(self):
+        g = Graph(4, False, [])
+        assert check_weights(g, (F(0), F(1), F(1, 2), F(2, 3))) == (6, [0, 6, 3, 4])
+        assert check_weights(g, (F(0),) * 4) == (1, [0] * 4)
+        assert check_weights(Graph(0, False, []), ()) == (1, [])
+
+    def test_fraction_subclass_is_accepted(self):
+        class Weight(F):
+            pass
+
+        assert check_weights(Graph(2, False, []), (Weight(1, 4), Weight(1))) == (4, [1, 4])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [0.5, 0, F(-1, 2), F(3, 2)],
+        ids=["float", "int", "negative", "above-one"],
+    )
+    def test_invalid_entry_raises_through_the_oracle(self, bad):
+        inst = Instance(Problem.VERTEX_COVER, Graph(3, False, [(0, 1), (1, 2)]))
+        with pytest.raises(InputError):
+            find_violated_obstacle(inst, (F(1, 2), bad, F(1, 2)))
+
+    def test_wrong_length_raises_through_the_oracle(self):
+        inst = Instance(Problem.VERTEX_COVER, Graph(3, False, [(0, 1), (1, 2)]))
+        with pytest.raises(InputError):
+            find_violated_obstacle(inst, (F(1, 2), F(1, 2)))
+        with pytest.raises(InputError):
+            find_violated_obstacle(inst, (F(1, 2),) * 4)
 
 
 class TestMinWeightCycleThrough:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from essentia.errors import InputError
 from essentia.graphs import Graph
@@ -17,7 +18,12 @@ from essentia.problems import (
 from essentia.lab import gen_matching_apex, gen_star_multicut
 
 from conftest import random_graph, random_instance
-from oracles import naive_all_obstacle_sets, naive_is_solution, naive_minimal_obstacle_sets
+from oracles import (
+    fraction_violated_obstacle,
+    naive_all_obstacle_sets,
+    naive_is_solution,
+    naive_minimal_obstacle_sets,
+)
 
 
 def small_weights(n, rng):
@@ -118,6 +124,65 @@ class TestSeparationOracle:
         w = tuple([F(1, 2)] * 4)
         with pytest.raises(PreconditionError):
             find_violated_obstacle(inst, w, v_pinned=0)
+
+
+@st.composite
+def oracle_inputs(draw):
+    """An instance, weights and maybe a pinned vertex, in one of four regimes.
+
+    mixed: denominators 1-12 drawn per vertex; equal: every weight 1/3, 1/4
+    or 1/5, so many obstacles tie (some at exactly 1); exact: an
+    inclusion-minimal obstacle shares weight 1 and every other vertex weighs
+    1, so the lightest obstacle weighs exactly 1 (mixed when the instance
+    has no obstacle); pinned: mixed weights with one vertex pinned to 0.
+    """
+    problem = draw(st.sampled_from(list(Problem)))
+    n = draw(st.integers(5, 7))
+    inst = random_instance(problem, n, draw(st.integers(0, 10**6)))
+    regime = draw(st.sampled_from(["mixed", "equal", "exact", "pinned"]))
+    pinned = None
+    if regime == "equal":
+        w = [draw(st.sampled_from([F(1, 3), F(1, 4), F(1, 5)]))] * n
+    elif regime == "exact" and naive_minimal_obstacle_sets(inst):
+        obstacle = draw(st.sampled_from(sorted(naive_minimal_obstacle_sets(inst), key=sorted)))
+        w = [F(1, len(obstacle)) if u in obstacle else F(1) for u in range(n)]
+    else:
+        w = []
+        for _ in range(n):
+            den = draw(st.integers(1, 12))
+            # light weights half the time, so four-vertex obstacles fall below 1 too
+            num = draw(st.one_of(st.integers(0, den // 3), st.integers(0, den)))
+            w.append(F(num, den))
+        if regime == "pinned":
+            pinned = draw(st.integers(0, n - 1))
+            w[pinned] = F(0)
+    return inst, tuple(w), pinned
+
+
+class TestIntegerOracleMatchesFractionReference:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(oracle_inputs())
+    def test_same_obstacle_or_both_none(self, case):
+        inst, w, pinned = case
+        got = find_violated_obstacle(inst, w, v_pinned=pinned)
+        want = fraction_violated_obstacle(inst, w, v_pinned=pinned)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert (got.kind, got.vertices, got.order) == (want.kind, want.vertices, want.order)
+
+    def test_obstacle_of_weight_exactly_one_is_not_violated(self):
+        triangle = Instance(Problem.DFVS, Graph(3, True, [(0, 1), (1, 2), (2, 0)]))
+        assert find_violated_obstacle(triangle, (F(1, 3),) * 3) is None
+        ob = find_violated_obstacle(triangle, (F(1, 3), F(1, 3), F(1, 4)))
+        assert ob is not None and ob.order == (0, 1, 2)
+
+    def test_equal_weights_tie_to_least_witness(self):
+        # P5 has the induced P4s 0-1-2-3 and 1-2-3-4, both of weight 4/5
+        inst = Instance(Problem.COGRAPH_DELETION, Graph(5, False, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+        ob = find_violated_obstacle(inst, (F(1, 5),) * 5)
+        assert ob is not None and ob.order == (0, 1, 2, 3)
 
 
 class TestEnumerateMinimal:
