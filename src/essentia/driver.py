@@ -17,7 +17,7 @@ not depend on k, only the selection threshold does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import ceil
 from typing import Optional
 
 from .detection import lp_values
@@ -66,10 +66,11 @@ def solve_with_detection(
     """Optimal solution via staged detection plus budgeted exact solving."""
     n = inst.n
     cap = node_cap if node_cap is not None else default_node_cap()
-    values = lp_values(inst, jobs=jobs)
+    # for an integer k, f_v > k holds exactly when ceil(f_v) > k
+    ceilings = [ceil(f) for f in lp_values(inst, jobs=jobs)]
 
     def selected_at(k: int) -> frozenset[int]:
-        return frozenset(v for v, f in enumerate(values) if f > Fraction(k))
+        return frozenset(v for v, c in enumerate(ceilings) if c > k)
 
     iterations: list[tuple[int, int, int, str]] = []
     for b in range(n + 1):

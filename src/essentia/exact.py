@@ -17,6 +17,7 @@ the optimum size is known.
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,6 +27,8 @@ from .graphs import shortest_weighted_path
 from .problems import Instance, Problem, all_induced_p4s, is_solution
 
 _INFEASIBLE = 10**9
+
+_log = logging.getLogger("essentia.exact")
 
 
 def default_node_cap() -> int:
@@ -43,8 +46,27 @@ class SolveBudget:
     node_cap: int = field(default_factory=default_node_cap)
 
 
+# An enumerated obstacle: its vertices in witness order, and as a set.
+_Enumerated = tuple[tuple[int, ...], frozenset[int]]
+
+
+def _avoiding(alive: Optional[list[_Enumerated]], u: int) -> Optional[list[_Enumerated]]:
+    """The obstacles of `alive` that survive deleting u, in their order."""
+    if alive is None:
+        return None
+    return [ob for ob in alive if u not in ob[1]]
+
+
 class _Search:
-    """One branch-and-bound run over a fixed instance and forbidden set."""
+    """One branch-and-bound run over a fixed instance and forbidden set.
+
+    A search node is (chosen, blocked, alive): the deleted vertices, the
+    vertices no branch below may delete, and, for the finitely enumerated
+    families, the obstacles that survive `chosen` in their enumeration order
+    (None for the path families, whose obstacles are searched for).  A child
+    filters its parent's `alive` by the one vertex it adds, so no node scans
+    the whole obstacle list.
+    """
 
     def __init__(self, inst: Instance, forbidden: frozenset[int], node_cap: int):
         self.inst = inst
@@ -55,6 +77,7 @@ class _Search:
         self.best: Optional[frozenset[int]] = None
         self.find_first = False
         p = inst.problem
+        self.obstacles: Optional[list[_Enumerated]]
         if p is Problem.COGRAPH_DELETION:
             self.obstacles = [(q, frozenset(q)) for q in all_induced_p4s(self.g)]
         elif p is Problem.VERTEX_COVER:
@@ -69,46 +92,50 @@ class _Search:
     # -- violated obstacle with fewest deletable vertices ---------------------
 
     def _violated(
-        self, removed: frozenset[int], blocked: frozenset[int]
+        self,
+        removed: frozenset[int],
+        blocked: frozenset[int],
+        alive: Optional[list[_Enumerated]],
     ) -> Optional[tuple[list[int], frozenset[int]]]:
         """(deletable vertices, obstacle vertex set) minimizing the deletable
-        count, or None when no obstacle survives.  The scan stops early once a
-        count <= 1 shows up: a forced or refuting obstacle is as good a branch
-        point as any.
+        count, ties to the least witness, or None when no obstacle survives
+        `removed`; `alive` is the node's surviving enumerated obstacles.  The
+        scan stops early once a count <= 1 shows up: a forced or refuting
+        obstacle is as good a branch point as any.
         """
-        p = self.inst.problem
-        if self.obstacles is not None:
+        if alive is not None:
             best = None
-            for order, vs in self.obstacles:
-                if vs & removed:
-                    continue
-                allowed = [u for u in order if u not in blocked]
-                key = (len(allowed), order)
+            for order, vs in alive:
+                key = (len(vs - blocked), order)
                 if best is None or key < best[0]:
-                    best = (key, allowed, vs)
+                    best = (key, vs)
                     if key[0] <= 1:
                         break
             if best is None:
                 return None
-            return sorted(set(best[1])), best[2]
-        # cheapest surviving path/cycle counting only deletable vertices
-        cost = [0 if u in blocked else 1 for u in range(self.g.n)]
+            vs = best[1]
+            return sorted(vs - blocked), vs
+        # cheapest surviving path/cycle counting only deletable vertices; each
+        # search stops at the first label that cannot beat the best so far
+        p = self.inst.problem
+        g = self.g
+        cost = [0 if u in blocked else 1 for u in range(g.n)]
         best_path: Optional[tuple[int, tuple[int, ...]]] = None
         if p in (Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT):
             for s in sorted(self.by_source):
                 found = shortest_weighted_path(
-                    self.g, cost, (s,), self.by_source[s], removed
+                    g, cost, (s,), self.by_source[s], removed, best_path
                 )
-                if found is not None and (best_path is None or found < best_path):
+                if found is not None:
                     best_path = found
                     if best_path[0] <= 1:
                         break
         elif p is Problem.DFVS:
-            for v in range(self.g.n):
+            for v in range(g.n):
                 if v in removed:
                     continue
-                found = shortest_weighted_path(self.g, cost, self.g.adj[v], (v,), removed)
-                if found is not None and (best_path is None or found < best_path):
+                found = shortest_weighted_path(g, cost, g.adj[v], (v,), removed, best_path)
+                if found is not None:
                     best_path = found
                     if best_path[0] <= 1:
                         break
@@ -122,35 +149,41 @@ class _Search:
     # -- packing lower bound ---------------------------------------------------
 
     def _packing_lb(
-        self, removed: frozenset[int], blocked: frozenset[int], need: int
+        self,
+        removed: frozenset[int],
+        blocked: frozenset[int],
+        need: int,
+        alive: Optional[list[_Enumerated]],
+        first: frozenset[int],
     ) -> int:
         """Greedy count of violated obstacles with pairwise disjoint deletable
         sets; each needs its own deletion.  Stops once `need` is reached; an
         undeletable violated obstacle yields an effectively infinite bound.
+        The path families pack whole vertex sets, starting from `first`, the
+        node's branch obstacle (its `_violated` answer, with a deletable
+        vertex); the enumerated ones scan `alive` in order.
         """
-        if self.obstacles is not None:
+        if alive is not None:
+            # `used` never meets `blocked`, so it meets vs - blocked iff vs
             used: set[int] = set()
             count = 0
-            for _, vs in self.obstacles:
-                if vs & removed:
+            for _, vs in alive:
+                if not used.isdisjoint(vs):
                     continue
                 allowed = vs - blocked
                 if not allowed:
                     return _INFEASIBLE
-                if allowed & used:
-                    continue
                 used |= allowed
                 count += 1
                 if count >= need:
                     return count
             return count
-        # path/cycle families: pack whole vertex sets via repeated search
         if need > (self.g.n - len(removed)) // 2:
             return 0  # every obstacle has >= 2 vertices; `need` is out of reach
-        gone = set(removed)
-        count = 0
+        gone = removed | first
+        count = 1
         while count < need:
-            res = self._violated(frozenset(gone), blocked)
+            res = self._violated(gone, blocked, None)
             if res is None:
                 break
             allowed, vs = res
@@ -163,20 +196,19 @@ class _Search:
     # -- domination (finitely enumerated families only) -------------------------
 
     def _dominated(
-        self, removed: frozenset[int], allowed: list[int]
+        self, allowed: list[int], alive: Optional[list[_Enumerated]]
     ) -> frozenset[int]:
         """Deletable vertices of the branch obstacle that some other deletable
         vertex covers: every violated obstacle containing u also contains w,
         so some minimum solution avoids u.  Equal coverage keeps the lower id.
+        Obstacles are numbered by their position in `alive`.
         """
-        if self.obstacles is None or len(allowed) <= 1:
+        if alive is None or len(allowed) <= 1:
             return frozenset()
         membership: dict[int, set[int]] = {u: set() for u in allowed}
-        for idx, (_, vs) in enumerate(self.obstacles):
-            if vs & removed:
-                continue
-            for u in allowed:
-                if u in vs:
+        for idx, (order, _) in enumerate(alive):
+            for u in order:
+                if u in membership:
                     membership[u].add(idx)
         out: set[int] = set()
         for u in allowed:
@@ -198,7 +230,19 @@ class _Search:
             b = min(b, len(self.best) - 1)
         return b
 
-    def _dfs(self, chosen: set[int], blocked: frozenset[int], max_k: Optional[int]) -> None:
+    def _alive(self, gone: set[int]) -> Optional[list[_Enumerated]]:
+        """The enumerated obstacles that survive deleting `gone`."""
+        if self.obstacles is None:
+            return None
+        return [ob for ob in self.obstacles if ob[1].isdisjoint(gone)]
+
+    def _dfs(
+        self,
+        chosen: set[int],
+        blocked: frozenset[int],
+        max_k: Optional[int],
+        alive: Optional[list[_Enumerated]],
+    ) -> None:
         if self.find_first and self.best is not None:
             return
         self.nodes += 1
@@ -208,44 +252,49 @@ class _Search:
             bound = self._bound(max_k)
             if len(chosen) > bound:
                 return
-            res = self._violated(frozenset(chosen), blocked)
+            removed = frozenset(chosen)
+            res = self._violated(removed, blocked, alive)
             if res is None:
                 if self.best is None or len(chosen) < len(self.best):
-                    self.best = frozenset(chosen)
+                    self.best = removed
                 return
-            allowed, _ = res
+            allowed, vs = res
             if not allowed:
                 return
             if len(chosen) + 1 > bound:
                 return
             if len(allowed) == 1:
                 chosen = chosen | {allowed[0]}
+                alive = _avoiding(alive, allowed[0])
                 continue
             break
         need = bound - len(chosen) + 1
-        if self._packing_lb(frozenset(chosen), blocked, need) >= need:
+        if self._packing_lb(removed, blocked, need, alive, vs) >= need:
             return
-        dominated = self._dominated(frozenset(chosen), allowed)
+        dominated = self._dominated(allowed, alive)
         if dominated:
             blocked = blocked | dominated
             allowed = [u for u in allowed if u not in dominated]
         tried: set[int] = set()
         for u in allowed:
-            self._dfs(chosen | {u}, blocked | frozenset(tried), max_k)
+            self._dfs(chosen | {u}, blocked | frozenset(tried), max_k, _avoiding(alive, u))
             if self.find_first and self.best is not None:
                 return
             tried.add(u)
 
     def _greedy(self) -> Optional[frozenset[int]]:
         chosen: set[int] = set()
+        alive = self.obstacles
         while True:
-            res = self._violated(frozenset(chosen), self.forbidden)
+            res = self._violated(frozenset(chosen), self.forbidden, alive)
             if res is None:
                 break
             allowed, _ = res
             if not allowed:
                 return None
             chosen |= set(allowed)
+            for u in allowed:
+                alive = _avoiding(alive, u)
         for u in sorted(chosen, reverse=True):
             if is_solution(self.inst, chosen - {u}):
                 chosen.discard(u)
@@ -258,7 +307,7 @@ class _Search:
             return None
         self.best = incumbent
         self.find_first = False
-        self._dfs(set(), self.forbidden, max_k)
+        self._dfs(set(), self.forbidden, max_k, self.obstacles)
         if self.best is not None and (max_k is None or len(self.best) <= max_k):
             return self.best
         return None
@@ -267,7 +316,7 @@ class _Search:
         """Is there a solution of size <= size_cap containing `prefix`?"""
         self.best = None
         self.find_first = True
-        self._dfs(set(prefix), self.forbidden, size_cap)
+        self._dfs(set(prefix), self.forbidden, size_cap, self._alive(prefix))
         return self.best is not None
 
 
@@ -286,30 +335,44 @@ def solve_exact(
 
     Returns None when no such solution exists (never an error); among
     minimum solutions the lexicographically least vertex set is returned.
-    Raises NodeCapError when the search budget runs out.
+    Raises NodeCapError when the search budget runs out.  Logs the node
+    counts of both passes at DEBUG on the "essentia.exact" logger.
     """
     _check_budget(inst, budget)
     search = _Search(inst, budget.forbidden, budget.node_cap)
     base = search.minimum(budget.max_k)
-    if base is None:
-        return None
-    size = len(base)
-    prefix: set[int] = set()
-    for v in range(inst.n):
-        if len(prefix) == size:
-            break
-        if v in budget.forbidden or v in prefix:
-            continue
-        if v in base:
-            # base witnesses that prefix + {v} completes to a minimum solution
-            prefix.add(v)
-            continue
-        if search.completable(prefix | {v}, size):
-            prefix.add(v)
-            base = search.best
-    if len(prefix) != size:
-        raise AssertionError("prefix construction must reach the optimum size")
-    return frozenset(prefix)
+    minimum_nodes = search.nodes
+    failed = 0
+    result = None
+    if base is not None:
+        size = len(base)
+        prefix: set[int] = set()
+        for v in range(inst.n):
+            if len(prefix) == size:
+                break
+            if v in budget.forbidden or v in prefix:
+                continue
+            if v in base:
+                # base witnesses that prefix + {v} completes to a minimum solution
+                prefix.add(v)
+                continue
+            if search.completable(prefix | {v}, size):
+                prefix.add(v)
+                base = search.best
+            else:
+                failed += 1
+        if len(prefix) != size:
+            raise AssertionError("prefix construction must reach the optimum size")
+        result = frozenset(prefix)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "solve_exact: %d minimum-pass nodes, %d lexicographic-pass nodes, "
+            "%d failed completable calls",
+            minimum_nodes,
+            search.nodes - minimum_nodes,
+            failed,
+        )
+    return result
 
 
 def opt_value(inst: Instance, node_cap: Optional[int] = None) -> int:

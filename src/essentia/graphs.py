@@ -175,6 +175,7 @@ def shortest_weighted_path(
     sources: Iterable[int],
     targets: Iterable[int],
     removed: frozenset[int] = frozenset(),
+    below: Optional[tuple] = None,
 ) -> Optional[tuple]:
     """Minimum-weight simple path from any source to any target, as (cost, path).
 
@@ -182,8 +183,10 @@ def shortest_weighted_path(
     vertex that is both source and target is a valid path of weight w(s),
     and equal-weight paths resolve to the lexicographically least vertex
     sequence.  Returns None when no target is reachable without entering
-    `removed`, including when no source or no target survives it.  Vertex
-    ids and weights are trusted: `Instance` validates the former and
+    `removed`, including when no source or no target survives it.  With a
+    `below` label, returns None unless that label is less than it, and
+    stops at the first settled label that is not.  Vertex ids and weights
+    are trusted: `Instance` validates the former and
     `problems.find_violated_obstacle` the latter where they enter (it passes
     their integer numerators, which order paths as the weights do).
     """
@@ -192,6 +195,8 @@ def shortest_weighted_path(
         # nothing to find: do not settle the whole component first
         return None
     for label in cheapest_paths(g, w, sources, removed):
+        if below is not None and label >= below:
+            return None  # labels never decrease: no later one is below
         if label[1][-1] in target_set:
             return label
     return None

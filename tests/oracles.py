@@ -6,7 +6,10 @@ simplex, matchings for the vertex-cover LP) without touching the library's
 solvers, so agreement is meaningful.  The `Fraction` separation oracle is
 the exception: it is the library's earlier scan, kept to check that pricing
 in integer numerators changed no answer, and it reuses the library's path
-searches, which take any cost type.
+searches, which take any cost type.  So are `scan_violated`,
+`scan_packing_lb` and `scan_dominated`: exact search's earlier full
+scans, kept to check that per-node surviving obstacles and bounded path
+searches changed no answer.
 """
 
 from fractions import Fraction
@@ -368,3 +371,119 @@ def fraction_violated_obstacle(inst: Instance, w, v_pinned=None):
     if best is None or best[0] >= 1:
         return None
     return Obstacle(kind, frozenset(best[1]), best[1])
+
+
+def scan_violated(search, removed, blocked):
+    """Reference branch obstacle of `essentia.exact._Search`, recomputed in full.
+
+    The scan `_Search._violated` made before each search node kept its
+    surviving obstacles: every enumerated obstacle is tested against
+    `removed`, and every path or cycle search runs to its first target.
+    Returns (sorted deletable vertices, obstacle vertex set) with the fewest
+    deletable vertices, ties to the least witness, or None.
+    """
+    p = search.inst.problem
+    g = search.g
+    if search.obstacles is not None:
+        best = None
+        for order, vs in search.obstacles:
+            if vs & removed:
+                continue
+            allowed = [u for u in order if u not in blocked]
+            key = (len(allowed), order)
+            if best is None or key < best[0]:
+                best = (key, allowed, vs)
+                if key[0] <= 1:
+                    break
+        if best is None:
+            return None
+        return sorted(set(best[1])), best[2]
+    cost = [0 if u in blocked else 1 for u in range(g.n)]
+    best_path = None
+    if p in (Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT):
+        for s in sorted(search.by_source):
+            found = shortest_weighted_path(g, cost, (s,), search.by_source[s], removed)
+            if found is not None and (best_path is None or found < best_path):
+                best_path = found
+                if best_path[0] <= 1:
+                    break
+    elif p is Problem.DFVS:
+        for v in range(g.n):
+            if v in removed:
+                continue
+            found = shortest_weighted_path(g, cost, g.adj[v], (v,), removed)
+            if found is not None and (best_path is None or found < best_path):
+                best_path = found
+                if best_path[0] <= 1:
+                    break
+    if best_path is None:
+        return None
+    vs = frozenset(best_path[1])
+    return sorted(u for u in vs if u not in blocked), vs
+
+
+def scan_packing_lb(search, removed, blocked, need, infeasible):
+    """Reference packing bound of `essentia.exact._Search`, recomputed in full.
+
+    Greedily packs violated obstacles with pairwise disjoint deletable sets
+    (whole vertex sets for the path families, each found by
+    `scan_violated`), up to `need`; `infeasible` for an undeletable one.
+    """
+    if search.obstacles is not None:
+        used = set()
+        count = 0
+        for _, vs in search.obstacles:
+            if vs & removed:
+                continue
+            allowed = vs - blocked
+            if not allowed:
+                return infeasible
+            if allowed & used:
+                continue
+            used |= allowed
+            count += 1
+            if count >= need:
+                return count
+        return count
+    if need > (search.g.n - len(removed)) // 2:
+        return 0
+    gone = set(removed)
+    count = 0
+    while count < need:
+        res = scan_violated(search, frozenset(gone), blocked)
+        if res is None:
+            break
+        allowed, vs = res
+        if not allowed:
+            return infeasible
+        gone |= vs
+        count += 1
+    return count
+
+
+def scan_dominated(search, removed, allowed):
+    """Reference domination rule of `essentia.exact._Search`, recomputed in full.
+
+    Numbers every enumerated obstacle that survives `removed` by its index
+    in `search.obstacles`; u is dominated when another deletable vertex w lies
+    on every obstacle u lies on (equal coverage keeps the lower id).
+    """
+    if search.obstacles is None or len(allowed) <= 1:
+        return frozenset()
+    membership = {u: set() for u in allowed}
+    for idx, (_, vs) in enumerate(search.obstacles):
+        if vs & removed:
+            continue
+        for u in allowed:
+            if u in vs:
+                membership[u].add(idx)
+    out = set()
+    for u in allowed:
+        for w in allowed:
+            if w == u or w in out:
+                continue
+            mu, mw = membership[u], membership[w]
+            if mu <= mw and (mu != mw or w < u):
+                out.add(u)
+                break
+    return frozenset(out)

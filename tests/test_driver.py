@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from essentia.detection import DETECTION_THRESHOLDS, essential_vertices_exact
+from essentia.detection import DETECTION_THRESHOLDS, essential_vertices_exact, lp_values
 from essentia.driver import restrict_instance, solve_with_detection
 from essentia.exact import opt_value
 from essentia.graphs import Graph
@@ -68,3 +68,15 @@ class TestSolveWithDetection:
         for b, k, _, outcome in rep.iterations:
             if outcome == "solved":
                 assert k >= opt
+
+    @pytest.mark.parametrize("problem", list(Problem))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_selection_is_lp_value_above_k(self, problem, seed):
+        # the sweep selects exactly the vertices whose f_v exceeds the guess k
+        inst = random_instance(problem, 7, 330 + seed)
+        values = lp_values(inst)
+        rep = solve_with_detection(inst)
+        for _, k, selected, _ in rep.iterations:
+            assert selected == sum(1 for f in values if f > k)
+        k = rep.iterations[-1][1]
+        assert rep.detected == frozenset(v for v, f in enumerate(values) if f > k)

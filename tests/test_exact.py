@@ -1,15 +1,30 @@
+import logging
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from essentia.errors import NodeCapError
-from essentia.exact import SolveBudget, opt_value, opt_value_avoiding, solve_exact
+from essentia.exact import (
+    _INFEASIBLE,
+    SolveBudget,
+    _Search,
+    opt_value,
+    opt_value_avoiding,
+    solve_exact,
+)
 from essentia.graphs import Graph
 from essentia.lab import gen_matching_apex, gen_star_multicut
 from essentia.problems import Instance, Problem, is_solution
 
 from conftest import random_instance
-from oracles import naive_min_solution, naive_opt
+from oracles import (
+    naive_min_solution,
+    naive_opt,
+    scan_dominated,
+    scan_packing_lb,
+    scan_violated,
+)
 
 
 class TestExamples:
@@ -54,7 +69,25 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("n", [10, 12])
     def test_larger_instances_match_subset_enumeration(self, problem, n):
         inst = random_instance(problem, n, 6000 + n)
-        assert len(solve_exact(inst)) == naive_opt(inst)
+        got = solve_exact(inst)
+        assert len(got) == naive_opt(inst)
+        assert got == naive_min_solution(inst)
+
+    @pytest.mark.parametrize("problem", list(Problem))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_larger_instances_with_forbidden_and_budget(self, problem, seed):
+        # forbidden vertices force and refute obstacles deep in the search;
+        # the budget is the optimum itself and one below it
+        inst = random_instance(problem, 10, 7000 + seed)
+        forbidden = frozenset(random.Random(seed).sample(range(10), 2))
+        want = naive_min_solution(inst, forbidden)
+        if want is None:
+            assert solve_exact(inst, SolveBudget(forbidden=forbidden)) is None
+            return
+        k = len(want)
+        assert solve_exact(inst, SolveBudget(max_k=k, forbidden=forbidden)) == want
+        if k > 0:
+            assert solve_exact(inst, SolveBudget(max_k=k - 1, forbidden=forbidden)) is None
 
     @pytest.mark.parametrize("seed", range(12))
     def test_forbidden_vertices_respected(self, seed):
@@ -111,3 +144,63 @@ class TestCaps:
     def test_determinism_across_runs(self):
         inst = random_instance(Problem.COGRAPH_DELETION, 9, 77)
         assert solve_exact(inst) == solve_exact(inst)
+
+
+@st.composite
+def search_nodes(draw):
+    """A search over a random instance of any problem, plus the removed and
+    blocked sets of one node."""
+    problem = draw(st.sampled_from(list(Problem)))
+    n = draw(st.integers(6, 9))
+    inst = random_instance(problem, n, draw(st.integers(0, 10**6)))
+    removed = draw(st.frozensets(st.integers(0, n - 1), max_size=3))
+    blocked = draw(st.frozensets(st.integers(0, n - 1), max_size=n // 2))
+    return _Search(inst, frozenset(), 10**6), removed, blocked
+
+
+class TestNodeStateMatchesScan:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(search_nodes(), st.integers(1, 4))
+    def test_branch_obstacle_packing_and_domination(self, node, need):
+        search, removed, blocked = node
+        alive = None
+        if search.obstacles is not None:
+            alive = [ob for ob in search.obstacles if not ob[1] & removed]
+        got = search._violated(removed, blocked, alive)
+        assert got == scan_violated(search, removed, blocked)
+        if got is None or not got[0]:
+            return
+        allowed, vs = got
+        # the packing starts from the branch obstacle the node just found
+        assert search._packing_lb(removed, blocked, need, alive, vs) == scan_packing_lb(
+            search, removed, blocked, need, _INFEASIBLE
+        )
+        assert search._dominated(allowed, alive) == scan_dominated(search, removed, allowed)
+
+
+class TestLogging:
+    def test_debug_record_reports_both_passes(self, caplog):
+        inst = random_instance(Problem.VERTEX_COVER, 12, 6012)
+        with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
+            got = solve_exact(inst)
+        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
+        minimum_nodes, lex_nodes, failed = record.args
+        search = _Search(inst, frozenset(), 10**6)
+        search.minimum(None)
+        assert minimum_nodes == search.nodes
+        # the second pass tries every vertex up to the last one it keeps
+        assert failed == sum(1 for v in range(max(got)) if v not in got)
+        assert (minimum_nodes, lex_nodes, failed) == (5, 11, 4)
+
+    def test_no_solution_logs_an_empty_second_pass(self, caplog):
+        inst = gen_star_multicut(5).instance
+        with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
+            assert solve_exact(inst, SolveBudget(max_k=0)) is None
+        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
+        assert record.args[1:] == (0, 0)
+
+    def test_silent_above_debug(self, caplog):
+        inst = random_instance(Problem.VERTEX_COVER, 12, 6012)
+        with caplog.at_level(logging.INFO, logger="essentia.exact"):
+            solve_exact(inst)
+        assert not [r for r in caplog.records if r.name == "essentia.exact"]

@@ -91,6 +91,33 @@ class TestShortestWeightedPath:
             g, w, sources, targets, removed
         ) == naive_shortest_weighted_path(g, w, sources, targets, removed)
 
+    @pytest.mark.parametrize("seed, variant", path_cases(range(30)))
+    def test_below_bound_matches_enumeration(self, seed, variant):
+        # the bounds are the labels of every other s-u path, the answer
+        # itself, labels just above and below it, and the two extremes
+        rng = random.Random(seed)
+        g = random_graph(5, rng.randrange(1 << 30), directed=True, p=0.4)
+        w = rational_weights(5, rng)
+        s, t = rng.randrange(5), rng.randrange(5)
+        w, removed = vary_costs(w, variant, rng)
+        want = naive_shortest_weighted_path(g, w, [s], [t], removed)
+        bounds = [(F(-1), ()), (F(6), ())]
+        for u in range(5):
+            label = naive_shortest_weighted_path(g, w, [s], [u], removed)
+            if label is not None:
+                bounds.append(label)
+        if want is not None:
+            cost, path = want
+            bounds += [
+                (cost, path + (5,)),
+                (cost, path[:-1]),
+                (cost + F(1, 7), ()),
+                (cost - F(1, 7), path),
+            ]
+        for below in bounds:
+            got = shortest_weighted_path(g, w, [s], [t], removed, below)
+            assert got == (want if want is not None and want < below else None), below
+
     def test_reported_distance_recomputes_bit_exact(self):
         rng = random.Random(5)
         for _ in range(20):
