@@ -50,7 +50,6 @@ from .problems import (
     Obstacle,
     ObstacleKind,
     Problem,
-    all_obstacles,
     find_violated_obstacle,
     is_solution,
 )
@@ -75,8 +74,8 @@ __all__ = [
     "gen_dfvs_gadget", "gen_gnp", "gen_matching_apex", "gen_star_multicut",
     "gen_vc_gadget", "gnp_gap_experiment", "measure_gap",
     "FractionalSolution", "LpProblem", "solve", "verify_feasible",
-    "Instance", "Obstacle", "ObstacleKind", "Problem", "all_obstacles",
-    "find_violated_obstacle", "is_solution",
+    "Instance", "Obstacle", "ObstacleKind", "Problem", "find_violated_obstacle",
+    "is_solution",
     "RoundingCertificate", "round_cograph", "round_directed_multicut",
     "round_multicut",
 ]

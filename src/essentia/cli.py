@@ -17,7 +17,7 @@ from . import lab, serialize
 from .detection import DetectionRequest, detect, essential_vertices_exact
 from .driver import solve_with_detection
 from .errors import EssentiaError, InputError, ResourceCapError
-from .exact import SolveBudget, default_node_cap, solve_exact
+from .exact import DEFAULT_NODE_CAP, SolveBudget, solve_exact
 from .problems import Instance, Problem, is_solution
 from .serialize import parse_rat, rat_str
 
@@ -181,33 +181,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_instance=True):
+    def add_common(p, with_instance=True, node_cap=False, jobs=False):
         if with_instance:
             p.add_argument("instance", help="instance file (JSON; '-' for stdin)")
         p.add_argument("--format", choices=["json", "dimacs-edges"], default="json")
         p.add_argument("--problem", help="problem tag for --format dimacs-edges")
-        p.add_argument("--node-cap", type=int, default=default_node_cap())
-        p.add_argument("--jobs", type=int, default=1)
+        if node_cap:
+            p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("solve", help="exact minimum solution")
-    add_common(p)
+    add_common(p, node_cap=True)
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument("--forbid", help="comma-separated vertices excluded from the solution")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("detect", help="per-vertex LP detection or exact essential set")
-    add_common(p)
+    add_common(p, node_cap=True, jobs=True)
     p.add_argument("--k", type=int, default=None, help="guess for the optimum size")
     p.add_argument("--c", default=None, help='essentiality factor, e.g. "7/2" (exact mode)')
     p.add_argument("--size-cap", type=int, default=14)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("reduce", help="optimal solve via detection-driven search reduction")
-    add_common(p)
+    add_common(p, node_cap=True, jobs=True)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("gap", help="fractional vs integral optimum")
-    add_common(p)
+    add_common(p, node_cap=True)
     p.add_argument("--pin", type=int, default=None)
     p.add_argument("--csv", action="store_true", help="emit a CSV row instead of JSON")
     p.add_argument("--id", default="", help="label for the CSV row")
@@ -230,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("verify", help="replay a certificate against its invariants")
-    add_common(p)
+    add_common(p, jobs=True)
     p.add_argument("certificate", help="certificate file (JSON)")
     p.add_argument("--kind", required=True, choices=["rounding", "detection"])
     p.add_argument("--k", type=int, default=None, help="threshold for detection replay")
@@ -247,7 +249,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        _check_jobs(args.jobs)
+        if "jobs" in args:
+            _check_jobs(args.jobs)
         return args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

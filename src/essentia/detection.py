@@ -27,10 +27,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InputError, SizeCapError
-from .exact import opt_value, opt_value_avoiding
+from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
 from .lp import LpProblem, solve
 from .problems import Instance, Problem
 
@@ -105,7 +104,7 @@ def essential_vertices_exact(
     inst: Instance,
     c: Fraction,
     size_cap: int = DEFAULT_SIZE_CAP,
-    node_cap: Optional[int] = None,
+    node_cap: int = DEFAULT_NODE_CAP,
 ) -> frozenset[int]:
     """Ground truth: vertices contained in every solution of size <= c * opt.
 

@@ -18,8 +18,7 @@ the optimum size is known.
 from __future__ import annotations
 
 import logging
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError, NodeCapError
@@ -31,10 +30,8 @@ _INFEASIBLE = 10**9
 _log = logging.getLogger("essentia.exact")
 
 
-def default_node_cap() -> int:
-    """Search-node budget; the ESSENTIA_NODE_CAP env var overrides it."""
-    raw = os.environ.get("ESSENTIA_NODE_CAP")
-    return int(raw) if raw else 2_000_000
+# Search-node budget of one exact solve unless the caller passes its own.
+DEFAULT_NODE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -43,7 +40,7 @@ class SolveBudget:
 
     max_k: Optional[int] = None
     forbidden: frozenset[int] = frozenset()
-    node_cap: int = field(default_factory=default_node_cap)
+    node_cap: int = DEFAULT_NODE_CAP
 
 
 # An enumerated obstacle: its vertices in witness order, and as a set.
@@ -375,10 +372,9 @@ def solve_exact(
     return result
 
 
-def opt_value(inst: Instance, node_cap: Optional[int] = None) -> int:
+def opt_value(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> int:
     """Size of an optimal solution (no forbidden vertices, no size budget)."""
-    cap = node_cap if node_cap is not None else default_node_cap()
-    search = _Search(inst, frozenset(), cap)
+    search = _Search(inst, frozenset(), node_cap)
     best = search.minimum(None)
     if best is None:
         raise AssertionError("deleting all vertices always hits every obstacle")
@@ -386,10 +382,9 @@ def opt_value(inst: Instance, node_cap: Optional[int] = None) -> int:
 
 
 def opt_value_avoiding(
-    inst: Instance, forbidden: frozenset[int], node_cap: Optional[int] = None
+    inst: Instance, forbidden: frozenset[int], node_cap: int = DEFAULT_NODE_CAP
 ) -> Optional[int]:
     """Minimum solution size among solutions disjoint from `forbidden`."""
-    cap = node_cap if node_cap is not None else default_node_cap()
-    search = _Search(inst, frozenset(forbidden), cap)
+    search = _Search(inst, frozenset(forbidden), node_cap)
     best = search.minimum(None)
     return None if best is None else len(best)

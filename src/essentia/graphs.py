@@ -332,18 +332,3 @@ def min_vertex_separator(
     if len(cut) != flow:
         raise AssertionError("min-cut size must equal the max-flow value")
     return cut
-
-
-def count_vertex_disjoint_paths(
-    g: Graph,
-    sources: Iterable[int],
-    targets: Iterable[int],
-    forbidden: frozenset[int] = frozenset(),
-) -> int:
-    """Maximum number of vertex-disjoint sources->targets paths.
-
-    Counted by augmenting paths on the same split graph used by
-    `min_vertex_separator`; the two results must agree, which tests exploit.
-    """
-    flow, _ = _vertex_split_maxflow(g, sources, targets, frozenset(forbidden))
-    return flow

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import InputError
-from .exact import opt_value, opt_value_avoiding
+from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
 from .graphs import Graph
 from .lp import LpProblem, solve
 from .problems import Instance, Problem
@@ -184,7 +184,7 @@ def gen_gnp(n: int, seed: int) -> Instance:
 def measure_gap(
     inst: Instance,
     pinned: Optional[int] = None,
-    node_cap: Optional[int] = None,
+    node_cap: int = DEFAULT_NODE_CAP,
     label: str = "",
 ) -> GapReport:
     """Exact fractional optimum, integral optimum, and their ratio.

@@ -26,14 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .errors import InputError, PreconditionError
 from .graphs import (
     Graph,
-    Path,
     VertexWeights,
     check_weights,
     min_weight_cycle_through,
@@ -93,9 +91,6 @@ class Obstacle:
     kind: ObstacleKind
     vertices: frozenset[int]
     order: tuple[int, ...]
-
-    def weight(self, w: VertexWeights) -> Fraction:
-        return sum((w[u] for u in self.vertices), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -295,102 +290,3 @@ def find_violated_obstacle(
     if best is None or best[0] >= den:
         return None
     return Obstacle(kind, frozenset(best[1]), best[1])
-
-
-# ---------------------------------------------------------------------------
-# exhaustive enumeration (test scale: exponential for paths and cycles)
-
-
-def _all_simple_paths(g: Graph, s: int, t: int) -> Iterator[Path]:
-    """DFS enumeration of all simple s->t paths."""
-    path = [s]
-    on_path = {s}
-
-    def rec(u: int) -> Iterator[Path]:
-        if u == t:
-            yield tuple(path)
-            return
-        for v in g.adj[u]:
-            if v not in on_path:
-                path.append(v)
-                on_path.add(v)
-                yield from rec(v)
-                path.pop()
-                on_path.remove(v)
-
-    yield from rec(s)
-
-
-def _all_simple_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
-    """All directed simple cycles, each once, rotated to start at its minimum."""
-    for root in range(g.n):
-        path = [root]
-        on_path = {root}
-
-        def rec(u: int) -> Iterator[tuple[int, ...]]:
-            for v in g.adj[u]:
-                if v == root and len(path) >= 2:
-                    yield tuple(path)
-                elif v > root and v not in on_path:
-                    path.append(v)
-                    on_path.add(v)
-                    yield from rec(v)
-                    path.pop()
-                    on_path.remove(v)
-
-        yield from rec(root)
-
-
-def all_obstacles(inst: Instance) -> list[Obstacle]:
-    """Every obstacle of the instance, deduplicated by vertex set.
-
-    Path and cycle families grow exponentially with the graph; intended for
-    small instances (oracle audits, brute-force baselines).
-    """
-    g = inst.graph
-    p = inst.problem
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-    if p in (Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT):
-        kind = ObstacleKind.TERMINAL_PATH
-        for s, t in inst.terminals:
-            for path in _all_simple_paths(g, s, t):
-                key = frozenset(path)
-                rep = path if g.directed else min(path, path[::-1])
-                if key not in found or rep < found[key]:
-                    found[key] = rep
-    elif p is Problem.COGRAPH_DELETION:
-        kind = ObstacleKind.INDUCED_P4
-        for quad in all_induced_p4s(g):
-            found.setdefault(frozenset(quad), quad)
-    elif p is Problem.VERTEX_COVER:
-        kind = ObstacleKind.EDGE
-        for e in g.edges:
-            found[frozenset(e)] = e
-    elif p is Problem.DFVS:
-        kind = ObstacleKind.DIRECTED_CYCLE
-        for cyc in _all_simple_cycles(g):
-            key = frozenset(cyc)
-            rep = _canonical_cycle(cyc)
-            if key not in found or rep < found[key]:
-                found[key] = rep
-    else:
-        raise AssertionError(p)
-    return [
-        Obstacle(kind, vs, order)
-        for vs, order in sorted(found.items(), key=lambda kv: (len(kv[0]), kv[1]))
-    ]
-
-
-def enumerate_obstacles_minimal(inst: Instance) -> Iterator[Obstacle]:
-    """Inclusion-minimal obstacles in nondecreasing cardinality, each once.
-
-    An obstacle is dropped when a strictly smaller obstacle's vertex set is
-    contained in it, so multicut yields its fewest-vertex surviving paths
-    first and longer detours never appear.
-    """
-    kept: list[frozenset[int]] = []
-    for ob in all_obstacles(inst):
-        if any(small <= ob.vertices for small in kept):
-            continue
-        kept.append(ob.vertices)
-        yield ob

@@ -46,8 +46,8 @@ class RoundingCertificate:
     pinned_vertex: int
 
     def __post_init__(self):
-        # certificates are also rebuilt from serialized data, so a violation
-        # is bad input rather than an internal fault
+        # callers may build a certificate directly, so a violation is bad
+        # input rather than an internal fault
         if self.pinned_vertex in self.integral_set:
             raise InputError("rounded set must avoid the pinned vertex")
         if len(self.integral_set) > self.factor_bound * self.fractional_value:

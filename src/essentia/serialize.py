@@ -217,19 +217,6 @@ def rounding_certificate_fields(
     )
 
 
-def rounding_certificate_from_dict(d: dict) -> RoundingCertificate:
-    """Rebuild a trusted certificate; its invariants are re-asserted."""
-    factor, value, integral, pinned = rounding_certificate_fields(d)
-    witness = _expect(d, "witness_sets", dict, "certificate")
-    return RoundingCertificate(
-        factor_bound=factor,
-        fractional_value=value,
-        integral_set=integral,
-        witness_sets={k: tuple(v) for k, v in witness.items()},
-        pinned_vertex=pinned,
-    )
-
-
 def gap_report_to_dict(report: GapReport) -> dict:
     return {
         "label": report.label,

@@ -9,21 +9,22 @@ in integer numerators changed no answer, and it reuses the library's path
 searches, which take any cost type.  So are `scan_violated`,
 `scan_packing_lb` and `scan_dominated`: exact search's earlier full
 scans, kept to check that per-node surviving obstacles and bounded path
-searches changed no answer.
+searches changed no answer.  And so is `dovetail_reduce`: the driver's
+earlier loop over a residual budget, kept to check that one ascending sweep
+over the guess k reaches the same first success with the same exact solver.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 
 import networkx as nx
 
+from essentia.detection import lp_values
+from essentia.driver import restrict_instance
 from essentia.errors import PinInfeasibleError
-from essentia.graphs import (
-    Graph,
-    count_vertex_disjoint_paths,
-    min_weight_cycle_through,
-    shortest_weighted_path,
-)
+from essentia.exact import SolveBudget, solve_exact
+from essentia.graphs import Graph, min_weight_cycle_through, shortest_weighted_path
 from essentia.problems import (
     Instance,
     Obstacle,
@@ -210,9 +211,8 @@ def vertex_cover_lp_values(inst: Instance):
 
     Pinning v to 0 forces all of N(v) to 1 and leaves the LP of G - N[v].
     That LP is half-integral (Nemhauser-Trotter): its value is half the
-    maximum matching of the bipartite double cover H of G - N[v], which is
-    the number of vertex-disjoint left-to-right paths in H.  So
-    f_v = |N(v)| + nu(H) / 2.
+    maximum matching nu(H) of the bipartite double cover H of G - N[v], taken
+    from networkx's Hopcroft-Karp.  So f_v = |N(v)| + nu(H) / 2.
     """
     g = inst.graph
     assert inst.problem is Problem.VERTEX_COVER
@@ -220,14 +220,14 @@ def vertex_cover_lp_values(inst: Instance):
     values = []
     for v in range(n):
         closed = g.neighbors(v) | {v}
-        edges = []
+        alive = [u for u in range(n) if u not in closed]
+        cover = nx.Graph()
+        cover.add_nodes_from(alive + [n + u for u in alive])
         for a, b in g.edges:
             if a not in closed and b not in closed:
-                edges += [(a, n + b), (b, n + a)]
-        alive = [u for u in range(n) if u not in closed]
-        nu = count_vertex_disjoint_paths(
-            Graph(2 * n, False, edges), alive, [n + u for u in alive]
-        )
+                cover.add_edges_from([(a, n + b), (b, n + a)])
+        matching = nx.bipartite.hopcroft_karp_matching(cover, top_nodes=alive)
+        nu = len(matching) // 2  # the dict holds each matched edge both ways
         values.append(len(g.neighbors(v)) + Fraction(nu, 2))
     return tuple(values)
 
@@ -487,3 +487,29 @@ def scan_dominated(search, removed, allowed):
                 out.add(u)
                 break
     return frozenset(out)
+
+
+def dovetail_reduce(inst: Instance):
+    """Reference driver: dovetail over a residual budget b, then over k >= b.
+
+    The (b, k) double loop `essentia.driver.solve_with_detection` ran before
+    it became one ascending sweep over k.  At budget b it tries every k whose
+    residual budget k - |S(k)| lies in [0, b], forcing the detected set S(k)
+    and asking `solve_exact` for the rest.  Returns the solution, the
+    detected set and the residual budget of the first success, and the k of
+    every `solve_exact` call in call order.
+    """
+    ceilings = [ceil(f) for f in lp_values(inst)]
+    tried = []
+    for b in range(inst.n + 1):
+        for k in range(b, inst.n + 1):
+            s_set = frozenset(v for v, c in enumerate(ceilings) if c > k)
+            residual_budget = k - len(s_set)
+            if not 0 <= residual_budget <= b:
+                continue
+            sub, back = restrict_instance(inst, s_set)
+            tried.append(k)
+            y = solve_exact(sub, SolveBudget(max_k=residual_budget))
+            if y is not None:
+                return s_set | {back[u] for u in y}, s_set, residual_budget, tried
+    raise AssertionError("the dovetail must succeed at b = k = n at the latest")

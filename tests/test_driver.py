@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -6,11 +7,11 @@ from essentia.detection import DETECTION_THRESHOLDS, essential_vertices_exact, l
 from essentia.driver import restrict_instance, solve_with_detection
 from essentia.exact import opt_value
 from essentia.graphs import Graph
-from essentia.lab import gen_star_multicut
+from essentia.lab import gen_dfvs_gadget, gen_matching_apex, gen_star_multicut, gen_vc_gadget
 from essentia.problems import Instance, Problem, is_solution
 
 from conftest import random_instance
-from oracles import naive_opt
+from oracles import dovetail_reduce, naive_opt
 
 
 class TestRestrictInstance:
@@ -31,14 +32,14 @@ class TestSolveWithDetection:
         inst = Instance(Problem.COGRAPH_DELETION, Graph(5, False, [(0, 1)]))
         rep = solve_with_detection(inst)
         assert rep.solution == frozenset() and rep.opt == 0
-        assert rep.iterations[-1][:2] == (0, 0)
+        assert rep.iterations == ((0, 0, "solved"),)
 
     def test_star_trace_detects_the_center(self):
         rep = solve_with_detection(gen_star_multicut(6).instance)
         assert rep.solution == frozenset({0})
         assert rep.detected == frozenset({0})
         assert rep.residual_budget == 0
-        assert rep.iterations[-1] == (0, 1, 1, "solved")
+        assert rep.iterations[-1] == (1, 1, "solved")
 
     @pytest.mark.parametrize("problem", list(Problem))
     @pytest.mark.parametrize("seed", range(6))
@@ -65,7 +66,7 @@ class TestSolveWithDetection:
         inst = random_instance(problem, 7, 260 + seed)
         rep = solve_with_detection(inst)
         opt = rep.opt
-        for b, k, _, outcome in rep.iterations:
+        for k, _, outcome in rep.iterations:
             if outcome == "solved":
                 assert k >= opt
 
@@ -76,7 +77,43 @@ class TestSolveWithDetection:
         inst = random_instance(problem, 7, 330 + seed)
         values = lp_values(inst)
         rep = solve_with_detection(inst)
-        for _, k, selected, _ in rep.iterations:
+        for k, selected, _ in rep.iterations:
             assert selected == sum(1 for f in values if f > k)
-        k = rep.iterations[-1][1]
+        k = rep.iterations[-1][0]
         assert rep.detected == frozenset(v for v, f in enumerate(values) if f > k)
+
+
+def _sweep_corpus():
+    out = [
+        random_instance(problem, 7, 500 + seed)
+        for problem in Problem
+        for seed in range(4)
+    ]
+    # instances on which detection fires, so S(k) is nonempty for small k
+    out += [gen_star_multicut(5).instance, gen_matching_apex(3).instance]
+    for seed in range(2):
+        dfvs = random_instance(Problem.DFVS, 4, 600 + seed)
+        out.append(gen_dfvs_gadget(dfvs, F(1)).instance)
+        cover = random_instance(Problem.VERTEX_COVER, 4, 600 + seed)
+        out.append(gen_vc_gadget(cover, F(1, 2)).instance)
+    # here the sweep makes 4 exact calls and the dovetail 10, repeating 3 of them
+    cover = random_instance(Problem.VERTEX_COVER, 5, 605)
+    out.append(gen_vc_gadget(cover, F(1, 4)).instance)
+    return out
+
+
+@pytest.mark.parametrize("inst", _sweep_corpus())
+def test_sweep_matches_dovetail_reference(inst):
+    rep = solve_with_detection(inst)
+    solution, detected, residual_budget, tried = dovetail_reduce(inst)
+    assert (rep.solution, rep.detected, rep.residual_budget) == (
+        solution,
+        detected,
+        residual_budget,
+    )
+    ks = [k for k, _, _ in rep.iterations]
+    assert len(ks) <= inst.n + 1
+    assert ks == list(range(len(ks)))  # each k once, ascending from 0
+    # the sweep calls the exact solver once for each distinct k the dovetail tries
+    swept = [k for k, _, outcome in rep.iterations if outcome != "detected-exceeds-k"]
+    assert swept == sorted(set(tried))

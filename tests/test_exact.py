@@ -134,13 +134,6 @@ class TestCaps:
         with pytest.raises(NodeCapError):
             solve_exact(inst, SolveBudget(forbidden=frozenset({0}), node_cap=1))
 
-    def test_env_var_overrides_default(self, monkeypatch):
-        from essentia.exact import default_node_cap
-
-        monkeypatch.setenv("ESSENTIA_NODE_CAP", "12345")
-        assert default_node_cap() == 12345
-        assert SolveBudget().node_cap == 12345
-
     def test_determinism_across_runs(self):
         inst = random_instance(Problem.COGRAPH_DELETION, 9, 77)
         assert solve_exact(inst) == solve_exact(inst)

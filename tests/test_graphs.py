@@ -9,7 +9,6 @@ from essentia.graphs import (
     Graph,
     cheapest_paths,
     check_weights,
-    count_vertex_disjoint_paths,
     min_vertex_separator,
     min_weight_cycle_through,
     shortest_weighted_path,
@@ -271,8 +270,6 @@ class TestMinVertexSeparator:
         want = naive_min_separator_size(g, sources, targets)
         cut = min_vertex_separator(g, sources, targets)
         assert len(cut) == want
-        # Menger duality: cut size equals the max disjoint-path count
-        assert count_vertex_disjoint_paths(g, sources, targets) == len(cut)
         # returned set really separates
         import networkx as nx
 

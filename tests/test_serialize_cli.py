@@ -9,7 +9,7 @@ import pytest
 
 import essentia
 from essentia import serialize
-from essentia.cli import _check_jobs, run
+from essentia.cli import _build_parser, _check_jobs, run
 from essentia.errors import InputError, ResourceCapError
 from essentia.graphs import Graph
 from essentia.lab import gen_matching_apex, gen_star_multicut
@@ -251,6 +251,51 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == want
+
+    def test_node_cap_environment_variable_is_ignored(self, tmp_path, capsys):
+        # settings arrive as arguments only; a stray variable changes nothing
+        path = self.write_star(tmp_path, m=4)
+        assert run(["solve", path]) == 0
+        want = json.loads(capsys.readouterr().out)
+        src = Path(essentia.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "ESSENTIA_NODE_CAP": "abc"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "essentia.cli", "solve", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == want
+
+    @pytest.mark.parametrize(
+        "argv, node_cap, jobs",
+        [
+            (["solve", "g.json"], True, False),
+            (["detect", "g.json"], True, True),
+            (["reduce", "g.json"], True, True),
+            (["gap", "g.json"], True, False),
+            (["generate", "--family", "star"], False, False),
+            (["convert", "g.json", "--to", "vertex-cover"], False, False),
+            (["verify", "g.json", "c.json", "--kind", "rounding"], False, True),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else str(v),
+    )
+    def test_flags_declared_only_where_read(self, capsys, argv, node_cap, jobs):
+        parser = _build_parser()
+
+        def accepts(extra):
+            try:
+                parser.parse_args(argv + extra)
+            except SystemExit:
+                return False
+            return True
+
+        assert accepts([])
+        assert accepts(["--node-cap", "1000"]) == node_cap
+        assert accepts(["--jobs", "2"]) == jobs
+        if jobs:
+            # refused before the subcommand reads its files
+            assert run(argv + ["--jobs", "0"]) == 2
+        capsys.readouterr()
 
     def test_round_trip_via_cli_generate(self, tmp_path, capsys):
         assert run(["generate", "--family", "star", "--m", "7"]) == 0

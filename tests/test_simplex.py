@@ -6,10 +6,9 @@ import pytest
 
 from essentia.errors import PinInfeasibleError
 from essentia.lab import gen_matching_apex
-from essentia.problems import all_obstacles
 from essentia.simplex import PackingSimplex
 
-from oracles import DenseFractionSimplex
+from oracles import DenseFractionSimplex, naive_all_obstacle_sets
 
 
 def run_both(n, pinned, batches):
@@ -71,7 +70,7 @@ class TestAgainstDenseReference:
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_matching_apex_obstacles(self, m):
         inst = gen_matching_apex(m).instance
-        pool = [sorted(ob.vertices) for ob in all_obstacles(inst)]
+        pool = sorted(sorted(vs) for vs in naive_all_obstacle_sets(inst))
         rng = random.Random(m)
         for pin in [None] + list(range(inst.n)):
             run_both(inst.n, pin, split(pool, rng))
