@@ -2,9 +2,9 @@
 
 Everything downstream is built on the operations defined here: simple graphs
 (directed or not), one label-setting search for the cheapest paths under
-per-vertex costs (shortest weighted paths and minimum-weight directed cycles
-through a vertex are thin uses of it), and minimum vertex separators computed
-by vertex-splitting max-flow.  Path and cycle weights are sums of *vertex*
+per-vertex costs (shortest weighted paths, and through them the separation
+oracle's cycle searches, are thin uses of it), and minimum vertex separators
+computed by vertex-splitting max-flow.  Path and cycle weights are sums of *vertex*
 costs, endpoints included; LP weights are exact `fractions.Fraction` values,
 and `check_weights` puts them over one common denominator so that the
 separation oracle can compare integer numerators, never approximations.
@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InfeasibleSeparatorError, InputError, PreconditionError
+from .errors import InfeasibleSeparatorError, InputError
 
 # Per-vertex rational weights in [0, 1]; index u holds the weight of vertex u.
 VertexWeights = tuple[Fraction, ...]
@@ -207,30 +207,6 @@ def reverse_graph(g: Graph) -> Graph:
     if not g.directed:
         return g
     return Graph(g.n, True, [(v, u) for u, v in g.edges])
-
-
-def min_weight_cycle_through(g: Graph, w: Sequence, v: int) -> Optional[tuple]:
-    """Minimum-weight directed simple cycle containing v, as (cost, cycle).
-
-    The cheapest path from an out-neighbor of v back to v, rotated; each
-    vertex on the cycle is charged once.  The cycle is returned as the
-    tuple of its vertices starting at v; the final vertex has an arc back to
-    v.  Returns None when v lies on no cycle.  The weights are trusted, as
-    in `shortest_weighted_path`.
-    """
-    if not g.directed:
-        raise PreconditionError("cycle search requires a directed graph")
-    if not 0 <= v < g.n:
-        raise InputError(f"vertex {v} out of range (n={g.n})")
-    starts = g.adj[v]
-    if not starts:
-        return None
-    found = shortest_weighted_path(g, w, starts, (v,))
-    if found is None:
-        return None
-    dist, path = found
-    # path runs from an out-neighbor of v back to v; rotate so v leads.
-    return dist, (v,) + path[:-1]
 
 
 def _vertex_split_maxflow(

@@ -34,7 +34,6 @@ from .graphs import (
     Graph,
     VertexWeights,
     check_weights,
-    min_weight_cycle_through,
     reachable_set,
     shortest_weighted_path,
 )
@@ -193,12 +192,6 @@ def is_acyclic(g: Graph, removed: frozenset[int] = frozenset()) -> bool:
     return True
 
 
-def _canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate a directed cycle so its smallest vertex leads."""
-    k = cycle.index(min(cycle))
-    return cycle[k:] + cycle[:k]
-
-
 # ---------------------------------------------------------------------------
 # feasibility
 
@@ -239,13 +232,17 @@ def find_violated_obstacle(
     """Minimum-weight obstacle of weight < 1, or None if none exists.
 
     A minimum-weight obstacle of every subfamily is examined: per terminal
-    pair via vertex-weighted shortest path, per vertex via minimum-weight
-    cycle search, every quadruple for induced P4s, every edge for vertex
-    cover.  Hence a None answer certifies that all obstacles weigh at least
-    1.  Ties break toward the lexicographically least witness.  The weights
-    are validated here, once, and scaled to integer numerators over their
-    least common denominator den; every family is priced in those ints, so
-    an obstacle is violated when its numerator sum is below den.
+    source via vertex-weighted shortest path, per vertex v via a search for
+    the cheapest cycle whose least vertex is v, every quadruple for induced
+    P4s, every edge for vertex cover.  Hence a None answer certifies that
+    all obstacles weigh at least 1.  Ties break toward the lexicographically
+    least witness (a cycle in its rotation that starts at its least
+    vertex).  The weights are validated here, once, and scaled to integer
+    numerators over their least common denominator den; every family is
+    priced in those ints, so an obstacle is violated when its numerator sum
+    is below den.  A path or cycle search stops at its first label that is
+    not violated or costs more than the best witness so far, since such a
+    label can neither win nor tie.
     """
     g = inst.graph
     den, nums = check_weights(g, w)
@@ -259,7 +256,8 @@ def find_violated_obstacle(
         for s, t in inst.terminals:
             by_source.setdefault(s, []).append(t)
         for s in sorted(by_source):
-            found = shortest_weighted_path(g, nums, (s,), by_source[s])
+            bound = den if best is None else min(den, best[0] + 1)
+            found = shortest_weighted_path(g, nums, (s,), by_source[s], below=(bound,))
             if found is not None and (best is None or found < best):
                 best = found
         kind = ObstacleKind.TERMINAL_PATH
@@ -276,13 +274,22 @@ def find_violated_obstacle(
                 best = (wt, (u, v))
         kind = ObstacleKind.EDGE
     elif p is Problem.DFVS:
+        # Each cycle is searched once, under its least vertex v: the cycles
+        # whose least vertex is v run in G[v..n-1] from an out-neighbour
+        # above v back to v.  The cheapest such path, least among equal
+        # costs, rotates to the least canonical cycle of that cost.
         for v in range(g.n):
-            found = min_weight_cycle_through(g, nums, v)
-            if found is None:
+            starts = [u for u in g.adj[v] if u > v]
+            if not starts:
                 continue
-            cand = (found[0], _canonical_cycle(found[1]))
-            if best is None or cand < best:
-                best = cand
+            bound = den if best is None else min(den, best[0] + 1)
+            found = shortest_weighted_path(
+                g, nums, starts, (v,), removed=frozenset(range(v)), below=(bound,)
+            )
+            if found is not None:
+                cand = (found[0], (v,) + found[1][:-1])
+                if best is None or cand < best:
+                    best = cand
         kind = ObstacleKind.DIRECTED_CYCLE
     else:
         raise AssertionError(p)

@@ -12,6 +12,10 @@ scans, kept to check that per-node surviving obstacles and bounded path
 searches changed no answer.  And so is `dovetail_reduce`: the driver's
 earlier loop over a residual budget, kept to check that one ascending sweep
 over the guess k reaches the same first success with the same exact solver.
+So are `min_weight_cycle_through`, the oracle's earlier cycle search over
+the whole graph, which `fraction_violated_obstacle` still runs, and
+`per_vertex_lp_values`, detection's earlier one fresh LP per vertex, kept
+to check that the zero rule and the shared cut pool changed no f_v.
 """
 
 from fractions import Fraction
@@ -22,15 +26,15 @@ import networkx as nx
 
 from essentia.detection import lp_values
 from essentia.driver import restrict_instance
-from essentia.errors import PinInfeasibleError
+from essentia.errors import InputError, PinInfeasibleError, PreconditionError
 from essentia.exact import SolveBudget, solve_exact
-from essentia.graphs import Graph, min_weight_cycle_through, shortest_weighted_path
+from essentia.graphs import Graph, shortest_weighted_path
+from essentia.lp import LpProblem, solve
 from essentia.problems import (
     Instance,
     Obstacle,
     ObstacleKind,
     Problem,
-    _canonical_cycle,
     all_induced_p4s,
 )
 
@@ -324,6 +328,38 @@ class DenseFractionSimplex:
         return self.value
 
 
+def min_weight_cycle_through(g: Graph, w, v):
+    """Minimum-weight directed simple cycle containing v, as (cost, cycle).
+
+    The separation oracle's earlier cycle search: the cheapest path from an
+    out-neighbour of v back to v over the whole graph, rotated to start at
+    v.  Returns None when v lies on no cycle.
+    """
+    if not g.directed:
+        raise PreconditionError("cycle search requires a directed graph")
+    if not 0 <= v < g.n:
+        raise InputError(f"vertex {v} out of range (n={g.n})")
+    found = shortest_weighted_path(g, w, g.adj[v], (v,)) if g.adj[v] else None
+    if found is None:
+        return None
+    dist, path = found
+    return dist, (v,) + path[:-1]
+
+
+def canonical_cycle(cycle):
+    """Rotate a directed cycle so its smallest vertex leads."""
+    k = cycle.index(min(cycle))
+    return cycle[k:] + cycle[:k]
+
+
+def per_vertex_lp_values(inst: Instance):
+    """Every f_v from its own fresh pinned LP, one solve per vertex.
+
+    Detection's earlier loop: no unpinned LP, no zero rule, no shared pool.
+    """
+    return tuple(solve(LpProblem(inst, pinned_vertex=v)).value for v in range(inst.n))
+
+
 def fraction_violated_obstacle(inst: Instance, w, v_pinned=None):
     """Reference separation oracle that prices obstacles in `Fraction` sums.
 
@@ -362,7 +398,7 @@ def fraction_violated_obstacle(inst: Instance, w, v_pinned=None):
             found = min_weight_cycle_through(g, w, v)
             if found is None:
                 continue
-            cand = (found[0], _canonical_cycle(found[1]))
+            cand = (found[0], canonical_cycle(found[1]))
             if best is None or cand < best:
                 best = cand
         kind = ObstacleKind.DIRECTED_CYCLE

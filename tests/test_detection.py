@@ -1,8 +1,13 @@
+import logging
 import random
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from essentia import detection
 from essentia.detection import (
     DETECTION_THRESHOLDS,
     DetectionRequest,
@@ -13,12 +18,23 @@ from essentia.detection import (
 from essentia.errors import SizeCapError
 from essentia.exact import opt_value
 from essentia.graphs import Graph
-from essentia.lab import gen_matching_apex, gen_star_multicut, gen_vc_gadget
-from essentia.lp import solve_restricted
+from essentia.lab import gen_dfvs_gadget, gen_matching_apex, gen_star_multicut, gen_vc_gadget
+from essentia.lp import LpProblem, solve, solve_restricted
 from essentia.problems import Instance, Problem
 
 from conftest import random_graph, random_instance
-from oracles import naive_all_obstacle_sets, naive_opt, vertex_cover_lp_values
+from oracles import (
+    naive_all_obstacle_sets,
+    naive_opt,
+    per_vertex_lp_values,
+    vertex_cover_lp_values,
+)
+
+PATH_FAMILIES = (Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT, Problem.DFVS)
+
+FIVE_CYCLE = Instance(
+    Problem.VERTEX_COVER, Graph(5, False, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+)
 
 
 class TestDetect:
@@ -54,13 +70,26 @@ class TestDetect:
                 assert sel <= prev
             prev = sel
 
-    def test_parallel_jobs_match_sequential(self):
-        inst = gen_matching_apex(4).instance
-        assert lp_values(inst, jobs=2) == lp_values(inst, jobs=1)
+    def test_parallel_jobs_match_sequential(self, monkeypatch):
+        # two real worker processes, whatever this machine's CPU count
+        seen = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr("essentia.detection.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 2)
+        dfvs = gen_dfvs_gadget(random_instance(Problem.DFVS, 4, 17), F(1, 2)).instance
+        multicut = random_instance(Problem.VERTEX_MULTICUT, 9, 12)
+        for inst in (gen_matching_apex(4).instance, dfvs, multicut):
+            assert lp_values(inst, jobs=2) == lp_values(inst, jobs=1)
+        assert seen == [2, 2, 2]  # each instance left pinned LPs for both workers
 
     def test_jobs_clamped_to_cpu_count_and_n(self, monkeypatch):
         # the fake pool records its worker count and maps in-process, so no
-        # worker process starts
+        # worker process starts; vertex cover solves one LP per vertex
         seen = []
 
         class RecordingPool:
@@ -77,7 +106,7 @@ class TestDetect:
                 return map(fn, items)
 
         monkeypatch.setattr("essentia.detection.ProcessPoolExecutor", RecordingPool)
-        inst = gen_star_multicut(4).instance  # n = 5
+        inst = FIVE_CYCLE  # n = 5
         want = lp_values(inst)
         monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 4)
         assert [lp_values(inst, jobs=j) for j in (1, 3, 4, 5, 10**6)] == [want] * 5
@@ -91,6 +120,14 @@ class TestDetect:
         assert lp_values(inst, jobs=8) == want
         assert lp_values(inst, jobs=0) == want
         assert seen == []  # an unknown CPU count means one worker
+
+    def test_workers_clamped_to_pinned_lps_left(self, monkeypatch):
+        # the star's unpinned optimum settles every leaf, so one pinned LP is
+        # left and it runs in-process whatever jobs asks for
+        monkeypatch.setattr("essentia.detection.ProcessPoolExecutor", None)
+        monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 64)
+        inst = gen_star_multicut(4).instance
+        assert lp_values(inst, jobs=8) == (F(2),) + (F(1),) * 4
 
     @pytest.mark.parametrize("problem", list(Problem))
     @pytest.mark.parametrize("seed", range(6))
@@ -175,3 +212,128 @@ class TestEssentialExact:
             if avoiding is None or avoiding > c * opt:
                 want.add(v)
         assert essential_vertices_exact(inst, c) == frozenset(want)
+
+
+def _complete(problem, k):
+    """K_k in the problem's flavour; every unpinned optimum is all 1/2."""
+    pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+    if problem.directed:
+        g = Graph(k, True, pairs)
+    else:
+        g = Graph(k, False, [(a, b) for a, b in pairs if a < b])
+    return Instance(problem, g, pairs if problem.uses_terminals else ())
+
+
+def _obstacle_free(problem, n, rng):
+    if problem is Problem.DFVS:  # arcs only run upwards: a DAG
+        arcs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
+        return Instance(problem, Graph(n, True, arcs))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    terms = rng.sample(pairs, min(3, len(pairs))) if problem.uses_terminals else ()
+    return Instance(problem, Graph(n, problem.directed, []), terms)
+
+
+@st.composite
+def detection_instances(draw):
+    """An instance with n = 0-9 from one of five shapes, over all five problems.
+
+    random: `random_instance`; empty: no obstacle at all, so every f_v = 0;
+    star: `gen_star_multicut`; gadget: `gen_dfvs_gadget` around a random
+    DFVS base; complete: K_k, whose unpinned optimum has no zero (for the
+    path families and vertex cover).
+    """
+    shape = draw(st.sampled_from(["random", "empty", "star", "gadget", "complete"]))
+    if shape == "star":
+        return gen_star_multicut(draw(st.integers(2, 8))).instance
+    if shape == "gadget":
+        base_n, eps = draw(st.sampled_from([(2, F(1)), (3, F(2, 3)), (4, F(1))]))  # n = 4, 7, 8
+        base = random_instance(Problem.DFVS, base_n, draw(st.integers(0, 10**6)))
+        return gen_dfvs_gadget(base, eps).instance
+    problem = draw(st.sampled_from(list(Problem)))
+    low = 2 if problem.uses_terminals else 0
+    if shape == "complete":
+        return _complete(problem, draw(st.integers(max(low, 1), 9)))
+    n = draw(st.integers(low, 9))
+    seed = draw(st.integers(0, 10**6))
+    if shape == "empty":
+        return _obstacle_free(problem, n, random.Random(seed))
+    return random_instance(problem, n, seed)
+
+
+class TestLpValuesMatchPerVertexSolves:
+    """`lp_values` (unpinned LP, zero rule, shared pool) against one fresh LP per vertex."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(detection_instances())
+    def test_same_values_and_route(self, inst):
+        calls = []
+
+        def recording_solve(lp):
+            calls.append((lp.pinned_vertex, len(lp.constraint_pool)))
+            return solve(lp)
+
+        with mock.patch.object(detection, "solve", recording_solve):
+            got = lp_values(inst)
+        assert got == per_vertex_lp_values(inst)
+        if inst.problem in PATH_FAMILIES:
+            if inst.n:
+                assert calls[0] == (None, 0)  # the unpinned LP comes first
+            pins = [v for v, _ in calls[1:]]
+            assert len(set(pins)) == len(pins) and None not in pins
+            # the pinned LPs start from the cuts found so far, never fewer
+            sizes = [size for _, size in calls]
+            assert sizes == sorted(sizes)
+        else:
+            # enumerated families keep one fresh, pin-seeded LP per vertex
+            assert calls == [(v, 0) for v in range(inst.n)]
+
+    def test_no_zero_in_the_unpinned_optimum(self):
+        for problem in PATH_FAMILIES:
+            inst = _complete(problem, 5)
+            assert set(solve(LpProblem(inst)).weights) == {F(1, 2)}
+            # pinning v forces x = 1 on the other four
+            assert lp_values(inst) == per_vertex_lp_values(inst) == (F(4),) * 5
+
+    def test_obstacle_free_needs_one_solve(self):
+        inst = _obstacle_free(Problem.DFVS, 7, random.Random(3))
+        with mock.patch.object(detection, "solve", wraps=solve) as spy:
+            assert lp_values(inst) == (F(0),) * 7
+        assert spy.call_count == 1
+
+
+def _detection_record(caplog, inst):
+    with caplog.at_level(logging.DEBUG, logger="essentia.detection"):
+        with mock.patch.object(detection, "solve", wraps=solve) as spy:
+            lp_values(inst)
+    [record] = [r for r in caplog.records if r.name == "essentia.detection"]
+    return record.args, spy.call_args_list
+
+
+class TestLogging:
+    def test_star_settles_every_leaf(self, caplog):
+        inst = gen_star_multicut(5).instance
+        (solves, settled, pool), calls = _detection_record(caplog, inst)
+        assert solves == len(calls)
+        zeros = [v for v, x in enumerate(solve(LpProblem(inst)).weights) if x == 0]
+        assert zeros == [1, 2, 3, 4, 5]
+        assert settled == len(zeros) == inst.n + 1 - solves
+        assert pool == len(calls[-1].args[0].constraint_pool)
+        assert (solves, settled, pool) == (2, 5, 5)
+
+    def test_dfvs_gadget(self, caplog):
+        base = Instance(Problem.DFVS, Graph(4, True, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)]))
+        inst = gen_dfvs_gadget(base, F(1)).instance  # n = 8
+        (solves, settled, pool), calls = _detection_record(caplog, inst)
+        assert solves == len(calls) and settled == inst.n + 1 - solves
+        assert pool == len(calls[-1].args[0].constraint_pool)
+        zeros = [v for v, x in enumerate(solve(LpProblem(inst)).weights) if x == 0]
+        assert zeros == [6, 7]  # so two more were settled by a pinned optimum
+        assert (solves, settled, pool) == (5, 4, 11)
+
+    def test_per_vertex_route_shares_no_pool(self, caplog):
+        assert _detection_record(caplog, FIVE_CYCLE)[0] == (5, 0, 0)
+
+    def test_silent_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="essentia.detection"):
+            lp_values(gen_star_multicut(5).instance)
+        assert not [r for r in caplog.records if r.name == "essentia.detection"]

@@ -10,13 +10,17 @@ from essentia.graphs import (
     cheapest_paths,
     check_weights,
     min_vertex_separator,
-    min_weight_cycle_through,
     shortest_weighted_path,
 )
 from essentia.problems import Instance, Problem, find_violated_obstacle
 
 from conftest import random_graph
-from oracles import naive_min_cycle_through, naive_min_separator_size, naive_shortest_weighted_path
+from oracles import (
+    min_weight_cycle_through,
+    naive_min_cycle_through,
+    naive_min_separator_size,
+    naive_shortest_weighted_path,
+)
 
 
 def star(m):

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from essentia import problems
 from essentia.errors import InputError
-from essentia.graphs import Graph
+from essentia.graphs import Graph, check_weights, shortest_weighted_path
 from essentia.problems import (
     Instance,
     ObstacleKind,
@@ -131,7 +133,7 @@ class TestSeparationOracle:
 
 
 @st.composite
-def oracle_inputs(draw):
+def oracle_inputs(draw, families=tuple(Problem), sizes=(5, 7)):
     """An instance, weights and maybe a pinned vertex, in one of four regimes.
 
     mixed: denominators 1-12 drawn per vertex; equal: every weight 1/3, 1/4
@@ -139,16 +141,26 @@ def oracle_inputs(draw):
     inclusion-minimal obstacle shares weight 1 and every other vertex weighs
     1, so the lightest obstacle weighs exactly 1 (mixed when the instance
     has no obstacle); pinned: mixed weights with one vertex pinned to 0.
+    Above n = 7 enumerating the obstacles costs too much, so the exact
+    regime takes the reference oracle's lightest obstacle under positive
+    weights below 1/n, which contains no other obstacle.
     """
-    problem = draw(st.sampled_from(list(Problem)))
-    n = draw(st.integers(5, 7))
+    problem = draw(st.sampled_from(families))
+    n = draw(st.integers(*sizes))
     inst = random_instance(problem, n, draw(st.integers(0, 10**6)))
     regime = draw(st.sampled_from(["mixed", "equal", "exact", "pinned"]))
     pinned = None
+    obstacle = None
+    if regime == "exact" and n <= 7:
+        if naive_minimal_obstacle_sets(inst):
+            obstacle = draw(st.sampled_from(sorted(naive_minimal_obstacle_sets(inst), key=sorted)))
+    elif regime == "exact":
+        light = [F(draw(st.integers(1, 4)), 4 * (n + 1)) for _ in range(n)]
+        found = fraction_violated_obstacle(inst, tuple(light))
+        obstacle = None if found is None else found.vertices
     if regime == "equal":
         w = [draw(st.sampled_from([F(1, 3), F(1, 4), F(1, 5)]))] * n
-    elif regime == "exact" and naive_minimal_obstacle_sets(inst):
-        obstacle = draw(st.sampled_from(sorted(naive_minimal_obstacle_sets(inst), key=sorted)))
+    elif obstacle is not None:
         w = [F(1, len(obstacle)) if u in obstacle else F(1) for u in range(n)]
     else:
         w = []
@@ -187,6 +199,56 @@ class TestIntegerOracleMatchesFractionReference:
         inst = Instance(Problem.COGRAPH_DELETION, Graph(5, False, [(0, 1), (1, 2), (2, 3), (3, 4)]))
         ob = find_violated_obstacle(inst, (F(1, 5),) * 5)
         assert ob is not None and ob.order == (0, 1, 2, 3)
+
+
+PATH_FAMILIES = (Problem.DFVS, Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT)
+
+
+class TestPathOraclesAtBenchSizes:
+    """The DFVS and multicut searches at n = 10-14, as the benchmark runs them.
+
+    Besides the witness, every search the oracle makes is checked against an
+    unbounded search of its own region: a DFVS search for the cycles whose
+    least vertex is v covers G[v..n-1] from v's out-neighbours above v, a
+    multicut search covers all of G from one source, and each returns that
+    region's cheapest label exactly when it is violated and no dearer than
+    the best witness so far (so ties still reach the witness order).
+    """
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(oracle_inputs(families=PATH_FAMILIES, sizes=(10, 14)))
+    def test_same_witness_and_bounded_searches(self, case):
+        inst, w, pinned = case
+        g = inst.graph
+        searches = []
+
+        def recording_search(*args, **kwargs):
+            found = shortest_weighted_path(*args, **kwargs)
+            searches.append((args, found))
+            return found
+
+        with mock.patch.object(problems, "shortest_weighted_path", recording_search):
+            got = find_violated_obstacle(inst, w, v_pinned=pinned)
+        want = fraction_violated_obstacle(inst, w, v_pinned=pinned)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert (got.kind, got.vertices, got.order) == (want.kind, want.vertices, want.order)
+
+        den, nums = check_weights(g, w)
+        best = None
+        for (_, _, sources, targets), found in searches:
+            if inst.problem is Problem.DFVS:
+                [v] = targets
+                region = frozenset(range(v))
+                full = shortest_weighted_path(g, nums, [u for u in g.adj[v] if u > v], (v,), region)
+            else:
+                full = shortest_weighted_path(g, nums, sources, targets)
+            admitted = full is not None and full[0] < den and (best is None or full[0] <= best)
+            assert found == (full if admitted else None)
+            if found is not None:
+                best = found[0] if best is None else min(best, found[0])
 
 
 def minimal_obstacles_from_is_solution(inst):
