@@ -6,8 +6,10 @@ per-vertex costs (shortest weighted paths, and through them the separation
 oracle's cycle searches, are thin uses of it), and minimum vertex separators
 computed by vertex-splitting max-flow.  Path and cycle weights are sums of *vertex*
 costs, endpoints included; LP weights are exact `fractions.Fraction` values,
-and `check_weights` puts them over one common denominator so that the
-separation oracle can compare integer numerators, never approximations.
+and `check_weights` validates weights that come from outside and puts them
+over one common denominator, so that the separation oracle compares integer
+numerators, never approximations.  The cutting-plane loop skips it: its
+weights are already numerators over the simplex kernel's denominator.
 """
 
 from __future__ import annotations
@@ -186,9 +188,10 @@ def shortest_weighted_path(
     `removed`, including when no source or no target survives it.  With a
     `below` label, returns None unless that label is less than it, and
     stops at the first settled label that is not.  Vertex ids and weights
-    are trusted: `Instance` validates the former and
-    `problems.find_violated_obstacle` the latter where they enter (it passes
-    their integer numerators, which order paths as the weights do).
+    are trusted: `Instance` validates the former, and the separation oracle
+    passes integer numerators over one denominator, which order paths as
+    the weights do (`problems.find_violated_obstacle` validates outside
+    weights; the cutting-plane loop passes the simplex kernel's).
     """
     target_set = set(targets) - removed
     if not target_set:

@@ -7,12 +7,16 @@ solver alternates an exact restricted solve over a growing constraint pool
 with the separation oracle: when the oracle certifies the restricted optimum
 feasible for the full family, that optimum is also the full optimum (the
 restricted value can only underestimate it).  All values are exact rationals.
+The loop stays in integers: each round hands the kernel's numerators over
+its objective denominator straight to the oracle, and `Fraction` weights are
+built once, for the certified optimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, IterationCapError
@@ -24,6 +28,7 @@ from .problems import (
     Problem,
     all_induced_p4s,
     find_violated_obstacle,
+    separate_numerators,
 )
 from .simplex import PackingSimplex
 
@@ -60,12 +65,27 @@ class FractionalSolution:
     value: Fraction
 
     def __post_init__(self):
-        total = sum(self.weights, ZERO)
+        # One pass in ints: the weight total accumulates as num / den over
+        # the least common denominator so far.  The total is checked before
+        # the range, so the first out-of-range vertex is only remembered.
+        num, den, bad = 0, 1, None
+        for u, x in enumerate(self.weights):
+            try:
+                p, q = x.numerator, x.denominator
+            except AttributeError:
+                raise InputError(f"weight of vertex {u} is not an exact rational: {x!r}") from None
+            if bad is None and (p < 0 or p > q):
+                bad = u
+            if den % q:
+                m = q // gcd(den, q)
+                den *= m
+                num *= m
+            num += p * (den // q)
+        total = Fraction(num, den)
         if total != self.value:
             raise InputError(f"solution value {self.value} != weight total {total}")
-        for u, x in enumerate(self.weights):
-            if x < 0 or x > 1:
-                raise InputError(f"weight of vertex {u} out of [0, 1]: {x}")
+        if bad is not None:
+            raise InputError(f"weight of vertex {bad} out of [0, 1]: {self.weights[bad]}")
 
 
 def _cheap_pin_seeds(inst: Instance, pinned: int) -> list[Obstacle]:
@@ -88,10 +108,14 @@ def solve(lp: LpProblem, max_cuts: Optional[int] = None) -> FractionalSolution:
     """Exact optimum of the (possibly vertex-avoiding) hitting-set LP.
 
     Runs cutting planes over the separation oracle, warm-starting the exact
-    simplex after every cut.  The returned solution is feasible for *all*
-    obstacles (the oracle says so) and optimal (restricted optima are lower
-    bounds).  Raises IterationCapError after `max_cuts` cuts, 10*n^2 by
-    default; the cap signals a diagnostics failure, never a wrong answer.
+    simplex after every cut.  Each round the oracle prices the kernel's
+    numerators over its objective denominator directly, trusting them to
+    lie in [0, 1].  The returned solution is feasible for *all* obstacles
+    (the oracle says so, on exactly those numerators) and optimal
+    (restricted optima are lower bounds); building it checks its range and
+    its total against the objective row.  Raises IterationCapError after
+    `max_cuts` cuts, 10*n^2 by default; the cap signals a diagnostics
+    failure, never a wrong answer.
     """
     inst = lp.instance
     n = inst.n
@@ -105,10 +129,10 @@ def solve(lp: LpProblem, max_cuts: Optional[int] = None) -> FractionalSolution:
     engine.optimize()
     cuts = 0
     while True:
-        x = engine.covering_solution(n)
-        violated = find_violated_obstacle(inst, x, v_pinned=lp.pinned_vertex)
+        den, nums = engine.covering_numerators(n)
+        violated = separate_numerators(inst, den, nums, lp.pinned_vertex)
         if violated is None:
-            return FractionalSolution(x, engine.objective())
+            return FractionalSolution(engine.covering_solution(n), engine.objective())
         if cuts >= max_cuts:
             raise IterationCapError(
                 f"no convergence within {max_cuts} cuts (n={n})"

@@ -18,8 +18,12 @@ the weighted separation oracle inspect the graph directly.  The oracle is the
 workhorse of the cutting-plane solver: given rational vertex weights it
 either certifies that every obstacle weighs at least 1 (the right-hand side
 of every covering constraint) or produces a minimum-weight obstacle lighter
-than that.  It validates the weights once, puts them over their least
-common denominator and prices obstacles in integer numerators.
+than that.  It prices obstacles in integer numerators over one common
+denominator.  The public `find_violated_obstacle` validates `Fraction`
+weights once and puts them over their least common denominator;
+`separate_numerators` is the same oracle on numerators the caller
+vouches for, such as the cutting-plane loop's, read straight off the
+simplex kernel.
 """
 
 from __future__ import annotations
@@ -238,14 +242,27 @@ def find_violated_obstacle(
     all obstacles weigh at least 1.  Ties break toward the lexicographically
     least witness (a cycle in its rotation that starts at its least
     vertex).  The weights are validated here, once, and scaled to integer
-    numerators over their least common denominator den; every family is
-    priced in those ints, so an obstacle is violated when its numerator sum
-    is below den.  A path or cycle search stops at its first label that is
-    not violated or costs more than the best witness so far, since such a
-    label can neither win nor tie.
+    numerators over their least common denominator; `separate_numerators`
+    prices every family in those ints.
+    """
+    den, nums = check_weights(inst.graph, w)
+    return separate_numerators(inst, den, nums, v_pinned)
+
+
+def separate_numerators(
+    inst: Instance, den: int, nums: list[int], v_pinned: Optional[int] = None
+) -> Optional[Obstacle]:
+    """`find_violated_obstacle` on trusted weights nums[u] / den.
+
+    The caller vouches that den > 0 and 0 <= nums[u] <= den for all n
+    vertices; nothing but the pin is checked.  Any positive common
+    denominator gives the same answer, since scaling every weight by one
+    positive factor keeps the order of every sum.  An obstacle is violated
+    when its numerator sum is below den.  A path or cycle search stops at
+    its first label that is not violated or costs more than the best
+    witness so far, since such a label can neither win nor tie.
     """
     g = inst.graph
-    den, nums = check_weights(g, w)
     if v_pinned is not None and nums[v_pinned] != 0:
         raise PreconditionError(f"pinned vertex {v_pinned} must have weight 0")
     p = inst.problem

@@ -13,11 +13,13 @@ column here, so the current basis warm-starts every re-solve.
 Arithmetic is exact over Python ints: each tableau row keeps the integer
 numerators of its nonzero entries over one positive row denominator, and the
 objective row keeps dense integer numerators over one shared denominator.
+Pivoting follows Bland's rule, so the optimum is exact and cycling is
+impossible.  The optimal covering solution is read off the objective row:
+x_u equals the negated reduced cost of vertex u's slack column, and
+`covering_numerators` hands those numerators out over the objective row's
+denominator, which is what the cutting-plane loop prices obstacles in.
 `fractions.Fraction` values are built only at the boundary, by
-`covering_solution` and `objective`.  Pivoting follows Bland's rule, so the
-optimum is exact and cycling is impossible.  The optimal covering solution is
-read off the objective row: x_u equals the negated reduced cost of vertex u's
-slack column.
+`covering_solution` and `objective`.
 """
 
 from __future__ import annotations
@@ -174,12 +176,23 @@ class PackingSimplex:
                 raise AssertionError("packing LP reported unbounded")
             self._pivot(leave, enter)
 
+    def covering_numerators(self, n: int) -> tuple[int, list[int]]:
+        """The optimal covering solution as (den, nums): x_u == nums[u] / den.
+
+        den is the objective row's denominator, positive but not necessarily
+        the least; vertices without a row (the pinned one, and those in no
+        pooled constraint) get 0.  At an optimum 0 <= nums[u] <= den.
+        """
+        nums = [0] * n
+        obj = self.obj
+        for u, c in self.slack_col.items():
+            nums[u] = -obj[c]
+        return self.obj_den, nums
+
     def covering_solution(self, n: int) -> VertexWeights:
         """Optimal covering LP solution over n vertices (duals of the packing)."""
-        x = [ZERO] * n
-        for u, c in self.slack_col.items():
-            x[u] = Fraction(-self.obj[c], self.obj_den)
-        return tuple(x)
+        den, nums = self.covering_numerators(n)
+        return tuple(Fraction(a, den) if a else ZERO for a in nums)
 
     def objective(self) -> Fraction:
         return Fraction(self.value_num, self.obj_den)

@@ -15,7 +15,11 @@ over the guess k reaches the same first success with the same exact solver.
 So are `min_weight_cycle_through`, the oracle's earlier cycle search over
 the whole graph, which `fraction_violated_obstacle` still runs, and
 `per_vertex_lp_values`, detection's earlier one fresh LP per vertex, kept
-to check that the zero rule and the shared cut pool changed no f_v.
+to check that the zero rule and the shared cut pool changed no f_v.  And
+`fraction_cutting_planes`, the cutting-plane loop's earlier round trip
+through `Fraction` weights and the public oracle, run on the dense
+reference simplex, kept to check that pricing the kernel's numerators
+directly changed no cut.
 """
 
 from fractions import Fraction
@@ -26,16 +30,17 @@ import networkx as nx
 
 from essentia.detection import lp_values
 from essentia.driver import restrict_instance
-from essentia.errors import InputError, PinInfeasibleError, PreconditionError
+from essentia.errors import InputError, IterationCapError, PinInfeasibleError, PreconditionError
 from essentia.exact import SolveBudget, solve_exact
 from essentia.graphs import Graph, shortest_weighted_path
-from essentia.lp import LpProblem, solve
+from essentia.lp import FractionalSolution, LpProblem, _cheap_pin_seeds, solve
 from essentia.problems import (
     Instance,
     Obstacle,
     ObstacleKind,
     Problem,
     all_induced_p4s,
+    find_violated_obstacle,
 )
 
 
@@ -358,6 +363,40 @@ def per_vertex_lp_values(inst: Instance):
     Detection's earlier loop: no unpinned LP, no zero rule, no shared pool.
     """
     return tuple(solve(LpProblem(inst, pinned_vertex=v)).value for v in range(inst.n))
+
+
+def fraction_cutting_planes(lp: LpProblem, max_cuts=None):
+    """Reference `essentia.lp.solve`: every round goes through `Fraction` weights.
+
+    The loop `solve` ran before it passed the kernel's numerators straight
+    to the oracle: read the covering solution as `Fraction`s, hand it to the
+    public `find_violated_obstacle` (which validates it and takes its least
+    common denominator again), and add the cut it returns.  It runs on
+    `DenseFractionSimplex`, seeds an empty pool of a pinned LP the same way
+    and appends its cuts to `lp.constraint_pool` in the same order.
+    """
+    inst = lp.instance
+    n = inst.n
+    if max_cuts is None:
+        max_cuts = 10 * n * n
+    engine = DenseFractionSimplex(lp.pinned_vertex)
+    if not lp.constraint_pool and lp.pinned_vertex is not None:
+        lp.constraint_pool.extend(_cheap_pin_seeds(inst, lp.pinned_vertex))
+    for ob in lp.constraint_pool:
+        engine.add_constraint(ob.vertices)
+    engine.optimize()
+    cuts = 0
+    while True:
+        x = engine.covering_solution(n)
+        violated = find_violated_obstacle(inst, x, v_pinned=lp.pinned_vertex)
+        if violated is None:
+            return FractionalSolution(x, engine.objective())
+        if cuts >= max_cuts:
+            raise IterationCapError(f"no convergence within {max_cuts} cuts (n={n})")
+        cuts += 1
+        lp.constraint_pool.append(violated)
+        engine.add_constraint(violated.vertices)
+        engine.optimize()
 
 
 def fraction_violated_obstacle(inst: Instance, w, v_pinned=None):

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from essentia.errors import InputError, IterationCapError, PinInfeasibleError
 from essentia.exact import opt_value
 from essentia.graphs import Graph
-from essentia.lab import gen_matching_apex, gen_star_multicut
+from essentia.lab import gen_gnp, gen_matching_apex, gen_star_multicut, gnp_gap_experiment
 from essentia.lp import (
     FractionalSolution,
     LpProblem,
@@ -17,7 +18,12 @@ from essentia.lp import (
 from essentia.problems import Instance, Obstacle, ObstacleKind, Problem
 
 from conftest import random_instance
-from oracles import float_lp_value, naive_all_obstacle_sets
+from oracles import (
+    fraction_cutting_planes,
+    fraction_violated_obstacle,
+    float_lp_value,
+    naive_all_obstacle_sets,
+)
 
 
 def edge_obstacle(u, v):
@@ -157,3 +163,78 @@ class TestFractionalSolutionInvariants:
     def test_box_enforced(self):
         with pytest.raises(InputError):
             FractionalSolution((F(3, 2), F(0)), F(3, 2))
+
+    def test_mixed_denominators_total_exactly(self):
+        sol = FractionalSolution((F(1, 2), F(1, 3), F(1, 6), F(0), F(5, 7)), F(12, 7))
+        assert sol.value == F(12, 7)
+        with pytest.raises(InputError, match=r"^solution value 5/3 != weight total 12/7$"):
+            FractionalSolution((F(1, 2), F(1, 3), F(1, 6), F(0), F(5, 7)), F(5, 3))
+
+    def test_int_and_fraction_subclass_entries_pass(self):
+        class Sub(F):
+            pass
+
+        FractionalSolution((1, 0, F(1, 2)), F(3, 2))
+        FractionalSolution((Sub(1, 3), Sub(2, 3), 1, True), 3)
+        with pytest.raises(InputError, match=r"^solution value 2 != weight total 1$"):
+            FractionalSolution((Sub(1, 3), Sub(2, 3), 0), F(2))
+        with pytest.raises(InputError, match=r"^weight of vertex 1 out of \[0, 1\]: 2$"):
+            FractionalSolution((0, 2, Sub(1, 2)), F(5, 2))
+
+    def test_first_out_of_range_vertex_is_named(self):
+        with pytest.raises(InputError, match=r"^weight of vertex 1 out of \[0, 1\]: -1/4$"):
+            FractionalSolution((F(1, 2), F(-1, 4), F(5, 4), F(1, 2)), F(2))
+
+    def test_wrong_total_fires_before_the_range(self):
+        with pytest.raises(InputError, match=r"^solution value 0 != weight total 3/2$"):
+            FractionalSolution((F(3, 2), F(0)), F(0))
+        with pytest.raises(InputError, match=r"^solution value 1 != weight total 1/4$"):
+            FractionalSolution((F(1, 2), F(-1, 4)), F(1))
+
+    def test_float_entry_is_not_an_exact_rational(self):
+        with pytest.raises(InputError, match=r"^weight of vertex 1 is not an exact rational: 0.5$"):
+            FractionalSolution((F(1, 2), 0.5), F(1))
+
+    def test_gap_experiment_quarters(self):
+        # gnp_gap_experiment builds the all-quarters solution itself
+        rows = gnp_gap_experiment(7, range(3))
+        for row in rows:
+            inst = gen_gnp(7, row.seed)
+            quarters = (F(1, 4),) * 7
+            assert row.quarters_feasible == (fraction_violated_obstacle(inst, quarters) is None)
+
+
+@st.composite
+def lp_runs(draw):
+    """An instance and the pins of LPs solved in order over one shared pool.
+
+    Routes: one unpinned LP; one pinned LP on a fresh pool (pin seeds on
+    vertex cover and cograph deletion); or detection's shared-pool route,
+    the unpinned LP followed by pinned LPs that reuse its pool.
+    """
+    problem = draw(st.sampled_from(list(Problem)))
+    n = draw(st.integers(3, 9))
+    inst = random_instance(problem, n, draw(st.integers(0, 10**6)))
+    route = draw(st.sampled_from(["unpinned", "pinned", "shared"]))
+    if route == "unpinned":
+        pins = [None]
+    elif route == "pinned":
+        pins = [draw(st.integers(0, n - 1))]
+    else:
+        pins = [None] + draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return inst, pins
+
+
+class TestLoopMatchesFractionReference:
+    """`solve` prices the kernel's numerators; the reference goes through `Fraction`s."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(lp_runs())
+    def test_same_cuts_in_the_same_order_and_same_solution(self, case):
+        inst, pins = case
+        pool, ref_pool = [], []
+        for v in pins:
+            got = solve(LpProblem(inst, pinned_vertex=v, constraint_pool=pool))
+            want = fraction_cutting_planes(LpProblem(inst, pinned_vertex=v, constraint_pool=ref_pool))
+            assert pool == ref_pool
+            assert got.weights == want.weights and got.value == want.value

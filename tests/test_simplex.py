@@ -29,7 +29,14 @@ def run_both(n, pinned, batches):
             ref.add_constraint(members)
         fast.optimize()
         ref.optimize()
-        assert fast.covering_solution(n) == ref.covering_solution(n)
+        want = ref.covering_solution(n)
+        assert fast.covering_solution(n) == want
+        # the cutting-plane loop prices these numerators unchecked
+        den, nums = fast.covering_numerators(n)
+        assert len(nums) == n and all(type(a) is int for a in nums)
+        for u, a in enumerate(nums):
+            assert 0 <= a <= den
+            assert F(a, den) == want[u]
         assert fast.objective() == ref.objective()
         assert fast.basis == ref.basis
     return fast.objective()

@@ -1,12 +1,15 @@
 """Guards on the package source itself."""
 
 import ast
+import importlib.util
 import types
 from pathlib import Path
 
 import essentia
+from essentia import lp, problems
 
 PACKAGE = Path(essentia.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
 def test_no_assert_statements_in_package():
@@ -42,3 +45,16 @@ def test_public_names_resolve_and_are_not_modules():
     for name in essentia.__all__:
         obj = getattr(essentia, name)  # AttributeError if it does not resolve
         assert not isinstance(obj, types.ModuleType), name
+
+
+def test_bench_tracer_bindings_resolve():
+    # a traced benchmark run wraps these attributes and raises AttributeError
+    # on any that is gone; the benchmark's own smoke test is not in tier-1
+    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = tracing._bindings()
+    missing = [f"{getattr(o, '__name__', o)}.{a}" for o, a, _ in bindings if not hasattr(o, a)]
+    assert not missing, f"tracer bindings that do not resolve: {missing}"
+    assert (lp, "find_violated_obstacle") in [(o, a) for o, a, _ in bindings]
+    assert lp.find_violated_obstacle is problems.find_violated_obstacle
