@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import lab, serialize
-from .detection import DetectionRequest, detect, essential_vertices_exact
+from .detection import DEFAULT_SIZE_CAP, DetectionRequest, detect, essential_vertices_exact
 from .driver import solve_with_detection
 from .errors import EssentiaError, InputError, ResourceCapError
 from .exact import DEFAULT_NODE_CAP, SolveBudget, solve_exact
@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, node_cap=True, jobs=True)
     p.add_argument("--k", type=int, default=None, help="guess for the optimum size")
     p.add_argument("--c", default=None, help='essentiality factor, e.g. "7/2" (exact mode)')
-    p.add_argument("--size-cap", type=int, default=14)
+    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("reduce", help="optimal solve via detection-driven search reduction")

@@ -8,7 +8,9 @@ deletable set refutes the branch.  Pruning combines a greedy incumbent found
 up front, a lower bound from packing violated obstacles with pairwise
 disjoint deletable sets, and (for the finitely enumerated obstacle families)
 a domination rule: a vertex whose violated obstacles are all covered by some
-other deletable vertex never needs to be branched on.
+other deletable vertex never needs to be branched on.  The path and cycle
+families get their branch obstacles from `problems.cheapest_obstacle`, the
+search the separation oracle uses, with deletable vertices costing 1.
 
 Deterministic throughout: among minimum solutions the lexicographically
 least vertex set is returned, obtained by a prefix-growing second pass once
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError, NodeCapError
-from .graphs import shortest_weighted_path
-from .problems import Instance, Problem, all_induced_p4s, is_solution
+from .problems import Instance, Problem, all_induced_p4s, cheapest_obstacle, is_solution
 
 _INFEASIBLE = 10**9
 
@@ -81,10 +82,6 @@ class _Search:
             self.obstacles = [(e, frozenset(e)) for e in self.g.edges]
         else:
             self.obstacles = None
-        if p in (Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT):
-            self.by_source: dict[int, list[int]] = {}
-            for s, t in inst.terminals:
-                self.by_source.setdefault(s, []).append(t)
 
     # -- violated obstacle with fewest deletable vertices ---------------------
 
@@ -112,35 +109,12 @@ class _Search:
                 return None
             vs = best[1]
             return sorted(vs - blocked), vs
-        # cheapest surviving path/cycle counting only deletable vertices; each
-        # search stops at the first label that cannot beat the best so far
-        p = self.inst.problem
-        g = self.g
-        cost = [0 if u in blocked else 1 for u in range(g.n)]
-        best_path: Optional[tuple[int, tuple[int, ...]]] = None
-        if p in (Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT):
-            for s in sorted(self.by_source):
-                found = shortest_weighted_path(
-                    g, cost, (s,), self.by_source[s], removed, best_path
-                )
-                if found is not None:
-                    best_path = found
-                    if best_path[0] <= 1:
-                        break
-        elif p is Problem.DFVS:
-            for v in range(g.n):
-                if v in removed:
-                    continue
-                found = shortest_weighted_path(g, cost, g.adj[v], (v,), removed, best_path)
-                if found is not None:
-                    best_path = found
-                    if best_path[0] <= 1:
-                        break
-        else:
-            raise AssertionError(p)
-        if best_path is None:
+        # cheapest surviving path or cycle, counting only deletable vertices
+        cost = [0 if u in blocked else 1 for u in range(self.g.n)]
+        found = cheapest_obstacle(self.inst, cost, removed, enough=1)
+        if found is None:
             return None
-        vs = frozenset(best_path[1])
+        vs = frozenset(found[1])
         return sorted(u for u in vs if u not in blocked), vs
 
     # -- packing lower bound ---------------------------------------------------

@@ -2,14 +2,15 @@
 
 Everything downstream is built on the operations defined here: simple graphs
 (directed or not), one label-setting search for the cheapest paths under
-per-vertex costs (shortest weighted paths, and through them the separation
-oracle's cycle searches, are thin uses of it), and minimum vertex separators
-computed by vertex-splitting max-flow.  Path and cycle weights are sums of *vertex*
-costs, endpoints included; LP weights are exact `fractions.Fraction` values,
-and `check_weights` validates weights that come from outside and puts them
-over one common denominator, so that the separation oracle compares integer
-numerators, never approximations.  The cutting-plane loop skips it: its
-weights are already numerators over the simplex kernel's denominator.
+per-vertex costs (shortest weighted paths, and through them the path and
+cycle searches of `problems.cheapest_obstacle`, are thin uses of it), and
+minimum vertex separators computed by vertex-splitting max-flow.  Path and
+cycle weights are sums of *vertex* costs, endpoints included; LP weights are
+exact `fractions.Fraction` values, and `check_weights` validates weights that
+come from outside and puts them over one common denominator, so that the
+separation oracle compares integer numerators, never approximations.  The
+cutting-plane loop skips it: its weights are already numerators over the
+simplex kernel's denominator.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import heapq
 from collections import deque
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 from .errors import InfeasibleSeparatorError, InputError
 
@@ -39,7 +40,7 @@ class Graph:
     immutable after construction and safe to share between threads.
     """
 
-    __slots__ = ("n", "directed", "adj", "radj", "_adj_sets", "edges")
+    __slots__ = ("n", "directed", "adj", "_adj_sets", "edges")
 
     def __init__(self, n: int, directed: bool, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -48,7 +49,6 @@ class Graph:
         self.directed = directed
         seen = set()
         adj = [[] for _ in range(n)]
-        radj = [[] for _ in range(n)]
         canon = []
         for pos, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
@@ -61,12 +61,9 @@ class Graph:
             seen.add(key)
             canon.append(key)
             adj[u].append(v)
-            radj[v].append(u)
             if not directed:
                 adj[v].append(u)
-                radj[u].append(v)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
-        self.radj = tuple(tuple(sorted(a)) for a in radj)
         self._adj_sets = tuple(frozenset(a) for a in self.adj)
         self.edges = tuple(sorted(canon))
 
@@ -133,7 +130,7 @@ def cheapest_paths(
     g: Graph,
     cost: Sequence,
     sources: Iterable[int],
-    removed: frozenset[int] = frozenset(),
+    removed: AbstractSet[int] = frozenset(),
 ) -> Iterator[tuple]:
     """Settled labels of a label-setting search under per-vertex costs.
 
@@ -176,7 +173,7 @@ def shortest_weighted_path(
     w: Sequence,
     sources: Iterable[int],
     targets: Iterable[int],
-    removed: frozenset[int] = frozenset(),
+    removed: AbstractSet[int] = frozenset(),
     below: Optional[tuple] = None,
 ) -> Optional[tuple]:
     """Minimum-weight simple path from any source to any target, as (cost, path).

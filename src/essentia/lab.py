@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 from .errors import InputError
 from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
 from .graphs import Graph
-from .lp import LpProblem, solve
+from .lp import FractionalSolution, LpProblem, solve, verify_feasible
 from .problems import Instance, Problem
 
 
@@ -243,8 +243,6 @@ def gnp_gap_experiment(n: int, seeds: Iterable[int]) -> list[GnpGapRow]:
     is feasible, and the size of the largest induced-P4-free vertex set
     (n minus the integral optimum).
     """
-    from .lp import FractionalSolution, verify_feasible
-
     rows = []
     for seed in seeds:
         inst = gen_gnp(n, seed)

@@ -14,7 +14,10 @@ feedback vertex set  directed    vertex sets of directed simple cycles
 ===================  ==========  =======================================
 
 An instance never enumerates its obstacles up front; feasibility checks and
-the weighted separation oracle inspect the graph directly.  The oracle is the
+the weighted separation oracle inspect the graph directly.  For the path and
+cycle families one search, `cheapest_obstacle`, finds the least terminal
+path or directed cycle under integer vertex costs: the oracle finds its cuts
+with it, and exact search its branch obstacles.  The oracle is the
 workhorse of the cutting-plane solver: given rational vertex weights it
 either certifies that every obstacle weighs at least 1 (the right-hand side
 of every covering constraint) or produces a minimum-weight obstacle lighter
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .graphs import (
@@ -73,15 +76,6 @@ class ObstacleKind(Enum):
     DIRECTED_CYCLE = "directed-cycle"
 
 
-OBSTACLE_KIND_OF = {
-    Problem.VERTEX_MULTICUT: ObstacleKind.TERMINAL_PATH,
-    Problem.DIRECTED_VERTEX_MULTICUT: ObstacleKind.TERMINAL_PATH,
-    Problem.COGRAPH_DELETION: ObstacleKind.INDUCED_P4,
-    Problem.VERTEX_COVER: ObstacleKind.EDGE,
-    Problem.DFVS: ObstacleKind.DIRECTED_CYCLE,
-}
-
-
 @dataclass(frozen=True)
 class Obstacle:
     """A vertex set that every solution must intersect.
@@ -98,11 +92,15 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class Instance:
-    """A problem-tagged graph, plus terminal pairs for the multicut problems."""
+    """A problem-tagged graph, plus terminal pairs for the multicut problems
+    and, derived from them, each source with its targets, sources ascending."""
 
     problem: Problem
     graph: Graph
     terminals: tuple[tuple[int, int], ...] = field(default=())
+    targets_by_source: tuple[tuple[int, frozenset[int]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.graph.directed != self.problem.directed:
@@ -112,15 +110,17 @@ class Instance:
         object.__setattr__(self, "terminals", terms)
         if terms and not self.problem.uses_terminals:
             raise InputError(f"{self.problem.value} does not take terminal pairs")
-        seen = set()
+        groups: dict[int, set[int]] = {}
         for pos, (s, t) in enumerate(terms):
             if not (0 <= s < self.graph.n and 0 <= t < self.graph.n):
                 raise InputError(f"terminals[{pos}]: vertex out of range: ({s}, {t})")
             if s == t:
                 raise InputError(f"terminals[{pos}]: pair endpoints coincide: {s}")
-            if (s, t) in seen:
+            if t in groups.setdefault(s, set()):
                 raise InputError(f"terminals[{pos}]: duplicate pair ({s}, {t})")
-            seen.add((s, t))
+            groups[s].add(t)
+        by_source = tuple((s, frozenset(ts)) for s, ts in sorted(groups.items()))
+        object.__setattr__(self, "targets_by_source", by_source)
 
     @property
     def n(self) -> int:
@@ -208,15 +208,12 @@ def is_solution(inst: Instance, x: Iterable[int]) -> bool:
             raise InputError(f"vertex {u} out of range (n={inst.n})")
     g = inst.graph
     p = inst.problem
-    if p in (Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT):
-        by_source: dict[int, set[int]] = {}
-        for s, t in inst.terminals:
-            if s not in removed and t not in removed:
-                by_source.setdefault(s, set()).add(t)
-        for s, targets in by_source.items():
-            if targets & reachable_set(g, (s,), removed):
-                return False
-        return True
+    if p.uses_terminals:
+        # a reachable set never holds a removed vertex
+        return all(
+            s in removed or reachable_set(g, (s,), removed).isdisjoint(targets)
+            for s, targets in inst.targets_by_source
+        )
     if p is Problem.COGRAPH_DELETION:
         return not has_induced_p4(g, removed)
     if p is Problem.VERTEX_COVER:
@@ -224,6 +221,61 @@ def is_solution(inst: Instance, x: Iterable[int]) -> bool:
     if p is Problem.DFVS:
         return is_acyclic(g, removed)
     raise AssertionError(p)
+
+
+# ---------------------------------------------------------------------------
+# cheapest path or cycle obstacle
+
+
+def cheapest_obstacle(
+    inst: Instance,
+    cost: Sequence[int],
+    removed: AbstractSet[int] = frozenset(),
+    below: Optional[int] = None,
+    enough: int = -1,
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """Least (cost, order) terminal path or directed cycle of G - removed.
+
+    An obstacle costs the sum of the nonnegative ints `cost[u]` over its
+    vertices; None means none costs less than `below`.  The multicuts are
+    searched from each source in increasing order; DFVS, for each v in
+    increasing order, for the cycles whose least vertex is v, in G[v..n-1]
+    from v's out-neighbours above v, so a cycle comes in its canonical
+    rotation.  A later source or least vertex gives a larger order at equal
+    cost, so once an obstacle is found each later search stops at its first
+    label that is not strictly cheaper.  The scan stops as soon as the best
+    cost is <= `enough` and returns the best obstacle found so far.
+    """
+    g = inst.graph
+    best: Optional[tuple[int, tuple[int, ...]]] = None
+    limit = None if below is None else (below,)
+    if inst.problem is Problem.DFVS:
+        region = set(removed)  # removed and every vertex below v
+        for v in range(g.n):
+            if v in region:
+                continue
+            starts = [u for u in g.adj[v] if u not in region]
+            if starts:
+                found = shortest_weighted_path(g, cost, starts, (v,), removed=region, below=limit)
+                if found is not None:
+                    best = (found[0], (v,) + found[1][:-1])
+                    if best[0] <= enough:
+                        break
+                    limit = (best[0],)
+            region.add(v)
+    elif inst.problem.uses_terminals:
+        for s, targets in inst.targets_by_source:
+            if s in removed:
+                continue
+            found = shortest_weighted_path(g, cost, (s,), targets, removed=removed, below=limit)
+            if found is not None:
+                best = found
+                if best[0] <= enough:
+                    break
+                limit = (best[0],)
+    else:
+        raise PreconditionError(f"{inst.problem.value} has no path or cycle obstacles")
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +287,8 @@ def find_violated_obstacle(
 ) -> Optional[Obstacle]:
     """Minimum-weight obstacle of weight < 1, or None if none exists.
 
-    A minimum-weight obstacle of every subfamily is examined: per terminal
-    source via vertex-weighted shortest path, per vertex v via a search for
-    the cheapest cycle whose least vertex is v, every quadruple for induced
+    A minimum-weight obstacle of every subfamily is examined: the path and
+    cycle families through `cheapest_obstacle`, every quadruple for induced
     P4s, every edge for vertex cover.  Hence a None answer certifies that
     all obstacles weigh at least 1.  Ties break toward the lexicographically
     least witness (a cycle in its rotation that starts at its least
@@ -258,9 +309,7 @@ def separate_numerators(
     vertices; nothing but the pin is checked.  Any positive common
     denominator gives the same answer, since scaling every weight by one
     positive factor keeps the order of every sum.  An obstacle is violated
-    when its numerator sum is below den.  A path or cycle search stops at
-    its first label that is not violated or costs more than the best
-    witness so far, since such a label can neither win nor tie.
+    when its numerator sum is below den.
     """
     g = inst.graph
     if v_pinned is not None and nums[v_pinned] != 0:
@@ -268,16 +317,9 @@ def separate_numerators(
     p = inst.problem
     best: Optional[tuple[int, tuple[int, ...]]] = None
 
-    if p in (Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT):
-        by_source: dict[int, list[int]] = {}
-        for s, t in inst.terminals:
-            by_source.setdefault(s, []).append(t)
-        for s in sorted(by_source):
-            bound = den if best is None else min(den, best[0] + 1)
-            found = shortest_weighted_path(g, nums, (s,), by_source[s], below=(bound,))
-            if found is not None and (best is None or found < best):
-                best = found
-        kind = ObstacleKind.TERMINAL_PATH
+    if p.uses_terminals or p is Problem.DFVS:
+        best = cheapest_obstacle(inst, nums, below=den)
+        kind = ObstacleKind.DIRECTED_CYCLE if p is Problem.DFVS else ObstacleKind.TERMINAL_PATH
     elif p is Problem.COGRAPH_DELETION:
         for quad in all_induced_p4s(g):
             wt = nums[quad[0]] + nums[quad[1]] + nums[quad[2]] + nums[quad[3]]
@@ -290,24 +332,6 @@ def separate_numerators(
             if best is None or (wt, (u, v)) < best:
                 best = (wt, (u, v))
         kind = ObstacleKind.EDGE
-    elif p is Problem.DFVS:
-        # Each cycle is searched once, under its least vertex v: the cycles
-        # whose least vertex is v run in G[v..n-1] from an out-neighbour
-        # above v back to v.  The cheapest such path, least among equal
-        # costs, rotates to the least canonical cycle of that cost.
-        for v in range(g.n):
-            starts = [u for u in g.adj[v] if u > v]
-            if not starts:
-                continue
-            bound = den if best is None else min(den, best[0] + 1)
-            found = shortest_weighted_path(
-                g, nums, starts, (v,), removed=frozenset(range(v)), below=(bound,)
-            )
-            if found is not None:
-                cand = (found[0], (v,) + found[1][:-1])
-                if best is None or cand < best:
-                    best = cand
-        kind = ObstacleKind.DIRECTED_CYCLE
     else:
         raise AssertionError(p)
 

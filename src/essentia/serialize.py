@@ -65,6 +65,8 @@ def instance_to_dict(inst: Instance, labels: Optional[dict] = None) -> dict:
 
 
 def _expect(d: dict, key: str, kind, where: str):
+    if not isinstance(d, dict):
+        raise InputError(f"{where}: expected a JSON object, got {type(d).__name__}")
     if key not in d:
         raise InputError(f"{where}: missing key {key!r}")
     val = d[key]
@@ -76,6 +78,8 @@ def _expect(d: dict, key: str, kind, where: str):
         raise InputError(f"{where}: {key!r} must be a list, got {val!r}")
     if kind is str and not isinstance(val, str):
         raise InputError(f"{where}: {key!r} must be a string, got {val!r}")
+    if kind is dict and not isinstance(val, dict):
+        raise InputError(f"{where}: {key!r} must be an object, got {val!r}")
     return val
 
 

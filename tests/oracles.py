@@ -454,8 +454,11 @@ def scan_violated(search, removed, blocked):
     The scan `_Search._violated` made before each search node kept its
     surviving obstacles: every enumerated obstacle is tested against
     `removed`, and every path or cycle search runs to its first target.
-    Returns (sorted deletable vertices, obstacle vertex set) with the fewest
-    deletable vertices, ties to the least witness, or None.
+    DFVS searches the cheapest cycle through each vertex over the whole
+    graph, with no least-vertex restriction, and compares cycles in their
+    canonical rotation.  Returns (sorted deletable vertices, obstacle vertex
+    set) with the fewest deletable vertices, ties to the least witness, or
+    None; like the search it checks, it stops at the first count <= 1.
     """
     p = search.inst.problem
     g = search.g
@@ -476,19 +479,24 @@ def scan_violated(search, removed, blocked):
     cost = [0 if u in blocked else 1 for u in range(g.n)]
     best_path = None
     if p in (Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT):
-        for s in sorted(search.by_source):
-            found = shortest_weighted_path(g, cost, (s,), search.by_source[s], removed)
+        for s, targets in search.inst.targets_by_source:
+            found = shortest_weighted_path(g, cost, (s,), targets, removed)
             if found is not None and (best_path is None or found < best_path):
                 best_path = found
                 if best_path[0] <= 1:
                     break
     elif p is Problem.DFVS:
+        # after vertex v the least canonical cycle through any of 0..v is
+        # the least canonical cycle whose least vertex is at most v
         for v in range(g.n):
             if v in removed:
                 continue
             found = shortest_weighted_path(g, cost, g.adj[v], (v,), removed)
-            if found is not None and (best_path is None or found < best_path):
-                best_path = found
+            if found is None:
+                continue
+            cand = (found[0], canonical_cycle((v,) + found[1][:-1]))
+            if best_path is None or cand < best_path:
+                best_path = cand
                 if best_path[0] <= 1:
                     break
     if best_path is None:

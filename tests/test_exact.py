@@ -17,7 +17,7 @@ from essentia.graphs import Graph
 from essentia.lab import gen_matching_apex, gen_star_multicut
 from essentia.problems import Instance, Problem, is_solution
 
-from conftest import random_instance
+from conftest import random_graph, random_instance
 from oracles import (
     naive_min_solution,
     naive_opt,
@@ -151,11 +151,41 @@ def search_nodes(draw):
     return _Search(inst, frozenset(), 10**6), removed, blocked
 
 
+PATH_FAMILIES = (Problem.DFVS, Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT)
+
+
+@st.composite
+def bench_path_nodes(draw):
+    """A search over a DFVS or multicut instance at benchmark sizes (n 12-26,
+    about as sparse as the benchmark's), plus a node's non-empty removed and
+    blocked sets."""
+    problem = draw(st.sampled_from(PATH_FAMILIES))
+    n = draw(st.integers(12, 26))
+    seed = draw(st.integers(0, 10**6))
+    g = random_graph(n, seed, problem.directed, draw(st.sampled_from([0.08, 0.12, 0.2])))
+    terminals = ()
+    if problem.uses_terminals:
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        terminals = tuple(random.Random(seed).sample(pairs, draw(st.integers(2, 8))))
+    inst = Instance(problem, g, terminals)
+    removed = draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=4))
+    blocked = draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n // 2))
+    return _Search(inst, frozenset(), 10**6), removed, blocked
+
+
 class TestNodeStateMatchesScan:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(search_nodes(), st.integers(1, 4))
     def test_branch_obstacle_packing_and_domination(self, node, need):
-        search, removed, blocked = node
+        self.check(*node, need)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(bench_path_nodes(), st.integers(1, 4))
+    def test_path_families_at_bench_sizes(self, node, need):
+        self.check(*node, need)
+
+    @staticmethod
+    def check(search, removed, blocked, need):
         alive = None
         if search.obstacles is not None:
             alive = [ob for ob in search.obstacles if not ob[1] & removed]

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from essentia import problems
-from essentia.errors import InputError
+from essentia.errors import InputError, PreconditionError
 from essentia.graphs import Graph, check_weights, shortest_weighted_path
 from essentia.problems import (
     Instance,
     ObstacleKind,
     Problem,
     all_induced_p4s,
+    cheapest_obstacle,
     find_violated_obstacle,
     is_solution,
 )
@@ -175,6 +176,34 @@ def oracle_inputs(draw, families=tuple(Problem), sizes=(5, 7)):
     return inst, tuple(w), pinned
 
 
+class TestCheapestObstacle:
+    # two directed cycles: 0-4 and 1-2-3, the latter entered at 3
+    CYCLES = Instance(Problem.DFVS, Graph(5, True, [(0, 4), (4, 0), (3, 1), (1, 2), (2, 3)]))
+
+    def test_cycle_in_canonical_rotation(self):
+        assert cheapest_obstacle(self.CYCLES, [1] * 5) == (2, (0, 4))
+        assert cheapest_obstacle(self.CYCLES, [1, 0, 0, 0, 1]) == (0, (1, 2, 3))
+        assert cheapest_obstacle(self.CYCLES, [1] * 5, removed={4}) == (3, (1, 2, 3))
+        assert cheapest_obstacle(self.CYCLES, [1] * 5, removed={0, 2}) is None
+
+    def test_below_and_enough(self):
+        assert cheapest_obstacle(self.CYCLES, [1] * 5, below=3) == (2, (0, 4))
+        assert cheapest_obstacle(self.CYCLES, [1] * 5, below=2) is None
+        # the scan stops at the first cost <= enough, before a cheaper cycle
+        assert cheapest_obstacle(self.CYCLES, [1, 0, 0, 0, 1], enough=2) == (2, (0, 4))
+
+    def test_terminal_paths_from_the_least_source(self):
+        g = Graph(4, False, [(0, 1), (1, 2), (2, 3)])
+        inst = Instance(Problem.VERTEX_MULTICUT, g, ((3, 1), (1, 3)))
+        assert cheapest_obstacle(inst, [1] * 4) == (3, (1, 2, 3))
+        assert cheapest_obstacle(inst, [1] * 4, removed={1}) is None
+
+    def test_enumerated_families_have_no_path_search(self):
+        inst = Instance(Problem.VERTEX_COVER, Graph(2, False, [(0, 1)]))
+        with pytest.raises(PreconditionError):
+            cheapest_obstacle(inst, [1, 1])
+
+
 class TestIntegerOracleMatchesFractionReference:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(oracle_inputs())
@@ -211,8 +240,9 @@ class TestPathOraclesAtBenchSizes:
     unbounded search of its own region: a DFVS search for the cycles whose
     least vertex is v covers G[v..n-1] from v's out-neighbours above v, a
     multicut search covers all of G from one source, and each returns that
-    region's cheapest label exactly when it is violated and no dearer than
-    the best witness so far (so ties still reach the witness order).
+    region's cheapest label exactly when it is violated and strictly cheaper
+    than the best witness so far (a later region's label is larger at equal
+    cost, so it could not win a tie).
     """
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -245,7 +275,7 @@ class TestPathOraclesAtBenchSizes:
                 full = shortest_weighted_path(g, nums, [u for u in g.adj[v] if u > v], (v,), region)
             else:
                 full = shortest_weighted_path(g, nums, sources, targets)
-            admitted = full is not None and full[0] < den and (best is None or full[0] <= best)
+            admitted = full is not None and full[0] < den and (best is None or full[0] < best)
             assert found == (full if admitted else None)
             if found is not None:
                 best = found[0] if best is None else min(best, found[0])
@@ -324,6 +354,13 @@ class TestInstanceValidation:
     def test_terminals_only_for_multicut(self):
         with pytest.raises(InputError):
             Instance(Problem.VERTEX_COVER, Graph(3, False, [(0, 1)]), ((0, 1),))
+
+    def test_targets_grouped_by_source_once(self):
+        g = Graph(3, False, [(0, 1)])
+        inst = Instance(Problem.VERTEX_MULTICUT, g, ((2, 0), (0, 1), (0, 2)))
+        assert inst.targets_by_source == ((0, frozenset({1, 2})), (2, frozenset({0})))
+        assert "targets_by_source" not in repr(inst)
+        assert Instance(Problem.VERTEX_COVER, g).targets_by_source == ()
 
     def test_terminal_pairs_validated(self):
         g = Graph(3, False, [(0, 1)])

@@ -10,6 +10,7 @@ import pytest
 import essentia
 from essentia import serialize
 from essentia.cli import _build_parser, _check_jobs, run
+from essentia.detection import DEFAULT_SIZE_CAP
 from essentia.errors import InputError, ResourceCapError
 from essentia.graphs import Graph
 from essentia.lab import gen_matching_apex, gen_star_multicut
@@ -222,6 +223,28 @@ class TestCli:
         tampered["selected"] = []
         cert_path.write_text(json.dumps(tampered))
         assert run(["verify", "--kind", "detection", "--k", "1", str(path), str(cert_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "kind, certificate",
+        [
+            ("rounding", "5"),
+            ("detection", "5"),
+            ("detection", '{"lp_values": 5, "selected": []}'),
+            ("detection", '{"lp_values": "0/1 2", "selected": []}'),
+        ],
+    )
+    def test_verify_malformed_certificate_is_an_input_error(
+        self, tmp_path, capsys, kind, certificate
+    ):
+        path = self.write_star(tmp_path, m=3)
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(certificate)
+        assert run(["verify", "--kind", kind, "--k", "1", path, str(cert_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_size_cap_default_is_the_library_default(self):
+        args = _build_parser().parse_args(["detect", "g.json", "--c", "2"])
+        assert args.size_cap == DEFAULT_SIZE_CAP
 
     def test_jobs_flag_accepted(self, tmp_path, capsys):
         path = self.write_star(tmp_path, m=4)

@@ -58,3 +58,17 @@ def test_bench_tracer_bindings_resolve():
     assert not missing, f"tracer bindings that do not resolve: {missing}"
     assert (lp, "find_violated_obstacle") in [(o, a) for o, a, _ in bindings]
     assert lp.find_violated_obstacle is problems.find_violated_obstacle
+
+
+def test_only_problems_calls_the_path_search():
+    # the path and cycle obstacle search has one owner: exact search and the
+    # separation oracle both go through problems.cheapest_obstacle
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "shortest_weighted_path":
+                    callers.add(path.name)
+    assert callers == {"problems.py"}
