@@ -44,7 +44,7 @@ from .lab import (
     gnp_gap_experiment,
     measure_gap,
 )
-from .lp import FractionalSolution, LpProblem, solve, verify_feasible
+from .lp import FractionalSolution, solve, verify_feasible
 from .problems import (
     Instance,
     Obstacle,
@@ -73,7 +73,7 @@ __all__ = [
     "GapReport", "GnpGapRow", "LabeledInstance", "convert", "gap_csv_rows",
     "gen_dfvs_gadget", "gen_gnp", "gen_matching_apex", "gen_star_multicut",
     "gen_vc_gadget", "gnp_gap_experiment", "measure_gap",
-    "FractionalSolution", "LpProblem", "solve", "verify_feasible",
+    "FractionalSolution", "solve", "verify_feasible",
     "Instance", "Obstacle", "ObstacleKind", "Problem", "find_violated_obstacle",
     "is_solution",
     "RoundingCertificate", "round_cograph", "round_directed_multicut",

@@ -44,7 +44,7 @@ from typing import Optional
 
 from .errors import InputError, SizeCapError
 from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
-from .lp import LpProblem, solve
+from .lp import solve
 from .problems import Instance, Obstacle, Problem
 
 # Per problem: the essentiality threshold whose vertices detection is
@@ -113,9 +113,10 @@ def _pinned_values(
         if v in values:
             continue
         if pool is None:
-            sol = solve(LpProblem(inst, pinned_vertex=v))
+            sol = solve(inst, v)
         else:
-            sol = solve(LpProblem(inst, pinned_vertex=v, constraint_pool=pool))
+            sol = solve(inst, v, pool)
+            pool.extend(sol.added)
         solves += 1
         values[v] = sol.value
         if sol.value == star:
@@ -144,8 +145,8 @@ def lp_values(inst: Instance, jobs: int = 1) -> tuple[Fraction, ...]:
     pool: Optional[list[Obstacle]] = None
     star: Optional[Fraction] = None
     if n and inst.problem in _SHARED_POOL:
-        pool = []
-        top = solve(LpProblem(inst, constraint_pool=pool))
+        top = solve(inst)
+        pool = list(top.added)
         star = top.value
         for v, x in enumerate(top.weights):
             if x == 0:

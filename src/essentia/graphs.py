@@ -93,8 +93,8 @@ class Graph:
 def check_weights(g: Graph, w: VertexWeights) -> tuple[int, list[int]]:
     """Validate a weight vector and put it over its least common denominator.
 
-    The vector must have length n and hold `Fraction` entries in [0, 1].
-    Returns (den, nums) with nums[u] == w[u] * den.  Multiplying by one
+    The vector must have length n and hold exact rationals (`Fraction`s or
+    ints) in [0, 1].  Returns (den, nums) with nums[u] == w[u] * den.  One
     positive den keeps the order of every sum of weights, so callers may
     compare sums of the integer numerators instead of `Fraction` sums.
     """
@@ -102,10 +102,11 @@ def check_weights(g: Graph, w: VertexWeights) -> tuple[int, list[int]]:
         raise InputError(f"weight vector has length {len(w)}, expected {g.n}")
     den = 1
     for u, x in enumerate(w):
-        if type(x) is not Fraction and not isinstance(x, Fraction):
-            raise InputError(f"weight of vertex {u} is not an exact rational: {x!r}")
-        # a Fraction's denominator is positive, so 0 <= x <= 1 is 0 <= p <= q
-        p, q = x.numerator, x.denominator
+        try:
+            p, q = x.numerator, x.denominator
+        except AttributeError:
+            raise InputError(f"weight of vertex {u} is not an exact rational: {x!r}") from None
+        # a rational's denominator is positive, so 0 <= x <= 1 is 0 <= p <= q
         if p < 0 or p > q:
             raise InputError(f"weight of vertex {u} out of [0, 1]: {x}")
         if den % q:

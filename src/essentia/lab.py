@@ -13,6 +13,8 @@ optima per seed.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +23,7 @@ from typing import Iterable, Optional
 from .errors import InputError
 from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
 from .graphs import Graph
-from .lp import FractionalSolution, LpProblem, solve, verify_feasible
+from .lp import FractionalSolution, solve, verify_feasible
 from .problems import Instance, Problem
 
 
@@ -192,7 +194,7 @@ def measure_gap(
     With a pinned vertex the fractional side pins it to 0 and the integral
     side forbids it; ratio is absent when the fractional optimum is 0.
     """
-    fractional = solve(LpProblem(inst, pinned_vertex=pinned)).value
+    fractional = solve(inst, pinned).value
     if pinned is None:
         integral: Optional[int] = opt_value(inst, node_cap)
     else:
@@ -212,13 +214,15 @@ def measure_gap(
 
 def gap_csv_rows(reports: Iterable[GapReport]) -> str:
     """CSV serialization of gap reports: id, n, fractional, integral, ratio."""
-    lines = ["id,n,fractional,integral,ratio"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "n", "fractional", "integral", "ratio"])
     for r in reports:
         frac = f"{r.fractional.numerator}/{r.fractional.denominator}"
         integ = "" if r.integral is None else str(r.integral)
         ratio = "" if r.ratio is None else f"{r.ratio.numerator}/{r.ratio.denominator}"
-        lines.append(f"{r.label},{r.n},{frac},{integ},{ratio}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([r.label, r.n, frac, integ, ratio])
+    return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -249,7 +253,7 @@ def gnp_gap_experiment(n: int, seeds: Iterable[int]) -> list[GnpGapRow]:
         quarters = FractionalSolution(
             tuple([Fraction(1, 4)] * n), Fraction(n, 4)
         )
-        feasible = verify_feasible(LpProblem(inst), quarters)
+        feasible = verify_feasible(inst, quarters)
         report = measure_gap(inst, label=f"gnp-{n}-{seed}")
         if report.integral is None:
             raise AssertionError("an unpinned cograph deletion instance always has a solution")

@@ -9,7 +9,8 @@ feasible for the full family, that optimum is also the full optimum (the
 restricted value can only underestimate it).  All values are exact rationals.
 The loop stays in integers: each round hands the kernel's numerators over
 its objective denominator straight to the oracle, and `Fraction` weights are
-built once, for the certified optimum.
+built once, for the certified optimum.  Every function here is pure: `solve`
+only reads the pool it starts from and returns what it adds on the solution.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, IterationCapError
-from .graphs import ZERO, VertexWeights
+from .graphs import VertexWeights
 from .problems import (
     Instance,
     Obstacle,
@@ -44,25 +45,13 @@ from .simplex import PackingSimplex
 _SEED_CAP_FACTOR = 2
 
 
-@dataclass
-class LpProblem:
-    """One solver run: an instance, an optional pinned vertex, a growing pool."""
-
-    instance: Instance
-    pinned_vertex: Optional[int] = None
-    constraint_pool: list[Obstacle] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.pinned_vertex is not None and not 0 <= self.pinned_vertex < self.instance.n:
-            raise InputError(f"pinned vertex {self.pinned_vertex} out of range")
-
-
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Exact per-vertex LP values together with their total."""
+    """Exact per-vertex LP values, their total, and what `solve` added to its pool."""
 
     weights: VertexWeights
     value: Fraction
+    added: tuple[Obstacle, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         # One pass in ints: the weight total accumulates as num / den over
@@ -104,41 +93,47 @@ def _cheap_pin_seeds(inst: Instance, pinned: int) -> list[Obstacle]:
     return [Obstacle(kind, frozenset(q), q) for q in quads]
 
 
-def solve(lp: LpProblem, max_cuts: Optional[int] = None) -> FractionalSolution:
-    """Exact optimum of the (possibly vertex-avoiding) hitting-set LP.
+def _check_pin(inst: Instance, pinned: Optional[int]) -> None:
+    if pinned is not None and not 0 <= pinned < inst.n:
+        raise InputError(f"pinned vertex {pinned} out of range")
 
-    Runs cutting planes over the separation oracle, warm-starting the exact
-    simplex after every cut.  Each round the oracle prices the kernel's
-    numerators over its objective denominator directly, trusting them to
-    lie in [0, 1].  The returned solution is feasible for *all* obstacles
-    (the oracle says so, on exactly those numerators) and optimal
-    (restricted optima are lower bounds); building it checks its range and
-    its total against the objective row.  Raises IterationCapError after
-    `max_cuts` cuts, 10*n^2 by default; the cap signals a diagnostics
-    failure, never a wrong answer.
+
+def solve(
+    inst: Instance, pinned: Optional[int] = None, pool: Sequence[Obstacle] = ()
+) -> FractionalSolution:
+    """Exact optimum of the hitting-set LP, with `pinned` held at 0 if given.
+
+    Runs cutting planes over the separation oracle from the obstacles in
+    `pool` (an empty pool of a pinned LP is seeded with small obstacles
+    through the pin), warm-starting the exact simplex after every cut.  It
+    only reads `pool`: its seeds, then its cuts, come back as the solution's
+    `added`.  Each round the oracle prices the kernel's numerators over its
+    objective denominator directly, trusting them to lie in [0, 1].  The
+    returned solution is feasible for *all* obstacles (the oracle says so,
+    on exactly those numerators) and optimal (restricted optima are lower
+    bounds); building it checks its range and its total against the
+    objective row.  Raises IterationCapError after 10*n^2 cuts; the cap
+    signals a diagnostics failure, never a wrong answer.
     """
-    inst = lp.instance
+    _check_pin(inst, pinned)
     n = inst.n
-    if max_cuts is None:
-        max_cuts = 10 * n * n
-    engine = PackingSimplex(lp.pinned_vertex)
-    if not lp.constraint_pool and lp.pinned_vertex is not None:
-        lp.constraint_pool.extend(_cheap_pin_seeds(inst, lp.pinned_vertex))
-    for ob in lp.constraint_pool:
+    max_cuts = 10 * n * n
+    engine = PackingSimplex(pinned)
+    added = _cheap_pin_seeds(inst, pinned) if not pool and pinned is not None else []
+    for ob in [*pool, *added]:
         engine.add_constraint(ob.vertices)
     engine.optimize()
     cuts = 0
     while True:
         den, nums = engine.covering_numerators(n)
-        violated = separate_numerators(inst, den, nums, lp.pinned_vertex)
+        violated = separate_numerators(inst, den, nums, pinned)
         if violated is None:
-            return FractionalSolution(engine.covering_solution(n), engine.objective())
+            x = engine.covering_solution(n)
+            return FractionalSolution(x, engine.objective(), tuple(added))
         if cuts >= max_cuts:
-            raise IterationCapError(
-                f"no convergence within {max_cuts} cuts (n={n})"
-            )
+            raise IterationCapError(f"no convergence within {max_cuts} cuts (n={n})")
         cuts += 1
-        lp.constraint_pool.append(violated)
+        added.append(violated)
         engine.add_constraint(violated.vertices)
         engine.optimize()
 
@@ -165,15 +160,11 @@ def solve_restricted(
     return FractionalSolution(engine.covering_solution(n), engine.objective())
 
 
-def verify_feasible(lp: LpProblem, sol: FractionalSolution) -> bool:
-    """Independent audit: box and pin constraints hold and no obstacle is light."""
-    inst = lp.instance
-    if len(sol.weights) != inst.n:
+def verify_feasible(
+    inst: Instance, sol: FractionalSolution, pinned: Optional[int] = None
+) -> bool:
+    """Independent audit: the pin holds and no obstacle is light (box and total hold already)."""
+    _check_pin(inst, pinned)
+    if len(sol.weights) != inst.n or (pinned is not None and sol.weights[pinned] != 0):
         return False
-    if any(x < 0 or x > 1 for x in sol.weights):
-        return False
-    if sum(sol.weights, ZERO) != sol.value:
-        return False
-    if lp.pinned_vertex is not None and sol.weights[lp.pinned_vertex] != 0:
-        return False
-    return find_violated_obstacle(inst, sol.weights, v_pinned=lp.pinned_vertex) is None
+    return find_violated_obstacle(inst, sol.weights, v_pinned=pinned) is None

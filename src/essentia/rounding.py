@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, HALF, cheapest_paths, min_vertex_separator, reverse_graph
-from .lp import FractionalSolution, LpProblem, verify_feasible
+from .lp import FractionalSolution, verify_feasible
 from .problems import Instance, Problem, has_induced_p4, is_solution, iter_induced_p4s
 
 POINT_FOUR = Fraction(2, 5)
@@ -62,7 +62,7 @@ def _check_inputs(inst: Instance, v: int, x: FractionalSolution) -> None:
         raise PreconditionError(f"vertex {v} out of range (n={inst.n})")
     if not is_solution(inst, {v}):
         raise PreconditionError(f"{{{v}}} does not hit every obstacle; nothing to certify")
-    if not verify_feasible(LpProblem(inst, pinned_vertex=v), x):
+    if not verify_feasible(inst, x, v):
         raise PreconditionError(f"fractional solution is not feasible with vertex {v} pinned to 0")
 
 

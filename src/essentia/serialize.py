@@ -110,7 +110,9 @@ def instance_from_dict(d: dict) -> Instance:
             f"instance: directed={directed} contradicts problem {problem.value!r}"
         )
     edges = _pair_list(_expect(d, "edges", list, "instance"), n, "edges")
-    terminals = _pair_list(d.get("terminals") or [], n, "terminals")
+    terminals = []  # an absent or null "terminals" means no pairs
+    if d.get("terminals") is not None:
+        terminals = _pair_list(_expect(d, "terminals", list, "instance"), n, "terminals")
     return Instance(problem, Graph(n, directed, edges), tuple(terminals))
 
 

@@ -33,7 +33,7 @@ from essentia.driver import restrict_instance
 from essentia.errors import InputError, IterationCapError, PinInfeasibleError, PreconditionError
 from essentia.exact import SolveBudget, solve_exact
 from essentia.graphs import Graph, shortest_weighted_path
-from essentia.lp import FractionalSolution, LpProblem, _cheap_pin_seeds, solve
+from essentia.lp import FractionalSolution, _cheap_pin_seeds, solve
 from essentia.problems import (
     Instance,
     Obstacle,
@@ -362,39 +362,37 @@ def per_vertex_lp_values(inst: Instance):
 
     Detection's earlier loop: no unpinned LP, no zero rule, no shared pool.
     """
-    return tuple(solve(LpProblem(inst, pinned_vertex=v)).value for v in range(inst.n))
+    return tuple(solve(inst, v).value for v in range(inst.n))
 
 
-def fraction_cutting_planes(lp: LpProblem, max_cuts=None):
+def fraction_cutting_planes(inst: Instance, pinned=None, pool=()):
     """Reference `essentia.lp.solve`: every round goes through `Fraction` weights.
 
     The loop `solve` ran before it passed the kernel's numerators straight
     to the oracle: read the covering solution as `Fraction`s, hand it to the
     public `find_violated_obstacle` (which validates it and takes its least
     common denominator again), and add the cut it returns.  It runs on
-    `DenseFractionSimplex`, seeds an empty pool of a pinned LP the same way
-    and appends its cuts to `lp.constraint_pool` in the same order.
+    `DenseFractionSimplex`, starts from `pool` without writing to it, seeds
+    an empty pool of a pinned LP the same way, and returns the seeds and
+    cuts it adds, in order, as the solution's `added`.
     """
-    inst = lp.instance
     n = inst.n
-    if max_cuts is None:
-        max_cuts = 10 * n * n
-    engine = DenseFractionSimplex(lp.pinned_vertex)
-    if not lp.constraint_pool and lp.pinned_vertex is not None:
-        lp.constraint_pool.extend(_cheap_pin_seeds(inst, lp.pinned_vertex))
-    for ob in lp.constraint_pool:
+    max_cuts = 10 * n * n
+    engine = DenseFractionSimplex(pinned)
+    added = _cheap_pin_seeds(inst, pinned) if not pool and pinned is not None else []
+    for ob in [*pool, *added]:
         engine.add_constraint(ob.vertices)
     engine.optimize()
     cuts = 0
     while True:
         x = engine.covering_solution(n)
-        violated = find_violated_obstacle(inst, x, v_pinned=lp.pinned_vertex)
+        violated = find_violated_obstacle(inst, x, v_pinned=pinned)
         if violated is None:
-            return FractionalSolution(x, engine.objective())
+            return FractionalSolution(x, engine.objective(), tuple(added))
         if cuts >= max_cuts:
             raise IterationCapError(f"no convergence within {max_cuts} cuts (n={n})")
         cuts += 1
-        lp.constraint_pool.append(violated)
+        added.append(violated)
         engine.add_constraint(violated.vertices)
         engine.optimize()
 

@@ -31,7 +31,7 @@ from essentia.lab import (
     gnp_gap_experiment,
     measure_gap,
 )
-from essentia.lp import LpProblem, solve, solve_restricted
+from essentia.lp import solve, solve_restricted
 from essentia.problems import Instance, Problem, is_solution
 from essentia.rounding import round_cograph, round_directed_multicut, round_multicut
 
@@ -154,7 +154,7 @@ def test_criterion_3_rounding_factor_certification():
             rng = random.Random(seed * 7919 + hash(problem.value) % 1000)
             n = rng.randint(4, 9)
             inst, v = random_singleton_instance(problem, n, seed)
-            x = solve(LpProblem(inst, pinned_vertex=v))
+            x = solve(inst, v)
             cert = rounder(inst, v, x)
             tag = f"{problem.value} seed={seed}"
             if len(cert.integral_set) > factor * x.value:
@@ -233,7 +233,7 @@ def test_criterion_5_driver_optimality_and_budget():
 def test_criterion_6_weak_duality_sweep():
     violations = []
     for name, inst in regression_corpus():
-        fractional = solve(LpProblem(inst)).value
+        fractional = solve(inst).value
         integral = opt_value(inst)
         if not fractional <= integral:
             violations.append(f"{name}: LP {fractional} > opt {integral}")
@@ -331,8 +331,7 @@ def test_criterion_9_oracle_completeness():
         if inst.n > 8:
             continue
         checked += 1
-        lp = LpProblem(inst)
-        sol = solve(lp)
+        sol = solve(inst)
         obstacles = naive_all_obstacle_sets(inst)
         for s in sorted(obstacles, key=sorted):
             if sum((sol.weights[u] for u in s), F(0)) < 1:

@@ -19,7 +19,7 @@ from essentia.errors import SizeCapError
 from essentia.exact import opt_value
 from essentia.graphs import Graph
 from essentia.lab import gen_dfvs_gadget, gen_matching_apex, gen_star_multicut, gen_vc_gadget
-from essentia.lp import LpProblem, solve, solve_restricted
+from essentia.lp import solve, solve_restricted
 from essentia.problems import Instance, Problem
 
 from conftest import random_graph, random_instance
@@ -268,9 +268,12 @@ class TestLpValuesMatchPerVertexSolves:
     def test_same_values_and_route(self, inst):
         calls = []
 
-        def recording_solve(lp):
-            calls.append((lp.pinned_vertex, len(lp.constraint_pool)))
-            return solve(lp)
+        def recording_solve(inst, pinned=None, pool=()):
+            before = list(pool)
+            calls.append((pinned, len(pool)))
+            sol = solve(inst, pinned, pool)
+            assert list(pool) == before  # detection's pool is only read
+            return sol
 
         with mock.patch.object(detection, "solve", recording_solve):
             got = lp_values(inst)
@@ -290,7 +293,7 @@ class TestLpValuesMatchPerVertexSolves:
     def test_no_zero_in_the_unpinned_optimum(self):
         for problem in PATH_FAMILIES:
             inst = _complete(problem, 5)
-            assert set(solve(LpProblem(inst)).weights) == {F(1, 2)}
+            assert set(solve(inst).weights) == {F(1, 2)}
             # pinning v forces x = 1 on the other four
             assert lp_values(inst) == per_vertex_lp_values(inst) == (F(4),) * 5
 
@@ -302,11 +305,26 @@ class TestLpValuesMatchPerVertexSolves:
 
 
 def _detection_record(caplog, inst):
+    """The DEBUG record's args and each LP solve's (pool size given, result)."""
+    calls = []
+
+    def recording_solve(inst, pinned=None, pool=()):
+        size = len(pool)  # detection extends its pool once the solve returns
+        sol = solve(inst, pinned, pool)
+        calls.append((size, sol))
+        return sol
+
     with caplog.at_level(logging.DEBUG, logger="essentia.detection"):
-        with mock.patch.object(detection, "solve", wraps=solve) as spy:
+        with mock.patch.object(detection, "solve", recording_solve):
             lp_values(inst)
     [record] = [r for r in caplog.records if r.name == "essentia.detection"]
-    return record.args, spy.call_args_list
+    return record.args, calls
+
+
+def _final_pool_size(calls):
+    """The last solve's pool argument plus the obstacles that solve added."""
+    size, sol = calls[-1]
+    return size + len(sol.added)
 
 
 class TestLogging:
@@ -314,10 +332,10 @@ class TestLogging:
         inst = gen_star_multicut(5).instance
         (solves, settled, pool), calls = _detection_record(caplog, inst)
         assert solves == len(calls)
-        zeros = [v for v, x in enumerate(solve(LpProblem(inst)).weights) if x == 0]
+        zeros = [v for v, x in enumerate(solve(inst).weights) if x == 0]
         assert zeros == [1, 2, 3, 4, 5]
         assert settled == len(zeros) == inst.n + 1 - solves
-        assert pool == len(calls[-1].args[0].constraint_pool)
+        assert pool == _final_pool_size(calls)
         assert (solves, settled, pool) == (2, 5, 5)
 
     def test_dfvs_gadget(self, caplog):
@@ -325,8 +343,8 @@ class TestLogging:
         inst = gen_dfvs_gadget(base, F(1)).instance  # n = 8
         (solves, settled, pool), calls = _detection_record(caplog, inst)
         assert solves == len(calls) and settled == inst.n + 1 - solves
-        assert pool == len(calls[-1].args[0].constraint_pool)
-        zeros = [v for v, x in enumerate(solve(LpProblem(inst)).weights) if x == 0]
+        assert pool == _final_pool_size(calls)
+        zeros = [v for v, x in enumerate(solve(inst).weights) if x == 0]
         assert zeros == [6, 7]  # so two more were settled by a pinned optimum
         assert (solves, settled, pool) == (5, 4, 11)
 

@@ -189,10 +189,17 @@ class TestCheckWeights:
 
         assert check_weights(Graph(2, False, []), (Weight(1, 4), Weight(1))) == (4, [1, 4])
 
+    def test_int_entries_are_accepted(self):
+        # the rule FractionalSolution applies: an integer numerator and denominator
+        assert check_weights(Graph(3, False, []), (0, F(1, 2), 1)) == (2, [0, 1, 2])
+        inst = Instance(Problem.VERTEX_COVER, Graph(3, False, [(0, 1), (1, 2)]))
+        assert find_violated_obstacle(inst, (F(1, 2), 1, F(1, 2))) is None
+        assert find_violated_obstacle(inst, (1, 0, 0)).vertices == {1, 2}
+
     @pytest.mark.parametrize(
         "bad",
-        [0.5, 0, F(-1, 2), F(3, 2)],
-        ids=["float", "int", "negative", "above-one"],
+        [0.5, "1", F(-1, 2), -1, F(3, 2), 2],
+        ids=["float", "str", "negative", "negative-int", "above-one", "int-above-one"],
     )
     def test_invalid_entry_raises_through_the_oracle(self, bad):
         inst = Instance(Problem.VERTEX_COVER, Graph(3, False, [(0, 1), (1, 2)]))

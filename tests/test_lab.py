@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import random
 from fractions import Fraction as F
@@ -18,7 +20,7 @@ from essentia.lab import (
     measure_gap,
 )
 from essentia.graphs import Graph
-from essentia.lp import FractionalSolution, LpProblem, solve, verify_feasible
+from essentia.lp import FractionalSolution, solve, verify_feasible
 from essentia.problems import Instance, Problem, is_solution
 
 from conftest import random_instance
@@ -37,7 +39,7 @@ class TestTightFamilies:
 
     def test_star_reference_values(self):
         inst = gen_star_multicut(6).instance
-        assert solve(LpProblem(inst, pinned_vertex=0)).value == F(3)
+        assert solve(inst, 0).value == F(3)
         report = measure_gap(inst, pinned=0)
         assert report.integral == inst.n - 2 == 5  # all leaves but one
 
@@ -45,7 +47,7 @@ class TestTightFamilies:
         labeled = gen_matching_apex(8)
         inst = labeled.instance
         assert opt_value(inst) == 1
-        assert solve(LpProblem(inst, pinned_vertex=0)).value == F(4)
+        assert solve(inst, 0).value == F(4)
         assert measure_gap(inst, pinned=0).integral == 7
 
     @pytest.mark.parametrize("m", range(2, 13))
@@ -180,14 +182,14 @@ class TestGnp:
         for seed in range(5):
             inst = gen_gnp(9, seed)
             quarters = FractionalSolution((F(1, 4),) * 9, F(9, 4))
-            assert verify_feasible(LpProblem(inst), quarters)
+            assert verify_feasible(inst, quarters)
 
     def test_quarters_feasible_on_the_matching_family(self):
         for m in (2, 5, 9):
             inst = gen_matching_apex(m).instance
             n = inst.n
             quarters = FractionalSolution((F(1, 4),) * n, F(n, 4))
-            assert verify_feasible(LpProblem(inst), quarters)
+            assert verify_feasible(inst, quarters)
 
 
 class TestMeasureGap:
@@ -210,6 +212,18 @@ class TestMeasureGap:
         assert text.splitlines()[0] == "id,n,fractional,integral,ratio"
         assert text.splitlines()[1] == "star6,7,3/1,5,5/3"
         assert "." not in text.splitlines()[1]
+        assert text == "id,n,fractional,integral,ratio\nstar6,7,3/1,5,5/3\n"
+
+    @pytest.mark.parametrize(
+        "label",
+        ["star,3", 'say "hi"', 'a,"b",c', "two\nlines"],
+        ids=["comma", "quote", "comma-and-quote", "newline"],
+    )
+    def test_csv_labels_are_quoted(self, label):
+        report = measure_gap(gen_star_multicut(3).instance, pinned=0, label=label)
+        rows = list(csv.reader(io.StringIO(gap_csv_rows([report, report]))))
+        assert rows[0] == ["id", "n", "fractional", "integral", "ratio"]
+        assert rows[1:] == [[label, "4", "3/2", "2", "4/3"]] * 2
 
 
 class TestGnpExperiment:

@@ -1,20 +1,16 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from essentia.errors import InputError, IterationCapError, PinInfeasibleError
 from essentia.exact import opt_value
+from essentia import lp
 from essentia.graphs import Graph
 from essentia.lab import gen_gnp, gen_matching_apex, gen_star_multicut, gnp_gap_experiment
-from essentia.lp import (
-    FractionalSolution,
-    LpProblem,
-    solve,
-    solve_restricted,
-    verify_feasible,
-)
+from essentia.lp import FractionalSolution, _cheap_pin_seeds, solve, solve_restricted, verify_feasible
 from essentia.problems import Instance, Obstacle, ObstacleKind, Problem
 
 from conftest import random_instance
@@ -74,27 +70,26 @@ class TestSolve:
     @pytest.mark.parametrize("m", [2, 4, 6, 9])
     def test_star_pinned_center_value(self, m):
         inst = gen_star_multicut(m).instance
-        sol = solve(LpProblem(inst, pinned_vertex=0))
+        sol = solve(inst, 0)
         assert sol.value == F(m, 2)
         assert sol.weights[0] == 0
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_matching_apex_pinned_value(self, m):
         inst = gen_matching_apex(m).instance
-        sol = solve(LpProblem(inst, pinned_vertex=0))
+        sol = solve(inst, 0)
         assert sol.value == F(m, 2)
 
     def test_no_obstacles_all_zero(self):
         inst = Instance(Problem.VERTEX_COVER, Graph(5, False, []))
-        sol = solve(LpProblem(inst))
+        sol = solve(inst)
         assert sol.value == 0 and set(sol.weights) == {F(0)}
 
     @pytest.mark.parametrize("problem", list(Problem))
     @pytest.mark.parametrize("seed", range(4))
     def test_final_solution_certified_by_full_enumeration(self, problem, seed):
         inst = random_instance(problem, 6, 70 + seed)
-        lp = LpProblem(inst)
-        sol = solve(lp)
+        sol = solve(inst)
         full_pool = sorted(naive_all_obstacle_sets(inst), key=sorted)
         reference = solve_restricted(full_pool, inst.n) if full_pool else None
         if reference is not None:
@@ -102,57 +97,122 @@ class TestSolve:
             assert abs(float(sol.value) - float_lp_value(set(full_pool), inst.n)) < 1e-7
         else:
             assert sol.value == 0
-        assert verify_feasible(lp, sol)
+        assert verify_feasible(inst, sol)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_weak_duality_against_integral_optimum(self, seed):
         rng = random.Random(seed)
         problem = rng.choice(list(Problem))
         inst = random_instance(problem, 8, 99 + seed)
-        assert solve(LpProblem(inst)).value <= opt_value(inst)
+        assert solve(inst).value <= opt_value(inst)
 
     def test_pool_value_monotone_under_growth(self):
         inst = random_instance(Problem.VERTEX_COVER, 7, 123)
-        lp = LpProblem(inst)
-        solve(lp)
-        values = [
-            solve_restricted(lp.constraint_pool[:i], inst.n).value
-            for i in range(len(lp.constraint_pool) + 1)
-        ]
+        pool = solve(inst).added
+        values = [solve_restricted(pool[:i], inst.n).value for i in range(len(pool) + 1)]
         assert values == sorted(values)
 
-    def test_iteration_cap_raises(self):
-        inst = gen_star_multicut(5).instance
-        with pytest.raises(IterationCapError):
-            solve(LpProblem(inst), max_cuts=0)
+    def test_iteration_cap_raises(self, monkeypatch):
+        # an oracle that never certifies: the loop stops after 10 * n^2 cuts
+        inst = gen_star_multicut(2).instance
+        calls = []
+
+        def stuck_oracle(inst, den, nums, v_pinned):
+            calls.append(den)
+            return edge_obstacle(1, 2)
+
+        monkeypatch.setattr(lp, "separate_numerators", stuck_oracle)
+        with pytest.raises(IterationCapError, match=r"^no convergence within 90 cuts \(n=3\)$"):
+            solve(inst)
+        assert len(calls) == 10 * inst.n**2 + 1
 
     def test_cograph_all_quarters_always_feasible(self):
         for seed in range(5):
             inst = random_instance(Problem.COGRAPH_DELETION, 8, 31 + seed)
             quarters = FractionalSolution((F(1, 4),) * 8, F(2))
-            assert verify_feasible(LpProblem(inst), quarters)
+            assert verify_feasible(inst, quarters)
 
 
 class TestVerifyFeasible:
     def test_star_half_leaves(self):
         inst = gen_star_multicut(6).instance
         sol = FractionalSolution(tuple([F(0)] + [F(1, 2)] * 6), F(3))
-        assert verify_feasible(LpProblem(inst, pinned_vertex=0), sol)
+        assert verify_feasible(inst, sol, 0)
 
     def test_all_zero_fails_on_p4(self):
         inst = Instance(Problem.COGRAPH_DELETION, Graph(4, False, [(0, 1), (1, 2), (2, 3)]))
         sol = FractionalSolution((F(0),) * 4, F(0))
-        assert not verify_feasible(LpProblem(inst), sol)
+        assert not verify_feasible(inst, sol)
 
     def test_all_ones_ok_without_pin(self):
         inst = random_instance(Problem.DFVS, 6, 8)
         sol = FractionalSolution((F(1),) * 6, F(6))
-        assert verify_feasible(LpProblem(inst), sol)
+        assert verify_feasible(inst, sol)
 
     def test_pin_violation_detected(self):
         inst = gen_star_multicut(3).instance
         sol = FractionalSolution((F(1),) * 4, F(4))
-        assert not verify_feasible(LpProblem(inst, pinned_vertex=0), sol)
+        assert not verify_feasible(inst, sol, 0)
+
+    def test_int_entries_are_audited_like_fractions(self):
+        # ints are exact rationals to FractionalSolution and to the oracle alike
+        inst = Instance(Problem.VERTEX_COVER, Graph(2, False, [(0, 1)]))
+        assert verify_feasible(inst, FractionalSolution((1, 0), F(1)))
+        assert not verify_feasible(inst, FractionalSolution((1, 0), F(1)), 0)
+        assert not verify_feasible(inst, FractionalSolution((0, 0), F(0)))
+
+    def test_wrong_length_fails(self):
+        inst = gen_star_multicut(3).instance
+        assert not verify_feasible(inst, FractionalSolution((F(1),) * 3, F(3)))
+
+    @pytest.mark.parametrize("pin", [-1, 4])
+    def test_pin_out_of_range_raises(self, pin):
+        inst = gen_star_multicut(3).instance
+        sol = FractionalSolution((F(1),) * 4, F(4))
+        with pytest.raises(InputError, match=rf"^pinned vertex {pin} out of range$"):
+            verify_feasible(inst, sol, pin)
+        with pytest.raises(InputError, match=rf"^pinned vertex {pin} out of range$"):
+            solve(inst, pin)
+
+
+class TestPoolIsOnlyRead:
+    """`solve` reads its pool and returns what it adds as the solution's `added`."""
+
+    @pytest.mark.parametrize("problem", list(Problem))
+    def test_unpinned_pinned_and_shared_routes(self, problem):
+        inst = random_instance(problem, 7, 41)
+        top = solve(inst)
+        assert top == solve(inst, None, ())
+        pool = list(top.added)
+        for v in range(inst.n):
+            for given in ([], pool):  # a fresh pinned LP, then the shared route
+                before = list(given)
+                sol = solve(inst, v, given)
+                assert given == before
+                assert sol == solve_restricted(given + list(sol.added), inst.n, pinned=v)
+            pool.extend(sol.added)
+
+    def test_pin_seeds_only_an_empty_pool(self):
+        # every added obstacle but the seeds is one oracle call's cut
+        inst = gen_matching_apex(3).instance
+        seeds = _cheap_pin_seeds(inst, 0)
+        assert seeds
+        for pool in ((), (seeds[-1],)):
+            with mock.patch.object(lp, "separate_numerators", wraps=lp.separate_numerators) as spy:
+                sol = solve(inst, 0, pool)
+            cuts = spy.call_count - 1
+            if pool:
+                assert len(sol.added) == cuts
+            else:
+                assert sol.added[: len(seeds)] == tuple(seeds)
+                assert len(sol.added) == len(seeds) + cuts
+
+    def test_added_takes_no_part_in_eq_or_repr(self):
+        inst = gen_star_multicut(4).instance
+        sol = solve(inst)
+        assert sol.added
+        bare = FractionalSolution(sol.weights, sol.value)
+        assert sol == bare and hash(sol) == hash(bare) and repr(sol) == repr(bare)
 
 
 class TestFractionalSolutionInvariants:
@@ -232,9 +292,12 @@ class TestLoopMatchesFractionReference:
     @given(lp_runs())
     def test_same_cuts_in_the_same_order_and_same_solution(self, case):
         inst, pins = case
-        pool, ref_pool = [], []
+        pool = []
         for v in pins:
-            got = solve(LpProblem(inst, pinned_vertex=v, constraint_pool=pool))
-            want = fraction_cutting_planes(LpProblem(inst, pinned_vertex=v, constraint_pool=ref_pool))
-            assert pool == ref_pool
+            before = list(pool)
+            got = solve(inst, v, pool)
+            want = fraction_cutting_planes(inst, v, pool)
+            assert pool == before  # both only read the pool they are given
+            assert got.added == want.added
             assert got.weights == want.weights and got.value == want.value
+            pool += got.added

@@ -7,7 +7,7 @@ from essentia.errors import InputError, PreconditionError
 from essentia.exact import SolveBudget, opt_value_avoiding, solve_exact
 from essentia.graphs import Graph
 from essentia.lab import gen_matching_apex, gen_star_multicut
-from essentia.lp import FractionalSolution, LpProblem, solve
+from essentia.lp import FractionalSolution, solve
 from essentia.problems import Instance, Problem, is_solution
 from essentia.rounding import round_cograph, round_directed_multicut, round_multicut
 
@@ -16,7 +16,7 @@ from oracles import naive_min_separator_size
 
 
 def pinned_optimum(inst, v):
-    return solve(LpProblem(inst, pinned_vertex=v))
+    return solve(inst, v)
 
 
 class TestCertificateInvariants:

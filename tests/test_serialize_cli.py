@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ from essentia.detection import DEFAULT_SIZE_CAP
 from essentia.errors import InputError, ResourceCapError
 from essentia.graphs import Graph
 from essentia.lab import gen_matching_apex, gen_star_multicut
-from essentia.lp import LpProblem, solve
+from essentia.lp import solve
 from essentia.problems import Instance, Problem
 from essentia.rounding import round_multicut
 
@@ -194,7 +196,7 @@ class TestCli:
         inst = gen_star_multicut(5).instance
         path = tmp_path / "star.json"
         path.write_text(serialize.dumps_instance(inst))
-        x = solve(LpProblem(inst, pinned_vertex=0))
+        x = solve(inst, 0)
         cert = round_multicut(inst, 0, x)
         cert_path = tmp_path / "cert.json"
         cert_path.write_text(json.dumps(serialize.rounding_certificate_to_dict(cert)))
@@ -241,6 +243,39 @@ class TestCli:
         cert_path.write_text(certificate)
         assert run(["verify", "--kind", kind, "--k", "1", path, str(cert_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "terminals", [5, True, 0, False, {}, "xy"], ids=["5", "true", "0", "false", "object", "xy"]
+    )
+    def test_non_list_terminals_are_an_input_error(self, tmp_path, capsys, terminals):
+        data = serialize.instance_to_dict(gen_star_multicut(3).instance)
+        data["terminals"] = terminals
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(data))
+        assert run(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: instance: 'terminals' must be a list")
+
+    @pytest.mark.parametrize("terminals", [None, "absent", []], ids=["null", "absent", "empty"])
+    def test_absent_or_null_terminals_mean_no_pairs(self, terminals):
+        data = serialize.instance_to_dict(gen_star_multicut(3).instance)
+        if terminals == "absent":
+            del data["terminals"]
+        else:
+            data["terminals"] = terminals
+        assert serialize.instance_from_dict(data).terminals == ()
+
+    def test_gap_csv_quotes_a_label_with_a_comma(self, tmp_path, capsys):
+        path = self.write_star(tmp_path, m=3)
+        assert run(["gap", "--csv", "--id", 'star,3 "pinned"', "--pin", "0", path]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [
+            ["id", "n", "fractional", "integral", "ratio"],
+            ['star,3 "pinned"', "4", "3/2", "2", "4/3"],
+        ]
+
+    def test_gap_pin_out_of_range_is_an_input_error(self, tmp_path, capsys):
+        assert run(["gap", "--pin", "99", self.write_star(tmp_path, m=3)]) == 1
+        assert capsys.readouterr().err == "error: pinned vertex 99 out of range\n"
 
     def test_size_cap_default_is_the_library_default(self):
         args = _build_parser().parse_args(["detect", "g.json", "--c", "2"])

@@ -72,3 +72,24 @@ def test_only_problems_calls_the_path_search():
                 if name == "shortest_weighted_path":
                     callers.add(path.name)
     assert callers == {"problems.py"}
+
+
+def test_every_dataclass_is_frozen():
+    # the package's values are immutable: no operation writes into its inputs
+    thawed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                func = call.func if call else dec
+                if getattr(func, "id", getattr(func, "attr", None)) != "dataclass":
+                    continue
+                frozen = call is not None and any(
+                    kw.arg == "frozen" and getattr(kw.value, "value", None) is True
+                    for kw in call.keywords
+                )
+                if not frozen:
+                    thawed.append(f"{path.name}:{node.name}")
+    assert not thawed, f"dataclasses that are not frozen: {thawed}"
