@@ -15,17 +15,16 @@ empirically by the test suite:
   solves, where the factor-c rounding applies) would produce a v-avoiding
   solution of size < (c+1) * opt, contradicting how essential v is.
 
-The n pinned LPs need not all be solved.  On the path and cycle families
-(both multicuts and DFVS) the detector first solves the unpinned LP, of
-value LP*.  Every v with x*_v = 0 in its optimum x* has f_v = LP*: x* is
-feasible for the v-pinned LP, and pinning only adds a constraint, so it
-never lowers the value.  A pinned optimum of value LP* is itself an
-unpinned optimum, so its zeros settle further vertices the same way.  The
-remaining pinned LPs share one pool of cuts, since every obstacle is a
-valid constraint of every pinned LP.  Vertex cover and cograph deletion,
-whose obstacles are enumerated, keep one fresh LP per vertex seeded with
-the obstacles through the pinned vertex: there the unpinned optimum has
-few zeros and the shared pool measured slower.
+The n pinned LPs need not all be solved, and on vertex cover none is:
+its LP is half-integral (Nemhauser-Trotter), and pinning v to 0 forces
+N(v) to 1 and leaves the LP of G - N[v], whose value is half the maximum
+matching of its bipartite double cover.  Every other family first solves
+the unpinned LP, of value LP*.  Every v with x*_v = 0 in its optimum x*
+has f_v = LP*: x* is feasible for the v-pinned LP, and pinning only adds a
+constraint, so it never lowers the value.  A pinned optimum of value LP*
+is itself an unpinned optimum, so its zeros settle further vertices the
+same way.  What each remaining pinned LP starts from is decided here, in
+`_starts`, and nowhere else: `lp.solve` runs from whatever pool it gets.
 
 The certified thresholds c+1 per problem are exported as
 DETECTION_THRESHOLDS.  Ground truth for validation comes from
@@ -40,12 +39,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InputError, SizeCapError
 from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
-from .lp import solve
-from .problems import Instance, Obstacle, Problem
+from .graphs import double_cover_matching
+from .lp import FractionalSolution, solve
+from .problems import Instance, Obstacle, ObstacleKind, Problem, all_induced_p4s
 
 # Per problem: the essentiality threshold whose vertices detection is
 # guaranteed to find when k equals the optimum (one plus the certified
@@ -60,11 +59,13 @@ DETECTION_THRESHOLDS: dict[Problem, Fraction] = {
 
 DEFAULT_SIZE_CAP = 14
 
-# Families whose oracle finds cuts by path or cycle search, one per round:
-# these share one cut pool and take the zero rule (see the module docstring).
-_SHARED_POOL = frozenset(
-    {Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT, Problem.DFVS}
-)
+# A cograph pinned LP starts from the induced P4s through its vertex only
+# while they number at most this multiple of n.  lp_values CPU on bench
+# reduce-enum seeds 3, 5, 21, ops 0-399 (300 cograph and 300 matching-apex
+# instances, runs alternated, 2 vCPUs, Python 3.11.7): 1.48 s capped, 1.64
+# s uncapped; the cap halves matching-apex (0.28 vs 0.55 s) and costs plain
+# cograph 11% (1.21 vs 1.09 s).
+_P4_START_CAP = 2
 
 _log = logging.getLogger("essentia.detection")
 
@@ -95,82 +96,94 @@ class DetectionResult:
             raise InputError("selected set does not match the value threshold")
 
 
-def _pinned_values(
-    payload: tuple[Instance, list[int], Optional[list[Obstacle]], Optional[Fraction]],
-) -> tuple[dict[int, Fraction], int, int]:
-    """f_v for the listed vertices: (values, LP solves, final pool size).
+def _starts(
+    inst: Instance, top: FractionalSolution, todo: list[int]
+) -> list[tuple[int, tuple[Obstacle, ...]]]:
+    """The pool each pinned LP left starts from, as (v, pool) pairs.
 
-    With a pool (path and cycle families), the pinned LPs share a copy of it
-    and each pinned optimum of value LP* = `star` settles its zeros too;
-    without one, every vertex gets a fresh LP.
+    Path and cycle families: the unpinned LP's cuts, one tuple for all.
+    Cograph deletion: the induced P4s through v, indexed once for every
+    vertex, or none above `_P4_START_CAP` * n of them.
     """
-    inst, todo, pool, star = payload
-    if pool is not None:
-        pool = list(pool)
+    if inst.problem is not Problem.COGRAPH_DELETION:
+        return [(v, top.added) for v in todo]
+    through: dict[int, list[Obstacle]] = {v: [] for v in todo}
+    for quad in all_induced_p4s(inst.graph):
+        hit = [u for u in quad if u in through]
+        if hit:
+            ob = Obstacle(ObstacleKind.INDUCED_P4, frozenset(quad), quad)
+            for u in hit:
+                through[u].append(ob)
+    cap = _P4_START_CAP * inst.n
+    return [(v, tuple(obs) if len(obs) <= cap else ()) for v, obs in through.items()]
+
+
+def _pinned_values(
+    payload: tuple[Instance, list[tuple[int, tuple[Obstacle, ...]]], Fraction],
+) -> tuple[dict[int, Fraction], int]:
+    """f_v for the listed (v, pool) pairs, and the LP solves it took.
+
+    A pinned optimum of value LP* = `star` settles its listed zeros too.
+    """
+    inst, starts, star = payload
     values: dict[int, Fraction] = {}
     solves = 0
-    for v in todo:
+    for v, pool in starts:
         if v in values:
             continue
-        if pool is None:
-            sol = solve(inst, v)
-        else:
-            sol = solve(inst, v, pool)
-            pool.extend(sol.added)
+        sol = solve(inst, v, pool)
         solves += 1
         values[v] = sol.value
         if sol.value == star:
-            for u in todo:
+            for u, _ in starts:
                 if u not in values and sol.weights[u] == 0:
                     values[u] = star
-    return values, solves, 0 if pool is None else len(pool)
+    return values, solves
 
 
 def lp_values(inst: Instance, jobs: int = 1) -> tuple[Fraction, ...]:
     """Value of the v-pinned LP for every vertex v (the f_v vector).
 
-    On the path and cycle families the unpinned LP is solved first, and
-    every vertex at 0 in its optimum x* gets f_v = LP*: x* is feasible for
-    that vertex's pinned LP, whose value is never below LP*.  The pinned
-    LPs left share the unpinned LP's cuts and every cut found since, and a
-    pinned optimum of value LP* settles its zeros as well.  Vertex cover
-    and cograph deletion solve one seeded LP per vertex.  jobs > 1 splits
-    the pinned LPs left over at most min(jobs, CPU count, LPs left)
-    processes, each starting from a copy of the unpinned LP's pool.  One
-    DEBUG record on the "essentia.detection" logger gives the LP solves,
-    the vertices settled by the zero rule and the final pool size.
+    Vertex cover solves no LP: f_v = |N(v)| + nu/2, with nu the maximum
+    matching of the double cover of G - N[v].  Every other family solves
+    the unpinned LP, settles each vertex at 0 in its optimum (and in any
+    pinned optimum of value LP*) with f_v = LP*, and starts each pinned LP
+    left from `_starts`.  jobs > 1 splits those LPs over at most min(jobs,
+    CPU count, LPs left) processes.  One DEBUG record on the
+    "essentia.detection" logger gives the LP solves and the vertices
+    settled by the zero rule.
     """
     n = inst.n
-    values: list[Optional[Fraction]] = [None] * n
-    pool: Optional[list[Obstacle]] = None
-    star: Optional[Fraction] = None
-    if n and inst.problem in _SHARED_POOL:
-        top = solve(inst)
-        pool = list(top.added)
-        star = top.value
-        for v, x in enumerate(top.weights):
-            if x == 0:
-                values[v] = star
-    todo = [v for v in range(n) if values[v] is None]
-    workers = min(jobs, os.cpu_count() or 1, len(todo))
-    if workers <= 1:
-        results = [_pinned_values((inst, todo, pool, star))]
+    if inst.problem is Problem.VERTEX_COVER:
+        nbrs = inst.graph.neighbors
+        values = tuple(
+            len(nbrs(v)) + Fraction(double_cover_matching(inst.graph, nbrs(v) | {v}), 2)
+            for v in range(n)
+        )
+        solves = settled = 0
     else:
-        payloads = [(inst, todo[i::workers], pool, star) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(_pinned_values, payloads))
-    pinned = pool_size = 0
-    for got, count, size in results:
-        for v, f in got.items():
-            values[v] = f
-        pinned += count
-        pool_size = max(pool_size, size)
+        top = solve(inst)
+        star = top.value
+        values = [star if x == 0 else None for x in top.weights]
+        starts = _starts(inst, top, [v for v in range(n) if values[v] is None])
+        workers = min(jobs, os.cpu_count() or 1, len(starts))
+        if workers <= 1:
+            results = [_pinned_values((inst, starts, star))]
+        else:
+            payloads = [(inst, starts[i::workers], star) for i in range(workers)]
+            with ProcessPoolExecutor(max_workers=workers) as executor:
+                results = list(executor.map(_pinned_values, payloads))
+        pinned = 0
+        for got, count in results:
+            for v, f in got.items():
+                values[v] = f
+            pinned += count
+        values, solves, settled = tuple(values), pinned + 1, n - pinned
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
-            "lp_values: %d LP solves, %d vertices settled by the zero rule, pool %d",
-            pinned + (pool is not None), n - pinned, pool_size,
+            "lp_values: %d LP solves, %d vertices settled by the zero rule", solves, settled
         )
-    return tuple(values)
+    return values
 
 
 def detect(req: DetectionRequest, jobs: int = 1) -> DetectionResult:

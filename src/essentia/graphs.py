@@ -3,10 +3,12 @@
 Everything downstream is built on the operations defined here: simple graphs
 (directed or not), one label-setting search for the cheapest paths under
 per-vertex costs (shortest weighted paths, and through them the path and
-cycle searches of `problems.cheapest_obstacle`, are thin uses of it), and
-minimum vertex separators computed by vertex-splitting max-flow.  Path and
-cycle weights are sums of *vertex* costs, endpoints included; LP weights are
-exact `fractions.Fraction` values, and `check_weights` validates weights that
+cycle searches of `problems.cheapest_obstacle`, are thin uses of it),
+minimum vertex separators computed by vertex-splitting max-flow, and
+maximum matchings of bipartite double covers, whose sizes are twice the
+vertex-cover LP values of `detection`.  Path and cycle weights are sums of
+*vertex* costs, endpoints included; LP weights are exact
+`fractions.Fraction` values, and `check_weights` validates weights that
 come from outside and puts them over one common denominator, so that the
 separation oracle compares integer numerators, never approximations.  The
 cutting-plane loop skips it: its weights are already numerators over the
@@ -309,3 +311,38 @@ def min_vertex_separator(
     if len(cut) != flow:
         raise AssertionError("min-cut size must equal the max-flow value")
     return cut
+
+
+def double_cover_matching(g: Graph, removed: AbstractSet[int] = frozenset()) -> int:
+    """Size of a maximum matching in the bipartite double cover of g - removed.
+
+    The cover joins a left copy of u to a right copy of v for every arc
+    u->v (both ways for an undirected edge), for u, v outside `removed`.
+    Its maximum matching is twice the vertex-cover LP value of g - removed
+    (Nemhauser-Trotter).  One breadth-first augmenting-path search per
+    left vertex, with no recursion however long the paths grow.
+    """
+    adj = g.adj
+    left_mate: list[Optional[int]] = [None] * g.n
+    right_mate: list[Optional[int]] = [None] * g.n
+    for root in range(g.n):
+        if root in removed:
+            continue
+        parent: dict[int, int] = {}  # right vertex -> the left vertex that reached it
+        lefts, free = [root], None
+        for u in lefts:
+            for v in adj[u]:
+                if v not in removed and v not in parent:
+                    parent[v] = u
+                    if right_mate[v] is None:
+                        free = v
+                        break
+                    lefts.append(right_mate[v])
+            if free is not None:
+                break
+        while free is not None:  # flip the path from root to free
+            u = parent[free]
+            after = left_mate[u]  # the next right vertex back towards root
+            left_mate[u], right_mate[free] = free, u
+            free = after
+    return sum(m is not None for m in left_mate)

@@ -11,6 +11,8 @@ The loop stays in integers: each round hands the kernel's numerators over
 its objective denominator straight to the oracle, and `Fraction` weights are
 built once, for the certified optimum.  Every function here is pure: `solve`
 only reads the pool it starts from and returns what it adds on the solution.
+The loop knows no problem by name and adds nothing but the oracle's cuts;
+what a pinned LP starts from is `detection`'s choice.
 """
 
 from __future__ import annotations
@@ -18,32 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, IterationCapError
 from .graphs import VertexWeights
-from .problems import (
-    Instance,
-    Obstacle,
-    ObstacleKind,
-    Problem,
-    all_induced_p4s,
-    find_violated_obstacle,
-    separate_numerators,
-)
+from .problems import Instance, Obstacle, find_violated_obstacle, separate_numerators
 from .simplex import PackingSimplex
-
-# Pin-containing seeds are only worth their tableau columns while few; above
-# this multiple of n the oracle loop finds what matters faster.  Measured on
-# bench reduce-enum seed 21, ops 0-399 (2 vCPUs, Python 3.11.7): the cap drops
-# the seeds of 240 of 1,000 cograph pins and 100 of 2,112 matching-apex pins,
-# and never fires on vertex cover, where a vertex has fewer than 2n
-# neighbours.  Seeding without the cap, timed against it instance by
-# instance, made lp_values 17% slower on matching-apex (slower on 94 of 100
-# instances) and 13% faster on cograph (76 of 100), 0.5% slower over the mix;
-# end to end, 6 alternating 35 s pairs gave 77.2 ops/s without it, 77.5 with.
-_SEED_CAP_FACTOR = 2
-
 
 @dataclass(frozen=True)
 class FractionalSolution:
@@ -77,24 +59,12 @@ class FractionalSolution:
             raise InputError(f"weight of vertex {bad} out of [0, 1]: {self.weights[bad]}")
 
 
-def _cheap_pin_seeds(inst: Instance, pinned: int) -> list[Obstacle]:
-    """Small pin-containing obstacles worth pooling before the oracle loop."""
-    g = inst.graph
-    if inst.problem is Problem.VERTEX_COVER:
-        quads = [(min(pinned, v), max(pinned, v)) for v in sorted(g.neighbors(pinned))]
-        kind = ObstacleKind.EDGE
-    elif inst.problem is Problem.COGRAPH_DELETION:
-        quads = [q for q in all_induced_p4s(g) if pinned in q]
-        kind = ObstacleKind.INDUCED_P4
-    else:
-        return []
-    if not quads or len(quads) > _SEED_CAP_FACTOR * g.n:
-        return []
-    return [Obstacle(kind, frozenset(q), q) for q in quads]
-
-
 def _check_pin(inst: Instance, pinned: Optional[int]) -> None:
-    if pinned is not None and not 0 <= pinned < inst.n:
+    if pinned is None:
+        return
+    if type(pinned) is bool or not isinstance(pinned, int):
+        raise InputError(f"pinned vertex must be an int, got {pinned!r}")
+    if not 0 <= pinned < inst.n:
         raise InputError(f"pinned vertex {pinned} out of range")
 
 
@@ -104,60 +74,38 @@ def solve(
     """Exact optimum of the hitting-set LP, with `pinned` held at 0 if given.
 
     Runs cutting planes over the separation oracle from the obstacles in
-    `pool` (an empty pool of a pinned LP is seeded with small obstacles
-    through the pin), warm-starting the exact simplex after every cut.  It
-    only reads `pool`: its seeds, then its cuts, come back as the solution's
-    `added`.  Each round the oracle prices the kernel's numerators over its
-    objective denominator directly, trusting them to lie in [0, 1].  The
-    returned solution is feasible for *all* obstacles (the oracle says so,
-    on exactly those numerators) and optimal (restricted optima are lower
-    bounds); building it checks its range and its total against the
-    objective row.  Raises IterationCapError after 10*n^2 cuts; the cap
-    signals a diagnostics failure, never a wrong answer.
+    `pool`, warm-starting the exact simplex after every cut.  It only reads
+    `pool`, and adds nothing to the LP but the oracle's cuts: they come back,
+    in order, as the solution's `added`.  What a pinned LP starts from is
+    the caller's choice (`detection` makes it).  Each round the oracle
+    prices the kernel's numerators over its objective denominator directly,
+    trusting them to lie in [0, 1].  The returned solution is feasible for
+    *all* obstacles (the oracle says so, on exactly those numerators) and
+    optimal (restricted optima are lower bounds); building it checks its
+    range and its total against the objective row.  Raises InputError on a
+    pin that is not an in-range int (a bool is refused), and
+    IterationCapError after 10*n^2 cuts; the cap signals a diagnostics
+    failure, never a wrong answer.
     """
     _check_pin(inst, pinned)
     n = inst.n
     max_cuts = 10 * n * n
     engine = PackingSimplex(pinned)
-    added = _cheap_pin_seeds(inst, pinned) if not pool and pinned is not None else []
-    for ob in [*pool, *added]:
+    for ob in pool:
         engine.add_constraint(ob.vertices)
     engine.optimize()
-    cuts = 0
+    added = []
     while True:
         den, nums = engine.covering_numerators(n)
         violated = separate_numerators(inst, den, nums, pinned)
         if violated is None:
             x = engine.covering_solution(n)
             return FractionalSolution(x, engine.objective(), tuple(added))
-        if cuts >= max_cuts:
+        if len(added) >= max_cuts:
             raise IterationCapError(f"no convergence within {max_cuts} cuts (n={n})")
-        cuts += 1
         added.append(violated)
         engine.add_constraint(violated.vertices)
         engine.optimize()
-
-
-def solve_restricted(
-    pool: Sequence[Obstacle | Iterable[int]],
-    n: int,
-    pinned: Optional[int] = None,
-) -> FractionalSolution:
-    """Exact optimum of the finite covering LP over an explicit pool.
-
-    The all-ones vector is feasible unless some pooled constraint equals the
-    pinned vertex alone; that case raises PinInfeasibleError.
-    """
-    engine = PackingSimplex(pinned)
-    for ob in pool:
-        vertices = ob.vertices if isinstance(ob, Obstacle) else ob
-        members = set(vertices)
-        for u in members:
-            if not 0 <= u < n:
-                raise InputError(f"pooled constraint vertex {u} out of range (n={n})")
-        engine.add_constraint(members)
-    engine.optimize()
-    return FractionalSolution(engine.covering_solution(n), engine.objective())
 
 
 def verify_feasible(

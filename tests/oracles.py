@@ -14,12 +14,14 @@ earlier loop over a residual budget, kept to check that one ascending sweep
 over the guess k reaches the same first success with the same exact solver.
 So are `min_weight_cycle_through`, the oracle's earlier cycle search over
 the whole graph, which `fraction_violated_obstacle` still runs, and
-`per_vertex_lp_values`, detection's earlier one fresh LP per vertex, kept
-to check that the zero rule and the shared cut pool changed no f_v.  And
-`fraction_cutting_planes`, the cutting-plane loop's earlier round trip
-through `Fraction` weights and the public oracle, run on the dense
-reference simplex, kept to check that pricing the kernel's numerators
-directly changed no cut.
+`per_vertex_lp_values`, detection's earliest one LP per vertex, kept to
+check that the vertex-cover matching, the zero rule and the start pools
+changed no f_v.  And `fraction_cutting_planes`, the cutting-plane loop's
+earlier round trip through `Fraction` weights and the public oracle, run on
+the dense reference simplex, kept to check that pricing the kernel's
+numerators directly changed no cut.  `solve_restricted`, the LP over an
+explicit pool, runs the library's simplex kernel: with every obstacle
+enumerated it is the reference optimum for the cutting-plane loop.
 """
 
 from fractions import Fraction
@@ -33,7 +35,7 @@ from essentia.driver import restrict_instance
 from essentia.errors import InputError, IterationCapError, PinInfeasibleError, PreconditionError
 from essentia.exact import SolveBudget, solve_exact
 from essentia.graphs import Graph, shortest_weighted_path
-from essentia.lp import FractionalSolution, _cheap_pin_seeds, solve
+from essentia.lp import FractionalSolution, solve
 from essentia.problems import (
     Instance,
     Obstacle,
@@ -42,6 +44,7 @@ from essentia.problems import (
     all_induced_p4s,
     find_violated_obstacle,
 )
+from essentia.simplex import PackingSimplex
 
 
 def to_nx(g: Graph, removed=frozenset()):
@@ -215,6 +218,25 @@ def float_lp_value(obstacle_sets, n, pinned=None):
     return res.fun
 
 
+def nx_double_cover_matching(g: Graph, removed=frozenset()):
+    """Maximum matching size of the bipartite double cover of g - removed.
+
+    Left copy u and right copy n + v are joined for every arc u->v (both
+    ways for an undirected edge); networkx's Hopcroft-Karp does the rest.
+    """
+    n = g.n
+    alive = [u for u in range(n) if u not in removed]
+    cover = nx.Graph()
+    cover.add_nodes_from(alive + [n + u for u in alive])
+    for a, b in g.edges:
+        if a not in removed and b not in removed:
+            cover.add_edge(a, n + b)
+            if not g.directed:
+                cover.add_edge(b, n + a)
+    matching = nx.bipartite.hopcroft_karp_matching(cover, top_nodes=alive)
+    return len(matching) // 2  # the dict holds each matched edge both ways
+
+
 def vertex_cover_lp_values(inst: Instance):
     """Every pinned vertex-cover LP value by matching, with no LP solved.
 
@@ -225,20 +247,10 @@ def vertex_cover_lp_values(inst: Instance):
     """
     g = inst.graph
     assert inst.problem is Problem.VERTEX_COVER
-    n = g.n
-    values = []
-    for v in range(n):
-        closed = g.neighbors(v) | {v}
-        alive = [u for u in range(n) if u not in closed]
-        cover = nx.Graph()
-        cover.add_nodes_from(alive + [n + u for u in alive])
-        for a, b in g.edges:
-            if a not in closed and b not in closed:
-                cover.add_edges_from([(a, n + b), (b, n + a)])
-        matching = nx.bipartite.hopcroft_karp_matching(cover, top_nodes=alive)
-        nu = len(matching) // 2  # the dict holds each matched edge both ways
-        values.append(len(g.neighbors(v)) + Fraction(nu, 2))
-    return tuple(values)
+    return tuple(
+        len(g.neighbors(v)) + Fraction(nx_double_cover_matching(g, g.neighbors(v) | {v}), 2)
+        for v in range(g.n)
+    )
 
 
 class DenseFractionSimplex:
@@ -358,11 +370,34 @@ def canonical_cycle(cycle):
 
 
 def per_vertex_lp_values(inst: Instance):
-    """Every f_v from its own fresh pinned LP, one solve per vertex.
+    """Every f_v from its own pinned LP, one solve per vertex from an empty pool.
 
-    Detection's earlier loop: no unpinned LP, no zero rule, no shared pool.
+    Detection's earliest loop: no matching, no unpinned LP, no zero rule and
+    no start pool, so every f_v comes from the simplex and the oracle alone.
     """
     return tuple(solve(inst, v).value for v in range(inst.n))
+
+
+def solve_restricted(pool, n, pinned=None):
+    """Exact optimum of the finite covering LP over an explicit pool.
+
+    The enumerated-LP reference: fed every obstacle, it gives the LP optimum
+    that `essentia.lp.solve` must reach by cutting planes.  Pool entries are
+    `Obstacle`s or plain vertex iterables.  It runs the library's simplex
+    kernel, so it checks the cutting-plane loop, not the kernel.  The
+    all-ones vector is feasible unless some pooled constraint equals the
+    pinned vertex alone; that case raises PinInfeasibleError.
+    """
+    engine = PackingSimplex(pinned)
+    for ob in pool:
+        vertices = ob.vertices if isinstance(ob, Obstacle) else ob
+        members = set(vertices)
+        for u in members:
+            if not 0 <= u < n:
+                raise InputError(f"pooled constraint vertex {u} out of range (n={n})")
+        engine.add_constraint(members)
+    engine.optimize()
+    return FractionalSolution(engine.covering_solution(n), engine.objective())
 
 
 def fraction_cutting_planes(inst: Instance, pinned=None, pool=()):
@@ -372,26 +407,23 @@ def fraction_cutting_planes(inst: Instance, pinned=None, pool=()):
     to the oracle: read the covering solution as `Fraction`s, hand it to the
     public `find_violated_obstacle` (which validates it and takes its least
     common denominator again), and add the cut it returns.  It runs on
-    `DenseFractionSimplex`, starts from `pool` without writing to it, seeds
-    an empty pool of a pinned LP the same way, and returns the seeds and
-    cuts it adds, in order, as the solution's `added`.
+    `DenseFractionSimplex`, starts from `pool` without writing to it, and
+    returns the cuts it adds, in order, as the solution's `added`.
     """
     n = inst.n
     max_cuts = 10 * n * n
     engine = DenseFractionSimplex(pinned)
-    added = _cheap_pin_seeds(inst, pinned) if not pool and pinned is not None else []
-    for ob in [*pool, *added]:
+    for ob in pool:
         engine.add_constraint(ob.vertices)
     engine.optimize()
-    cuts = 0
+    added = []
     while True:
         x = engine.covering_solution(n)
         violated = find_violated_obstacle(inst, x, v_pinned=pinned)
         if violated is None:
             return FractionalSolution(x, engine.objective(), tuple(added))
-        if cuts >= max_cuts:
+        if len(added) >= max_cuts:
             raise IterationCapError(f"no convergence within {max_cuts} cuts (n={n})")
-        cuts += 1
         added.append(violated)
         engine.add_constraint(violated.vertices)
         engine.optimize()

@@ -31,7 +31,7 @@ from essentia.lab import (
     gnp_gap_experiment,
     measure_gap,
 )
-from essentia.lp import solve, solve_restricted
+from essentia.lp import solve
 from essentia.problems import Instance, Problem, is_solution
 from essentia.rounding import round_cograph, round_directed_multicut, round_multicut
 
@@ -42,6 +42,7 @@ from oracles import (
     naive_all_obstacle_sets,
     naive_is_solution,
     naive_opt,
+    solve_restricted,
 )
 
 

@@ -2,6 +2,7 @@ import logging
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -19,14 +20,16 @@ from essentia.errors import SizeCapError
 from essentia.exact import opt_value
 from essentia.graphs import Graph
 from essentia.lab import gen_dfvs_gadget, gen_matching_apex, gen_star_multicut, gen_vc_gadget
-from essentia.lp import solve, solve_restricted
+from essentia.lp import solve
 from essentia.problems import Instance, Problem
 
 from conftest import random_graph, random_instance
 from oracles import (
+    induces_p4,
     naive_all_obstacle_sets,
     naive_opt,
     per_vertex_lp_values,
+    solve_restricted,
     vertex_cover_lp_values,
 )
 
@@ -81,32 +84,43 @@ class TestDetect:
 
         monkeypatch.setattr("essentia.detection.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 2)
+        cograph = random_instance(Problem.COGRAPH_DELETION, 9, 4)
         dfvs = gen_dfvs_gadget(random_instance(Problem.DFVS, 4, 17), F(1, 2)).instance
         multicut = random_instance(Problem.VERTEX_MULTICUT, 9, 12)
-        for inst in (gen_matching_apex(4).instance, dfvs, multicut):
+        for inst in (cograph, dfvs, multicut):
             assert lp_values(inst, jobs=2) == lp_values(inst, jobs=1)
         assert seen == [2, 2, 2]  # each instance left pinned LPs for both workers
 
+    @pytest.mark.parametrize("problem", [Problem.COGRAPH_DELETION, *PATH_FAMILIES])
+    def test_parallel_jobs_give_the_same_starts(self, problem, monkeypatch):
+        # an in-process pool: every pinned LP starts from the pool the start
+        # rule gives its vertex, however the vertices are split
+        monkeypatch.setattr("essentia.detection.ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 2)
+        for seed in range(4):
+            inst = random_instance(problem, 9, 60 + seed)
+            by_jobs = {}
+            for jobs in (1, 2):
+                calls = []
+                with mock.patch.object(detection, "solve", _recording_solve(calls)):
+                    by_jobs[jobs] = lp_values(inst, jobs=jobs)
+                top = calls[0][2]
+                for v, pool, _ in calls[1:]:
+                    _assert_start(inst, top, v, pool)
+            assert by_jobs[1] == by_jobs[2] == per_vertex_lp_values(inst)
+
     def test_jobs_clamped_to_cpu_count_and_n(self, monkeypatch):
         # the fake pool records its worker count and maps in-process, so no
-        # worker process starts; vertex cover solves one LP per vertex
+        # worker process starts; K_5's unpinned DFVS optimum is all 1/2 and
+        # no pinned optimum has its value, so five pinned LPs are left
         seen = []
 
-        class RecordingPool:
+        class RecordingPool(_InProcessPool):
             def __init__(self, max_workers):
                 seen.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
         monkeypatch.setattr("essentia.detection.ProcessPoolExecutor", RecordingPool)
-        inst = FIVE_CYCLE  # n = 5
+        inst = _complete(Problem.DFVS, 5)
         want = lp_values(inst)
         monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 4)
         assert [lp_values(inst, jobs=j) for j in (1, 3, 4, 5, 10**6)] == [want] * 5
@@ -114,12 +128,18 @@ class TestDetect:
         seen.clear()
         monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 64)
         assert lp_values(inst, jobs=10**6) == want
-        assert seen == [5]  # one worker per vertex at most
+        assert seen == [5]  # one worker per pinned LP at most
         seen.clear()
         monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: None)
         assert lp_values(inst, jobs=8) == want
         assert lp_values(inst, jobs=0) == want
         assert seen == []  # an unknown CPU count means one worker
+
+    def test_vertex_cover_starts_no_worker(self, monkeypatch):
+        # f_v comes from matchings, so there is nothing to split
+        monkeypatch.setattr("essentia.detection.ProcessPoolExecutor", None)
+        monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 64)
+        assert lp_values(FIVE_CYCLE, jobs=8) == (F(3),) * 5
 
     def test_workers_clamped_to_pinned_lps_left(self, monkeypatch):
         # the star's unpinned optimum settles every leaf, so one pinned LP is
@@ -144,6 +164,48 @@ class TestDetect:
         assert forced == residual
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: maps in this process, starts nothing."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def _recording_solve(calls):
+    """A `solve` that appends (pinned, pool, solution) to `calls` and checks it only reads its pool."""
+
+    def recording_solve(inst, pinned=None, pool=()):
+        before = tuple(pool)
+        sol = solve(inst, pinned, pool)
+        assert tuple(pool) == before
+        calls.append((pinned, before, sol))
+        return sol
+
+    return recording_solve
+
+
+def _assert_start(inst, top, v, pool):
+    """v's pinned LP started from the unpinned LP's cuts, or from the P4s through v."""
+    if inst.problem is not Problem.COGRAPH_DELETION:
+        assert pool == top.added
+        return
+    quads = {
+        frozenset(q) for q in combinations(range(inst.n), 4) if v in q and induces_p4(inst.graph, q)
+    }
+    if len(quads) > detection._P4_START_CAP * inst.n:
+        quads = set()
+    assert len(pool) == len(quads) and {ob.vertices for ob in pool} == quads
+
+
 def _opt_with_forced(inst, forced):
     from essentia.driver import restrict_instance
 
@@ -152,30 +214,46 @@ def _opt_with_forced(inst, forced):
 
 
 class TestVertexCoverLpByMatching:
-    """f_v from the simplex against f_v from matchings in the double cover."""
+    """f_v by double-cover matchings against the simplex and networkx's matchings."""
+
+    @staticmethod
+    def check(inst):
+        got = lp_values(inst)
+        assert got == per_vertex_lp_values(inst) == vertex_cover_lp_values(inst)
+        return got
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_graphs(self, seed):
         rng = random.Random(4100 + seed)
         g = random_graph(rng.randint(6, 14), seed, p=rng.choice([0.15, 0.3, 0.5]))
-        inst = Instance(Problem.VERTEX_COVER, g)
-        assert lp_values(inst) == vertex_cover_lp_values(inst)
+        self.check(Instance(Problem.VERTEX_COVER, g))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("eps", [F(1, 4), F(1, 2)])
     def test_gadgets(self, seed, eps):
         base = random_instance(Problem.VERTEX_COVER, 5, 4200 + seed)
         inst = gen_vc_gadget(base, eps).instance
-        assert lp_values(inst) == vertex_cover_lp_values(inst)
+        if eps == F(1, 2) or seed == 0:
+            self.check(inst)
+        else:  # n = 55: about 2 s of cold simplex LPs each, so networkx only
+            assert lp_values(inst) == vertex_cover_lp_values(inst)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 6])
+    def test_edgeless_graphs(self, n):
+        assert self.check(Instance(Problem.VERTEX_COVER, Graph(n, False, []))) == (F(0),) * n
+
+    def test_isolated_vertices_get_the_lp_value(self):
+        # pinning an isolated vertex forces nothing: f_v = LP* = 3/2 + 1
+        g = Graph(7, False, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        got = self.check(Instance(Problem.VERTEX_COVER, g))
+        assert got[5] == got[6] == F(5, 2)
 
     def test_triangle_left_over_is_half_integral(self):
         # an edge 0-1 beside a triangle 2-3-4: pinning 0 or 1 forces the other
         # and leaves the triangle (LP 3/2); pinning a triangle vertex forces
         # its two neighbours and leaves the edge (LP 1)
         inst = Instance(Problem.VERTEX_COVER, Graph(5, False, [(0, 1), (2, 3), (3, 4), (2, 4)]))
-        expected = (F(5, 2), F(5, 2), F(3), F(3), F(3))
-        assert vertex_cover_lp_values(inst) == expected
-        assert lp_values(inst) == expected
+        assert self.check(inst) == (F(5, 2), F(5, 2), F(3), F(3), F(3))
 
 
 class TestEssentialExact:
@@ -261,34 +339,36 @@ def detection_instances(draw):
 
 
 class TestLpValuesMatchPerVertexSolves:
-    """`lp_values` (unpinned LP, zero rule, shared pool) against one fresh LP per vertex."""
+    """`lp_values` (matching, zero rule, start pools) against one LP per vertex."""
 
     @settings(derandomize=True, max_examples=250, deadline=None)
     @given(detection_instances())
     def test_same_values_and_route(self, inst):
         calls = []
-
-        def recording_solve(inst, pinned=None, pool=()):
-            before = list(pool)
-            calls.append((pinned, len(pool)))
-            sol = solve(inst, pinned, pool)
-            assert list(pool) == before  # detection's pool is only read
-            return sol
-
-        with mock.patch.object(detection, "solve", recording_solve):
+        with mock.patch.object(detection, "solve", _recording_solve(calls)):
             got = lp_values(inst)
         assert got == per_vertex_lp_values(inst)
-        if inst.problem in PATH_FAMILIES:
-            if inst.n:
-                assert calls[0] == (None, 0)  # the unpinned LP comes first
-            pins = [v for v, _ in calls[1:]]
-            assert len(set(pins)) == len(pins) and None not in pins
-            # the pinned LPs start from the cuts found so far, never fewer
-            sizes = [size for _, size in calls]
-            assert sizes == sorted(sizes)
-        else:
-            # enumerated families keep one fresh, pin-seeded LP per vertex
-            assert calls == [(v, 0) for v in range(inst.n)]
+        if inst.problem is Problem.VERTEX_COVER:
+            assert calls == []  # f_v by matching: no LP at all
+            return
+        pin, pool, top = calls[0]
+        assert (pin, pool) == (None, ())  # the unpinned LP comes first, from nothing
+        pins = [v for v, _, _ in calls[1:]]
+        assert len(set(pins)) == len(pins) and None not in pins
+        for v in pins:
+            assert top.weights[v] != 0  # a zero of x* is settled, not solved
+        for v, pool, _ in calls[1:]:
+            _assert_start(inst, top, v, pool)
+
+    def test_apex_on_too_many_p4s_starts_from_nothing(self):
+        # the apex of matching-apex(6) lies on 30 induced P4s, above 2n = 26
+        inst = gen_matching_apex(6).instance
+        calls = []
+        with mock.patch.object(detection, "solve", _recording_solve(calls)):
+            assert lp_values(inst) == per_vertex_lp_values(inst)
+        assert (0, ()) in [(v, pool) for v, pool, _ in calls[1:]]
+        for v, pool, _ in calls[1:]:
+            _assert_start(inst, calls[0][2], v, pool)
 
     def test_no_zero_in_the_unpinned_optimum(self):
         for problem in PATH_FAMILIES:
@@ -305,51 +385,37 @@ class TestLpValuesMatchPerVertexSolves:
 
 
 def _detection_record(caplog, inst):
-    """The DEBUG record's args and each LP solve's (pool size given, result)."""
+    """The DEBUG record's args and each LP solve's (pinned, pool, result)."""
     calls = []
-
-    def recording_solve(inst, pinned=None, pool=()):
-        size = len(pool)  # detection extends its pool once the solve returns
-        sol = solve(inst, pinned, pool)
-        calls.append((size, sol))
-        return sol
-
     with caplog.at_level(logging.DEBUG, logger="essentia.detection"):
-        with mock.patch.object(detection, "solve", recording_solve):
+        with mock.patch.object(detection, "solve", _recording_solve(calls)):
             lp_values(inst)
     [record] = [r for r in caplog.records if r.name == "essentia.detection"]
     return record.args, calls
 
 
-def _final_pool_size(calls):
-    """The last solve's pool argument plus the obstacles that solve added."""
-    size, sol = calls[-1]
-    return size + len(sol.added)
-
-
 class TestLogging:
     def test_star_settles_every_leaf(self, caplog):
         inst = gen_star_multicut(5).instance
-        (solves, settled, pool), calls = _detection_record(caplog, inst)
+        (solves, settled), calls = _detection_record(caplog, inst)
         assert solves == len(calls)
         zeros = [v for v, x in enumerate(solve(inst).weights) if x == 0]
         assert zeros == [1, 2, 3, 4, 5]
         assert settled == len(zeros) == inst.n + 1 - solves
-        assert pool == _final_pool_size(calls)
-        assert (solves, settled, pool) == (2, 5, 5)
+        assert (solves, settled) == (2, 5)
 
     def test_dfvs_gadget(self, caplog):
         base = Instance(Problem.DFVS, Graph(4, True, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)]))
         inst = gen_dfvs_gadget(base, F(1)).instance  # n = 8
-        (solves, settled, pool), calls = _detection_record(caplog, inst)
+        (solves, settled), calls = _detection_record(caplog, inst)
         assert solves == len(calls) and settled == inst.n + 1 - solves
-        assert pool == _final_pool_size(calls)
-        zeros = [v for v, x in enumerate(solve(inst).weights) if x == 0]
+        zeros = [v for v, x in enumerate(calls[0][2].weights) if x == 0]
         assert zeros == [6, 7]  # so two more were settled by a pinned optimum
-        assert (solves, settled, pool) == (5, 4, 11)
+        assert (solves, settled) == (5, 4)
 
-    def test_per_vertex_route_shares_no_pool(self, caplog):
-        assert _detection_record(caplog, FIVE_CYCLE)[0] == (5, 0, 0)
+    def test_vertex_cover_solves_no_lp(self, caplog):
+        (solves, settled), calls = _detection_record(caplog, FIVE_CYCLE)
+        assert (solves, settled) == (0, 0) and calls == []
 
     def test_silent_above_debug(self, caplog):
         with caplog.at_level(logging.INFO, logger="essentia.detection"):

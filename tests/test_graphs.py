@@ -9,6 +9,7 @@ from essentia.graphs import (
     Graph,
     cheapest_paths,
     check_weights,
+    double_cover_matching,
     min_vertex_separator,
     shortest_weighted_path,
 )
@@ -20,6 +21,7 @@ from oracles import (
     naive_min_cycle_through,
     naive_min_separator_size,
     naive_shortest_weighted_path,
+    nx_double_cover_matching,
 )
 
 
@@ -306,6 +308,35 @@ class TestMinVertexSeparator:
             return
         assert not (cut & forbidden)
         assert len(cut) == naive_min_separator_size(g, sources, targets, forbidden)
+
+
+class TestDoubleCoverMatching:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_networkx(self, seed):
+        rng = random.Random(300 + seed)
+        n = rng.randint(0, 14)
+        directed = seed % 3 == 0
+        g = random_graph(n, rng.randrange(1 << 30), directed=directed, p=rng.choice([0.1, 0.3, 0.6]))
+        removed = frozenset(u for u in range(n) if rng.random() < 0.2)
+        assert double_cover_matching(g, removed) == nx_double_cover_matching(g, removed)
+
+    def test_odd_cycle_covers_itself(self):
+        # the double cover of C_5 is C_10, which has a perfect matching
+        g = Graph(5, False, [(i, (i + 1) % 5) for i in range(5)])
+        assert double_cover_matching(g) == 5
+        assert double_cover_matching(g, frozenset({0})) == 4  # two copies of P_4
+
+    def test_removed_and_isolated_vertices_are_unmatched(self):
+        assert double_cover_matching(star(4), frozenset({0})) == 0
+        assert double_cover_matching(Graph(3, False, [])) == 0
+        assert double_cover_matching(Graph(0, False, [])) == 0
+
+    def test_long_path_needs_no_recursion(self):
+        # two copies of P_5000 with 2,500 edges matched in each; a recursive
+        # augmenting-path search recurses past Python's default limit here
+        n = 5000
+        g = Graph(n, False, [(i, i + 1) for i in range(n - 1)])
+        assert double_cover_matching(g) == n
 
 
 class TestGraphValidation:

@@ -1,6 +1,6 @@
 import random
+import re
 from fractions import Fraction as F
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +10,7 @@ from essentia.exact import opt_value
 from essentia import lp
 from essentia.graphs import Graph
 from essentia.lab import gen_gnp, gen_matching_apex, gen_star_multicut, gnp_gap_experiment
-from essentia.lp import FractionalSolution, _cheap_pin_seeds, solve, solve_restricted, verify_feasible
+from essentia.lp import FractionalSolution, solve, verify_feasible
 from essentia.problems import Instance, Obstacle, ObstacleKind, Problem
 
 from conftest import random_instance
@@ -19,6 +19,7 @@ from oracles import (
     fraction_violated_obstacle,
     float_lp_value,
     naive_all_obstacle_sets,
+    solve_restricted,
 )
 
 
@@ -46,6 +47,11 @@ class TestSolveRestricted:
     def test_pin_only_constraint_is_infeasible(self):
         with pytest.raises(PinInfeasibleError):
             solve_restricted([[1]], 3, pinned=1)
+
+    @pytest.mark.parametrize("vertex", [-1, 3])
+    def test_pooled_vertex_out_of_range_raises(self, vertex):
+        with pytest.raises(InputError, match=rf"^pooled constraint vertex {vertex} out of range \(n=3\)$"):
+            solve_restricted([[0, vertex]], 3)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_float_lp_on_random_pools(self, seed):
@@ -174,6 +180,17 @@ class TestVerifyFeasible:
         with pytest.raises(InputError, match=rf"^pinned vertex {pin} out of range$"):
             solve(inst, pin)
 
+    @pytest.mark.parametrize("pin", [1.5, "1", True, F(1)])
+    def test_pin_of_another_type_raises(self, pin):
+        # a bool is an int subclass, but True is not vertex 1
+        inst = gen_star_multicut(3).instance
+        sol = FractionalSolution((F(1),) * 4, F(4))
+        message = rf"^pinned vertex must be an int, got {re.escape(repr(pin))}$"
+        with pytest.raises(InputError, match=message):
+            verify_feasible(inst, sol, pin)
+        with pytest.raises(InputError, match=message):
+            solve(inst, pin)
+
 
 class TestPoolIsOnlyRead:
     """`solve` reads its pool and returns what it adds as the solution's `added`."""
@@ -185,27 +202,32 @@ class TestPoolIsOnlyRead:
         assert top == solve(inst, None, ())
         pool = list(top.added)
         for v in range(inst.n):
-            for given in ([], pool):  # a fresh pinned LP, then the shared route
+            for given in ([], pool):  # an empty pool, then one that keeps growing
                 before = list(given)
                 sol = solve(inst, v, given)
                 assert given == before
                 assert sol == solve_restricted(given + list(sol.added), inst.n, pinned=v)
             pool.extend(sol.added)
 
-    def test_pin_seeds_only_an_empty_pool(self):
-        # every added obstacle but the seeds is one oracle call's cut
-        inst = gen_matching_apex(3).instance
-        seeds = _cheap_pin_seeds(inst, 0)
-        assert seeds
-        for pool in ((), (seeds[-1],)):
-            with mock.patch.object(lp, "separate_numerators", wraps=lp.separate_numerators) as spy:
-                sol = solve(inst, 0, pool)
-            cuts = spy.call_count - 1
-            if pool:
-                assert len(sol.added) == cuts
-            else:
-                assert sol.added[: len(seeds)] == tuple(seeds)
-                assert len(sol.added) == len(seeds) + cuts
+    def test_added_holds_only_oracle_cuts(self, monkeypatch):
+        # every added obstacle is one oracle call's cut, in call order,
+        # whatever pool the LP starts from: solve adds no seeds of its own
+        oracle, answers = lp.separate_numerators, []
+
+        def recording_oracle(*args):
+            answers.append(oracle(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(lp, "separate_numerators", recording_oracle)
+        for problem in Problem:
+            inst = random_instance(problem, 7, 43)
+            top = solve(inst)
+            for v in range(inst.n):
+                for pool in ((), top.added):
+                    answers.clear()
+                    sol = solve(inst, v, pool)
+                    assert answers[-1] is None  # the last call certified the optimum
+                    assert sol.added == tuple(answers[:-1])
 
     def test_added_takes_no_part_in_eq_or_repr(self):
         inst = gen_star_multicut(4).instance
@@ -266,16 +288,16 @@ class TestFractionalSolutionInvariants:
 
 @st.composite
 def lp_runs(draw):
-    """An instance and the pins of LPs solved in order over one shared pool.
+    """An instance and the pins of the LPs solved in order.
 
-    Routes: one unpinned LP; one pinned LP on a fresh pool (pin seeds on
-    vertex cover and cograph deletion); or detection's shared-pool route,
-    the unpinned LP followed by pinned LPs that reuse its pool.
+    Routes: one unpinned LP; one pinned LP from an empty pool; or
+    detection's path-family route, the unpinned LP followed by pinned LPs
+    that each start from its cuts.
     """
     problem = draw(st.sampled_from(list(Problem)))
     n = draw(st.integers(3, 9))
     inst = random_instance(problem, n, draw(st.integers(0, 10**6)))
-    route = draw(st.sampled_from(["unpinned", "pinned", "shared"]))
+    route = draw(st.sampled_from(["unpinned", "pinned", "unpinned-cuts"]))
     if route == "unpinned":
         pins = [None]
     elif route == "pinned":
@@ -300,4 +322,5 @@ class TestLoopMatchesFractionReference:
             assert pool == before  # both only read the pool they are given
             assert got.added == want.added
             assert got.weights == want.weights and got.value == want.value
-            pool += got.added
+            if v is None:
+                pool = list(got.added)

@@ -294,17 +294,24 @@ class TestCli:
         with pytest.raises(ResourceCapError):
             _check_jobs(int(jobs))
 
-    @pytest.mark.parametrize("command", ["solve", "reduce"])
+    @pytest.mark.parametrize("command", ["solve", "reduce", "detect-vertex-cover"])
     def test_optimized_mode_matches_in_process(self, tmp_path, capsys, command):
         # `python -O` strips assert statements; the package's invariants
         # must not rest on them, so its output must not change
-        path = self.write_star(tmp_path, m=4)
-        assert run([command, path]) == 0
+        if command == "detect-vertex-cover":  # f_v by matching, no LP
+            path = tmp_path / "vc.json"
+            # a star, an edge and an isolated vertex: only the centre has f_v > 2
+            inst = Instance(Problem.VERTEX_COVER, Graph(7, False, [(0, 1), (0, 2), (0, 3), (4, 5)]))
+            path.write_text(serialize.dumps_instance(inst))
+            argv = ["detect", "--k", "2", str(path)]
+        else:
+            argv = [command, self.write_star(tmp_path, m=4)]
+        assert run(argv) == 0
         want = json.loads(capsys.readouterr().out)
         src = Path(essentia.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(
-            [sys.executable, "-O", "-m", "essentia.cli", command, path],
+            [sys.executable, "-O", "-m", "essentia.cli", *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

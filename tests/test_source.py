@@ -93,3 +93,21 @@ def test_every_dataclass_is_frozen():
                 if not frozen:
                     thawed.append(f"{path.name}:{node.name}")
     assert not thawed, f"dataclasses that are not frozen: {thawed}"
+
+
+def test_lp_names_no_problem():
+    # how a pinned LP starts is detection's choice: the cutting-plane loop
+    # treats every problem alike, so it neither imports `Problem` nor
+    # names one of its members
+    path = PACKAGE / "lp.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    members = {p.name for p in problems.Problem}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "Problem":
+            found.append(f"lp.py:{node.lineno}: Problem")
+        elif isinstance(node, ast.Attribute) and node.attr in members:
+            found.append(f"lp.py:{node.lineno}: {node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"lp.py:{node.lineno}: import {a.name}" for a in node.names if a.name == "Problem"]
+    assert not found, f"lp.py names problems: {found}"
