@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -170,6 +169,10 @@ def lp_values(inst: Instance, jobs: int = 1) -> tuple[Fraction, ...]:
         if workers <= 1:
             results = [_pinned_values((inst, starts, star))]
         else:
+            # imported here: loading it pulls in multiprocessing, which a
+            # one-worker run never uses
+            from concurrent.futures import ProcessPoolExecutor
+
             payloads = [(inst, starts[i::workers], star) for i in range(workers)]
             with ProcessPoolExecutor(max_workers=workers) as executor:
                 results = list(executor.map(_pinned_values, payloads))

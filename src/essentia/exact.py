@@ -13,15 +13,21 @@ families get their branch obstacles from `problems.cheapest_obstacle`, the
 search the separation oracle uses, with deletable vertices costing 1.
 
 Deterministic throughout: among minimum solutions the lexicographically
-least vertex set is returned, obtained by a prefix-growing second pass once
-the optimum size is known.
+least vertex set is returned.  Once the optimum size is known, a second
+pass grows that set vertex by vertex from a minimum solution, `base`, that
+contains the kept prefix.  The next vertex is the least b of base beyond
+the prefix, unless a vertex below it can take its place: one search asks
+for a minimum solution that contains the prefix, avoids every vertex
+already ruled out and meets the range of vertices between the prefix and b.
+That range enters the search as one more obstacle.  A witness becomes the
+new base and lowers b; a refutation keeps b and rules out the whole range.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import InputError, NodeCapError
 from .problems import Instance, Problem, all_induced_p4s, cheapest_obstacle, is_solution
@@ -35,13 +41,39 @@ _log = logging.getLogger("essentia.exact")
 DEFAULT_NODE_CAP = 2_000_000
 
 
+def _is_int(x: object) -> bool:
+    return type(x) is not bool and isinstance(x, int)
+
+
 @dataclass(frozen=True)
 class SolveBudget:
-    """Caps for one exact solve: size budget, undeletable vertices, node cap."""
+    """Caps for one exact solve: size budget, undeletable vertices, node cap.
+
+    `forbidden` may be any iterable of vertices and is stored as a
+    frozenset.  Every value must be an int (bools are refused); each solve
+    checks the ranges, which depend on the instance.  Bad input raises
+    InputError.
+    """
 
     max_k: Optional[int] = None
     forbidden: frozenset[int] = frozenset()
     node_cap: int = DEFAULT_NODE_CAP
+
+    def __post_init__(self):
+        try:
+            forbidden = tuple(self.forbidden)
+        except TypeError:
+            raise InputError(
+                f"forbidden must be an iterable of vertices, got {self.forbidden!r}"
+            ) from None
+        for u in forbidden:
+            if not _is_int(u):
+                raise InputError(f"forbidden vertex must be an int, got {u!r}")
+        object.__setattr__(self, "forbidden", frozenset(forbidden))
+        if self.max_k is not None and not _is_int(self.max_k):
+            raise InputError(f"max_k must be an int, got {self.max_k!r}")
+        if not _is_int(self.node_cap):
+            raise InputError(f"node_cap must be an int, got {self.node_cap!r}")
 
 
 # An enumerated obstacle: its vertices in witness order, and as a set.
@@ -74,6 +106,8 @@ class _Search:
         self.nodes = 0
         self.best: Optional[frozenset[int]] = None
         self.find_first = False
+        # the range a second-pass search must also hit, as one more obstacle
+        self.target: Optional[frozenset[int]] = None
         p = inst.problem
         self.obstacles: Optional[list[_Enumerated]]
         if p is Problem.COGRAPH_DELETION:
@@ -109,11 +143,18 @@ class _Search:
                 return None
             vs = best[1]
             return sorted(vs - blocked), vs
-        # cheapest surviving path or cycle, counting only deletable vertices
+        # cheapest surviving path or cycle, counting only deletable vertices;
+        # an unhit target wins unless a path has at most as many
         cost = [0 if u in blocked else 1 for u in range(self.g.n)]
-        found = cheapest_obstacle(self.inst, cost, removed, enough=1)
+        target = self.target
+        below = None
+        if target is not None and target.isdisjoint(removed):
+            below = len(target - blocked) + 1
+        found = cheapest_obstacle(self.inst, cost, removed, below=below, enough=1)
         if found is None:
-            return None
+            if below is None:
+                return None
+            return sorted(target - blocked), target
         vs = frozenset(found[1])
         return sorted(u for u in vs if u not in blocked), vs
 
@@ -132,7 +173,8 @@ class _Search:
         undeletable violated obstacle yields an effectively infinite bound.
         The path families pack whole vertex sets, starting from `first`, the
         node's branch obstacle (its `_violated` answer, with a deletable
-        vertex); the enumerated ones scan `alive` in order.
+        vertex), then the unhit target when it misses `first`; the enumerated
+        ones scan `alive` in order, where the target comes first.
         """
         if alive is not None:
             # `used` never meets `blocked`, so it meets vs - blocked iff vs
@@ -153,6 +195,11 @@ class _Search:
             return 0  # every obstacle has >= 2 vertices; `need` is out of reach
         gone = removed | first
         count = 1
+        target = self.target
+        if target is not None and count < need and target.isdisjoint(gone):
+            # deletable: an undeletable unhit target is the node's branch obstacle
+            gone |= target
+            count += 1
         while count < need:
             res = self._violated(gone, blocked, None)
             if res is None:
@@ -283,15 +330,23 @@ class _Search:
             return self.best
         return None
 
-    def completable(self, prefix: set[int], size_cap: int) -> bool:
-        """Is there a solution of size <= size_cap containing `prefix`?"""
+    def completable(
+        self, prefix: set[int], ruled_out: set[int], target: frozenset[int], size_cap: int
+    ) -> bool:
+        """Is there a solution of size <= size_cap containing `prefix` and
+        meeting `target` that avoids `ruled_out`?  On yes, `best` is one."""
         self.best = None
         self.find_first = True
-        self._dfs(set(prefix), self.forbidden, size_cap, self._alive(prefix))
+        self.target = target
+        alive = self._alive(prefix)
+        if alive is not None:
+            alive.insert(0, (tuple(sorted(target)), target))
+        self._dfs(set(prefix), self.forbidden | ruled_out, size_cap, alive)
         return self.best is not None
 
 
 def _check_budget(inst: Instance, budget: SolveBudget) -> None:
+    """The ranges of a budget whose types `SolveBudget` has checked."""
     for u in budget.forbidden:
         if not 0 <= u < inst.n:
             raise InputError(f"forbidden vertex {u} out of range (n={inst.n})")
@@ -306,59 +361,65 @@ def solve_exact(
 
     Returns None when no such solution exists (never an error); among
     minimum solutions the lexicographically least vertex set is returned.
-    Raises NodeCapError when the search budget runs out.  Logs the node
-    counts of both passes at DEBUG on the "essentia.exact" logger.
+    The second pass keeps one vertex per step, so it refutes at most one
+    range of candidates per kept vertex instead of one candidate per search.
+    Raises NodeCapError when the search budget runs out and InputError on a
+    budget out of range.  One DEBUG record on the "essentia.exact" logger
+    gives the nodes of each pass and the ranges the second pass refuted.
     """
     _check_budget(inst, budget)
     search = _Search(inst, budget.forbidden, budget.node_cap)
     base = search.minimum(budget.max_k)
     minimum_nodes = search.nodes
-    failed = 0
+    refuted = 0
     result = None
     if base is not None:
         size = len(base)
         prefix: set[int] = set()
-        for v in range(inst.n):
-            if len(prefix) == size:
-                break
-            if v in budget.forbidden or v in prefix:
-                continue
-            if v in base:
-                # base witnesses that prefix + {v} completes to a minimum solution
-                prefix.add(v)
-                continue
-            if search.completable(prefix | {v}, size):
-                prefix.add(v)
-                base = search.best
-            else:
-                failed += 1
-        if len(prefix) != size:
-            raise AssertionError("prefix construction must reach the optimum size")
+        ruled_out: set[int] = set()
+        cur = 0
+        while len(prefix) < size:
+            # base is a minimum solution containing prefix; each vertex below
+            # cur is kept, forbidden or ruled out, so base adds its least
+            # vertex b at or above cur, and only the range below b can beat b
+            b = min(base - prefix)
+            below_b = frozenset(range(cur, b)) - budget.forbidden
+            if below_b:
+                if search.completable(prefix, ruled_out, below_b, size):
+                    base = search.best
+                    if base is None or base.isdisjoint(below_b):
+                        raise AssertionError("a witness must meet the range it was asked to meet")
+                    continue
+                refuted += 1
+                ruled_out |= below_b
+            prefix.add(b)
+            cur = b + 1
         result = frozenset(prefix)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "solve_exact: %d minimum-pass nodes, %d lexicographic-pass nodes, "
-            "%d failed completable calls",
+            "%d refuted ranges",
             minimum_nodes,
             search.nodes - minimum_nodes,
-            failed,
+            refuted,
         )
     return result
 
 
 def opt_value(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> int:
     """Size of an optimal solution (no forbidden vertices, no size budget)."""
-    search = _Search(inst, frozenset(), node_cap)
-    best = search.minimum(None)
+    best = opt_value_avoiding(inst, (), node_cap)
     if best is None:
         raise AssertionError("deleting all vertices always hits every obstacle")
-    return len(best)
+    return best
 
 
 def opt_value_avoiding(
-    inst: Instance, forbidden: frozenset[int], node_cap: int = DEFAULT_NODE_CAP
+    inst: Instance, forbidden: Iterable[int], node_cap: int = DEFAULT_NODE_CAP
 ) -> Optional[int]:
     """Minimum solution size among solutions disjoint from `forbidden`."""
-    search = _Search(inst, frozenset(forbidden), node_cap)
+    budget = SolveBudget(forbidden=forbidden, node_cap=node_cap)
+    _check_budget(inst, budget)
+    search = _Search(inst, budget.forbidden, budget.node_cap)
     best = search.minimum(None)
     return None if best is None else len(best)

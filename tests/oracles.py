@@ -22,6 +22,10 @@ the dense reference simplex, kept to check that pricing the kernel's
 numerators directly changed no cut.  `solve_restricted`, the LP over an
 explicit pool, runs the library's simplex kernel: with every obstacle
 enumerated it is the reference optimum for the cutting-plane loop.
+`lex_least_by_restriction` is exact search's earlier lexicographic pass,
+one vertex at a time, rebuilt from the driver's `restrict_instance` and
+`opt_value_avoiding`: it checks the range-refuting pass at sizes subset
+enumeration cannot reach, through the minimum pass only.
 """
 
 from fractions import Fraction
@@ -33,7 +37,7 @@ import networkx as nx
 from essentia.detection import lp_values
 from essentia.driver import restrict_instance
 from essentia.errors import InputError, IterationCapError, PinInfeasibleError, PreconditionError
-from essentia.exact import SolveBudget, solve_exact
+from essentia.exact import SolveBudget, opt_value_avoiding, solve_exact
 from essentia.graphs import Graph, shortest_weighted_path
 from essentia.lp import FractionalSolution, solve
 from essentia.problems import (
@@ -626,3 +630,30 @@ def dovetail_reduce(inst: Instance):
             if y is not None:
                 return s_set | {back[u] for u in y}, s_set, residual_budget, tried
     raise AssertionError("the dovetail must succeed at b = k = n at the latest")
+
+
+def lex_least_by_restriction(inst: Instance, forbidden=frozenset(), max_k=None):
+    """Reference answer of `essentia.exact.solve_exact`, one vertex at a time.
+
+    The lexicographically least minimum solution avoiding `forbidden`, or
+    None when none fits in `max_k`.  Vertex v joins the prefix when deleting
+    the prefix and v leaves a residual instance that its remaining share of
+    the minimum size solves, avoiding `forbidden`; every size comes from
+    `opt_value_avoiding` on an instance from `restrict_instance`.
+    """
+    forbidden = frozenset(forbidden)
+    size = opt_value_avoiding(inst, forbidden)
+    if size is None or (max_k is not None and size > max_k):
+        return None
+    prefix = set()
+    for v in range(inst.n):
+        if len(prefix) == size:
+            break
+        if v in forbidden:
+            continue
+        sub, keep = restrict_instance(inst, frozenset(prefix | {v}))
+        new = {u: i for i, u in enumerate(keep)}
+        rest = opt_value_avoiding(sub, frozenset(new[u] for u in forbidden))
+        if rest is not None and rest <= size - len(prefix) - 1:
+            prefix.add(v)
+    return frozenset(prefix)

@@ -82,7 +82,7 @@ class TestDetect:
                 seen.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr("essentia.detection.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 2)
         cograph = random_instance(Problem.COGRAPH_DELETION, 9, 4)
         dfvs = gen_dfvs_gadget(random_instance(Problem.DFVS, 4, 17), F(1, 2)).instance
@@ -95,7 +95,7 @@ class TestDetect:
     def test_parallel_jobs_give_the_same_starts(self, problem, monkeypatch):
         # an in-process pool: every pinned LP starts from the pool the start
         # rule gives its vertex, however the vertices are split
-        monkeypatch.setattr("essentia.detection.ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
         monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 2)
         for seed in range(4):
             inst = random_instance(problem, 9, 60 + seed)
@@ -119,7 +119,7 @@ class TestDetect:
             def __init__(self, max_workers):
                 seen.append(max_workers)
 
-        monkeypatch.setattr("essentia.detection.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         inst = _complete(Problem.DFVS, 5)
         want = lp_values(inst)
         monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 4)
@@ -137,14 +137,14 @@ class TestDetect:
 
     def test_vertex_cover_starts_no_worker(self, monkeypatch):
         # f_v comes from matchings, so there is nothing to split
-        monkeypatch.setattr("essentia.detection.ProcessPoolExecutor", None)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
         monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 64)
         assert lp_values(FIVE_CYCLE, jobs=8) == (F(3),) * 5
 
     def test_workers_clamped_to_pinned_lps_left(self, monkeypatch):
         # the star's unpinned optimum settles every leaf, so one pinned LP is
         # left and it runs in-process whatever jobs asks for
-        monkeypatch.setattr("essentia.detection.ProcessPoolExecutor", None)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
         monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 64)
         inst = gen_star_multicut(4).instance
         assert lp_values(inst, jobs=8) == (F(2),) + (F(1),) * 4

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from essentia.errors import NodeCapError
+from essentia.errors import InputError, NodeCapError
 from essentia.exact import (
     _INFEASIBLE,
     SolveBudget,
@@ -19,12 +19,16 @@ from essentia.problems import Instance, Problem, is_solution
 
 from conftest import random_graph, random_instance
 from oracles import (
+    lex_least_by_restriction,
     naive_min_solution,
     naive_opt,
     scan_dominated,
     scan_packing_lb,
     scan_violated,
 )
+
+
+PATH_FAMILIES = (Problem.DFVS, Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT)
 
 
 class TestExamples:
@@ -126,6 +130,98 @@ class TestAgainstBruteForce:
             assert v_small is not None and v_small <= v_large
 
 
+class TestBadBudgets:
+    INST = Instance(Problem.DFVS, Graph(3, True, [(0, 1), (1, 2), (2, 0)]))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_k": 1.5},
+            {"max_k": True},
+            {"max_k": "2"},
+            {"forbidden": frozenset({1.0})},
+            {"forbidden": frozenset({True})},
+            {"forbidden": {"a"}},
+            {"forbidden": [0, None]},
+            {"forbidden": 5},
+            {"node_cap": 2.0},
+            {"node_cap": False},
+        ],
+    )
+    def test_wrong_types_refused_at_construction(self, kwargs):
+        with pytest.raises(InputError):
+            SolveBudget(**kwargs)
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            SolveBudget(max_k=-1),
+            SolveBudget(max_k=4),
+            SolveBudget(forbidden=frozenset({3})),
+            SolveBudget(forbidden=frozenset({-1})),
+        ],
+    )
+    def test_out_of_range_refused_by_the_solve(self, budget):
+        with pytest.raises(InputError):
+            solve_exact(self.INST, budget)
+
+    @pytest.mark.parametrize(
+        "forbidden", [frozenset({99}), frozenset({-1}), frozenset({"x"}), [True]]
+    )
+    def test_opt_value_avoiding_refuses_bad_vertices(self, forbidden):
+        with pytest.raises(InputError):
+            opt_value_avoiding(self.INST, forbidden)
+
+    @pytest.mark.parametrize("node_cap", ["5", 1.0, True])
+    def test_opt_value_refuses_a_non_int_node_cap(self, node_cap):
+        with pytest.raises(InputError):
+            opt_value(self.INST, node_cap)
+
+    def test_forbidden_taken_from_any_iterable(self):
+        budget = SolveBudget(forbidden=[0, 2, 0])
+        assert budget.forbidden == frozenset({0, 2})
+        assert solve_exact(self.INST, budget) == frozenset({1})
+        assert solve_exact(self.INST, SolveBudget(forbidden=iter([0, 1]))) == frozenset({2})
+        assert opt_value_avoiding(self.INST, [0, 1, 2]) is None
+
+
+@st.composite
+def bench_path_instances(draw):
+    """A DFVS or multicut instance at benchmark sizes (n 26-45, mean degree
+    about that of the benchmark's), a forbidden set and a size budget that
+    is None, the optimum or one below it."""
+    problem = draw(st.sampled_from(PATH_FAMILIES))
+    n = draw(st.integers(26, 45))
+    seed = draw(st.integers(0, 10**6))
+    degree = draw(st.sampled_from([2.0, 2.4, 2.8]))
+    g = random_graph(n, seed, problem.directed, degree / (n - 1))
+    terminals = ()
+    if problem.uses_terminals:
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        terminals = tuple(random.Random(seed).sample(pairs, draw(st.integers(4, 8))))
+    forbidden = draw(st.frozensets(st.integers(0, n - 1), max_size=3))
+    slack = draw(st.sampled_from([None, 0, 1]))
+    return Instance(problem, g, terminals), forbidden, slack
+
+
+class TestLexOrderAtBenchSizes:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(bench_path_instances())
+    def test_matches_the_per_vertex_pass(self, case):
+        # subset enumeration stops at n = 12; the reference rebuilds the
+        # per-vertex pass from restricted instances and the minimum pass
+        inst, forbidden, slack = case
+        want = lex_least_by_restriction(inst, forbidden)
+        assert solve_exact(inst, SolveBudget(forbidden=forbidden)) == want
+        if want is None or slack is None or len(want) < slack:
+            return
+        max_k = len(want) - slack
+        got = solve_exact(inst, SolveBudget(max_k=max_k, forbidden=forbidden))
+        assert got == (want if slack == 0 else None)
+        if slack:
+            assert lex_least_by_restriction(inst, forbidden, max_k) is None
+
+
 class TestCaps:
     def test_node_cap_raises(self):
         inst = random_instance(Problem.VERTEX_MULTICUT, 8, 5)
@@ -149,9 +245,6 @@ def search_nodes(draw):
     removed = draw(st.frozensets(st.integers(0, n - 1), max_size=3))
     blocked = draw(st.frozensets(st.integers(0, n - 1), max_size=n // 2))
     return _Search(inst, frozenset(), 10**6), removed, blocked
-
-
-PATH_FAMILIES = (Problem.DFVS, Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT)
 
 
 @st.composite
@@ -184,6 +277,24 @@ class TestNodeStateMatchesScan:
     def test_path_families_at_bench_sizes(self, node, need):
         self.check(*node, need)
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(bench_path_nodes(), st.data())
+    def test_path_families_offer_an_unhit_target(self, node, data):
+        # the second pass's range is one more obstacle: it is the branch
+        # obstacle while unhit unless some path has at most as many
+        # deletable vertices
+        search, removed, blocked = node
+        n = search.g.n
+        target = data.draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n // 2))
+        path = scan_violated(search, removed, blocked)
+        search.target = target
+        got = search._violated(removed, blocked, None)
+        deletable = sorted(target - blocked)
+        if target.isdisjoint(removed) and (path is None or len(deletable) < len(path[0])):
+            assert got == (deletable, target)
+        else:
+            assert got == path
+
     @staticmethod
     def check(search, removed, blocked, need):
         alive = None
@@ -207,13 +318,13 @@ class TestLogging:
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             got = solve_exact(inst)
         [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        minimum_nodes, lex_nodes, failed = record.args
+        minimum_nodes, lex_nodes, refuted = record.args
         search = _Search(inst, frozenset(), 10**6)
         search.minimum(None)
         assert minimum_nodes == search.nodes
-        # the second pass tries every vertex up to the last one it keeps
-        assert failed == sum(1 for v in range(max(got)) if v not in got)
-        assert (minimum_nodes, lex_nodes, failed) == (5, 11, 4)
+        # the second pass refutes at most one range per vertex it keeps
+        assert refuted <= len(got)
+        assert (minimum_nodes, lex_nodes, refuted) == (5, 9, 2)
 
     def test_no_solution_logs_an_empty_second_pass(self, caplog):
         inst = gen_star_multicut(5).instance

@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -111,3 +114,15 @@ def test_lp_names_no_problem():
         elif isinstance(node, ast.ImportFrom):
             found += [f"lp.py:{node.lineno}: import {a.name}" for a in node.names if a.name == "Problem"]
     assert not found, f"lp.py names problems: {found}"
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only detection's `jobs > 1` branch starts worker processes, and it
+    # imports the process pool itself; a one-worker run never pays for it
+    code = "import sys, essentia; print('multiprocessing' in sys.modules)"
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent) + (os.pathsep + path if path else "")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
