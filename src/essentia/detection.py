@@ -23,8 +23,10 @@ the unpinned LP, of value LP*.  Every v with x*_v = 0 in its optimum x*
 has f_v = LP*: x* is feasible for the v-pinned LP, and pinning only adds a
 constraint, so it never lowers the value.  A pinned optimum of value LP*
 is itself an unpinned optimum, so its zeros settle further vertices the
-same way.  What each remaining pinned LP starts from is decided here, in
-`_starts`, and nowhere else: `lp.solve` runs from whatever pool it gets.
+same way.  Every remaining pinned LP starts from the unpinned LP's optimal
+tableau with v's row dropped (`lp.solve(inst, v, start=top)`), one rule for
+every family: pinning v only deletes v's row of the packing dual, so that
+basis stays feasible and the LP goes on with one primal step from it.
 
 The certified thresholds c+1 per problem are exported as
 DETECTION_THRESHOLDS.  Ground truth for validation comes from
@@ -43,7 +45,7 @@ from .errors import InputError, SizeCapError
 from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
 from .graphs import double_cover_matching
 from .lp import FractionalSolution, solve
-from .problems import Instance, Obstacle, ObstacleKind, Problem, all_induced_p4s
+from .problems import Instance, Problem
 
 # Per problem: the essentiality threshold whose vertices detection is
 # guaranteed to find when k equals the optimum (one plus the certified
@@ -57,14 +59,6 @@ DETECTION_THRESHOLDS: dict[Problem, Fraction] = {
 }
 
 DEFAULT_SIZE_CAP = 14
-
-# A cograph pinned LP starts from the induced P4s through its vertex only
-# while they number at most this multiple of n.  lp_values CPU on bench
-# reduce-enum seeds 3, 5, 21, ops 0-399 (300 cograph and 300 matching-apex
-# instances, runs alternated, 2 vCPUs, Python 3.11.7): 1.48 s capped, 1.64
-# s uncapped; the cap halves matching-apex (0.28 vs 0.55 s) and costs plain
-# cograph 11% (1.21 vs 1.09 s).
-_P4_START_CAP = 2
 
 _log = logging.getLogger("essentia.detection")
 
@@ -95,46 +89,25 @@ class DetectionResult:
             raise InputError("selected set does not match the value threshold")
 
 
-def _starts(
-    inst: Instance, top: FractionalSolution, todo: list[int]
-) -> list[tuple[int, tuple[Obstacle, ...]]]:
-    """The pool each pinned LP left starts from, as (v, pool) pairs.
-
-    Path and cycle families: the unpinned LP's cuts, one tuple for all.
-    Cograph deletion: the induced P4s through v, indexed once for every
-    vertex, or none above `_P4_START_CAP` * n of them.
-    """
-    if inst.problem is not Problem.COGRAPH_DELETION:
-        return [(v, top.added) for v in todo]
-    through: dict[int, list[Obstacle]] = {v: [] for v in todo}
-    for quad in all_induced_p4s(inst.graph):
-        hit = [u for u in quad if u in through]
-        if hit:
-            ob = Obstacle(ObstacleKind.INDUCED_P4, frozenset(quad), quad)
-            for u in hit:
-                through[u].append(ob)
-    cap = _P4_START_CAP * inst.n
-    return [(v, tuple(obs) if len(obs) <= cap else ()) for v, obs in through.items()]
-
-
 def _pinned_values(
-    payload: tuple[Instance, list[tuple[int, tuple[Obstacle, ...]]], Fraction],
+    payload: tuple[Instance, FractionalSolution, list[int]],
 ) -> tuple[dict[int, Fraction], int]:
-    """f_v for the listed (v, pool) pairs, and the LP solves it took.
+    """f_v for the listed vertices, each pinned LP started from `top`, and the LP solves it took.
 
-    A pinned optimum of value LP* = `star` settles its listed zeros too.
+    A pinned optimum of value LP* = `top.value` settles its listed zeros too.
     """
-    inst, starts, star = payload
+    inst, top, todo = payload
+    star = top.value
     values: dict[int, Fraction] = {}
     solves = 0
-    for v, pool in starts:
+    for v in todo:
         if v in values:
             continue
-        sol = solve(inst, v, pool)
+        sol = solve(inst, v, start=top)
         solves += 1
         values[v] = sol.value
         if sol.value == star:
-            for u, _ in starts:
+            for u in todo:
                 if u not in values and sol.weights[u] == 0:
                     values[u] = star
     return values, solves
@@ -147,8 +120,9 @@ def lp_values(inst: Instance, jobs: int = 1) -> tuple[Fraction, ...]:
     matching of the double cover of G - N[v].  Every other family solves
     the unpinned LP, settles each vertex at 0 in its optimum (and in any
     pinned optimum of value LP*) with f_v = LP*, and starts each pinned LP
-    left from `_starts`.  jobs > 1 splits those LPs over at most min(jobs,
-    CPU count, LPs left) processes.  One DEBUG record on the
+    left from the unpinned LP's optimal tableau.  jobs > 1 splits those LPs
+    over at most min(jobs, CPU count, LPs left) processes, each sent the
+    unpinned solution.  One DEBUG record on the
     "essentia.detection" logger gives the LP solves and the vertices
     settled by the zero rule.
     """
@@ -162,20 +136,19 @@ def lp_values(inst: Instance, jobs: int = 1) -> tuple[Fraction, ...]:
         solves = settled = 0
     else:
         top = solve(inst)
-        star = top.value
-        values = [star if x == 0 else None for x in top.weights]
-        starts = _starts(inst, top, [v for v in range(n) if values[v] is None])
-        workers = min(jobs, os.cpu_count() or 1, len(starts))
+        todo = [v for v, x in enumerate(top.weights) if x != 0]
+        workers = min(jobs, os.cpu_count() or 1, len(todo))
         if workers <= 1:
-            results = [_pinned_values((inst, starts, star))]
+            results = [_pinned_values((inst, top, todo))]
         else:
             # imported here: loading it pulls in multiprocessing, which a
             # one-worker run never uses
             from concurrent.futures import ProcessPoolExecutor
 
-            payloads = [(inst, starts[i::workers], star) for i in range(workers)]
+            payloads = [(inst, top, todo[i::workers]) for i in range(workers)]
             with ProcessPoolExecutor(max_workers=workers) as executor:
                 results = list(executor.map(_pinned_values, payloads))
+        values = [top.value] * n
         pinned = 0
         for got, count in results:
             for v, f in got.items():

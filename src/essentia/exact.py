@@ -171,9 +171,10 @@ class _Search:
         """Greedy count of violated obstacles with pairwise disjoint deletable
         sets; each needs its own deletion.  Stops once `need` is reached; an
         undeletable violated obstacle yields an effectively infinite bound.
-        The path families pack whole vertex sets, starting from `first`, the
-        node's branch obstacle (its `_violated` answer, with a deletable
-        vertex), then the unhit target when it misses `first`; the enumerated
+        The path families start from `first`, the node's branch obstacle (its
+        `_violated` answer, with a deletable vertex), then the unhit target
+        when its deletable set misses `first`'s, and search each next
+        obstacle with the packed deletable vertices removed; the enumerated
         ones scan `alive` in order, where the target comes first.
         """
         if alive is not None:
@@ -191,23 +192,25 @@ class _Search:
                 if count >= need:
                     return count
             return count
-        if need > (self.g.n - len(removed)) // 2:
-            return 0  # every obstacle has >= 2 vertices; `need` is out of reach
-        gone = removed | first
+        if need > self.g.n - len(removed | blocked):
+            return 0  # each packed obstacle needs a deletable vertex of its own
+        # `gone` holds the removed vertices and the packed deletable ones;
+        # blocked vertices stay usable, since no packed obstacle counts on them
+        gone = removed | (first - blocked)
         count = 1
         target = self.target
         if target is not None and count < need and target.isdisjoint(gone):
             # deletable: an undeletable unhit target is the node's branch obstacle
-            gone |= target
+            gone |= target - blocked
             count += 1
         while count < need:
             res = self._violated(gone, blocked, None)
             if res is None:
                 break
-            allowed, vs = res
+            allowed, _ = res
             if not allowed:
                 return _INFEASIBLE
-            gone |= vs
+            gone = gone.union(allowed)
             count += 1
         return count
 

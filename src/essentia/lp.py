@@ -9,10 +9,11 @@ feasible for the full family, that optimum is also the full optimum (the
 restricted value can only underestimate it).  All values are exact rationals.
 The loop stays in integers: each round hands the kernel's numerators over
 its objective denominator straight to the oracle, and `Fraction` weights are
-built once, for the certified optimum.  Every function here is pure: `solve`
-only reads the pool it starts from and returns what it adds on the solution.
-The loop knows no problem by name and adds nothing but the oracle's cuts;
-what a pinned LP starts from is `detection`'s choice.
+built once, for the certified optimum.  Every function here is pure: a
+pinned LP may start from the unpinned LP's solution, whose optimal tableau
+it copies with the pinned vertex's row dropped, and it never writes into
+that solution.  The loop knows no problem by name and adds nothing but the
+oracle's cuts.
 """
 
 from __future__ import annotations
@@ -20,20 +21,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InputError, IterationCapError
 from .graphs import VertexWeights
 from .problems import Instance, Obstacle, find_violated_obstacle, separate_numerators
 from .simplex import PackingSimplex
 
+
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Exact per-vertex LP values, their total, and what `solve` added to its pool."""
+    """Exact per-vertex LP values and their total.
+
+    A solution from `solve` also carries the cuts it added, the instance it
+    solved and its final tableau, which a pinned LP of the same instance
+    can start from; none of them takes part in `==`, `hash` or `repr`.
+    """
 
     weights: VertexWeights
     value: Fraction
     added: tuple[Obstacle, ...] = field(default=(), compare=False, repr=False)
+    instance: Optional[Instance] = field(default=None, compare=False, repr=False)
+    tableau: Optional[PackingSimplex] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         # One pass in ints: the weight total accumulates as num / den over
@@ -68,31 +77,47 @@ def _check_pin(inst: Instance, pinned: Optional[int]) -> None:
         raise InputError(f"pinned vertex {pinned} out of range")
 
 
+def _start_engine(inst: Instance, start: FractionalSolution) -> PackingSimplex:
+    """The unpinned optimal tableau `start` carries, once checked to fit `inst`."""
+    engine = start.tableau
+    if engine is None:
+        raise InputError("start carries no tableau: pass the result of solve(inst)")
+    if engine.pinned is not None:
+        raise InputError(f"start is an LP pinned at vertex {engine.pinned}, not the unpinned LP")
+    if start.instance != inst:
+        raise InputError("start was solved on another instance")
+    return engine
+
+
 def solve(
-    inst: Instance, pinned: Optional[int] = None, pool: Sequence[Obstacle] = ()
+    inst: Instance, pinned: Optional[int] = None, start: Optional[FractionalSolution] = None
 ) -> FractionalSolution:
     """Exact optimum of the hitting-set LP, with `pinned` held at 0 if given.
 
-    Runs cutting planes over the separation oracle from the obstacles in
-    `pool`, warm-starting the exact simplex after every cut.  It only reads
-    `pool`, and adds nothing to the LP but the oracle's cuts: they come back,
-    in order, as the solution's `added`.  What a pinned LP starts from is
-    the caller's choice (`detection` makes it).  Each round the oracle
-    prices the kernel's numerators over its objective denominator directly,
-    trusting them to lie in [0, 1].  The returned solution is feasible for
-    *all* obstacles (the oracle says so, on exactly those numerators) and
-    optimal (restricted optima are lower bounds); building it checks its
-    range and its total against the objective row.  Raises InputError on a
-    pin that is not an in-range int (a bool is refused), and
-    IterationCapError after 10*n^2 cuts; the cap signals a diagnostics
-    failure, never a wrong answer.
+    Runs cutting planes over the separation oracle, warm-starting the exact
+    simplex after every cut.  Without `start` it begins from no constraint
+    at all; `start` is `solve(inst)`'s result, and then the LP begins from
+    a copy of its optimal tableau with the pinned vertex's row dropped
+    (`PackingSimplex.with_pin`), so its cuts are never added again.  The
+    oracle's cuts come back, in order, as the solution's `added`; the
+    solution also carries `inst` and its final tableau.  Each round the
+    oracle prices the kernel's numerators over its objective denominator
+    directly, trusting them to lie in [0, 1].  The returned solution is
+    feasible for *all* obstacles (the oracle says so, on exactly those
+    numerators) and optimal (restricted optima are lower bounds); building
+    it checks its range and its total against the objective row.  Raises
+    InputError on a pin that is not an in-range int (a bool is refused) and
+    on a `start` that carries no tableau, is pinned or was solved on an
+    unequal instance, and IterationCapError after 10*n^2 cuts; the cap
+    signals a diagnostics failure, never a wrong answer.
     """
     _check_pin(inst, pinned)
+    if start is None:
+        engine = PackingSimplex(pinned)
+    else:
+        engine = _start_engine(inst, start).with_pin(pinned)
     n = inst.n
     max_cuts = 10 * n * n
-    engine = PackingSimplex(pinned)
-    for ob in pool:
-        engine.add_constraint(ob.vertices)
     engine.optimize()
     added = []
     while True:
@@ -100,7 +125,7 @@ def solve(
         violated = separate_numerators(inst, den, nums, pinned)
         if violated is None:
             x = engine.covering_solution(n)
-            return FractionalSolution(x, engine.objective(), tuple(added))
+            return FractionalSolution(x, engine.objective(), tuple(added), inst, engine)
         if len(added) >= max_cuts:
             raise IterationCapError(f"no convergence within {max_cuts} cuts (n={n})")
         added.append(violated)

@@ -8,7 +8,9 @@ objective), so it suffices to solve the unboxed covering LP.  We work on its
 dual, the packing LP  max sum(y_S)  s.t.  sum(y_S for S containing u) <= 1
 per vertex u, y >= 0, whose origin is feasible: no artificial variables or
 phase-one are ever needed, and adding a cut to the covering LP is just a new
-column here, so the current basis warm-starts every re-solve.
+column here, so the current basis warm-starts every re-solve.  Pinning
+x_v = 0 deletes v's row, which only relaxes the packing LP, so `with_pin`
+starts a pinned LP from an unpinned optimal tableau with no dual phase.
 
 Arithmetic is exact over Python ints: each tableau row keeps the integer
 numerators of its nonzero entries over one positive row denominator, and the
@@ -28,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional
 
-from .errors import PinInfeasibleError
+from .errors import PinInfeasibleError, PreconditionError
 from .graphs import ZERO, VertexWeights
 
 
@@ -38,7 +40,8 @@ class PackingSimplex:
     Vertex rows are created lazily when a constraint first mentions a vertex,
     and constraint columns are appended in insertion order; Bland's entering
     rule uses that fixed column order.  The pinned vertex never receives a
-    row, which realises the x_pin = 0 restriction of the covering LP.
+    row (`with_pin` drops it), which realises the x_pin = 0 restriction of
+    the covering LP.
 
     Row k holds the entries `tab[k][c] / den[k]` (absent columns are zero)
     and the right-hand side `rhs[k] / den[k]`; the reduced cost of column c
@@ -150,31 +153,82 @@ class PackingSimplex:
         self.obj = obj
         self.basis[i] = j
 
+    def _leaving_row(self, enter: int) -> int:
+        """The ratio test's row for column `enter`, or -1 if no entry is positive."""
+        # Ratio rhs/a per row: the row denominator cancels, so rows i and l
+        # compare as rhs_i·a_l against rhs_l·a_i (a_i, a_l > 0); ties break
+        # on the lower basic column.
+        rhs, basis = self.rhs, self.basis
+        leave = -1
+        best_r = best_a = 0
+        for i, row in enumerate(self.tab):
+            a = row.get(enter, 0)
+            if a > 0:
+                if leave >= 0:
+                    lhs, rhs_l = rhs[i] * best_a, best_r * a
+                    if lhs > rhs_l or (lhs == rhs_l and basis[i] > basis[leave]):
+                        continue
+                leave, best_r, best_a = i, rhs[i], a
+        return leave
+
     def optimize(self) -> None:
         """Pivot to optimality (Bland's rule: lowest eligible index)."""
-        tab, rhs, basis = self.tab, self.rhs, self.basis
         while True:
             enter = next((j for j, r in enumerate(self.obj) if r > 0), None)
             if enter is None:
                 return
-            # Ratio rhs/a per row: the row denominator cancels, so rows i and
-            # l compare as rhs_i·a_l against rhs_l·a_i (a_i, a_l > 0); ties
-            # break on the lower basic column.
-            leave = -1
-            best_r = best_a = 0
-            for i, row in enumerate(tab):
-                a = row.get(enter, 0)
-                if a > 0:
-                    if leave >= 0:
-                        lhs, rhs_l = rhs[i] * best_a, best_r * a
-                        if lhs > rhs_l or (lhs == rhs_l and basis[i] > basis[leave]):
-                            continue
-                    leave, best_r, best_a = i, rhs[i], a
+            leave = self._leaving_row(enter)
             if leave < 0:
                 # each packing column has a +1 row at optimum-relevant bases;
                 # the LP is bounded, so this cannot happen
                 raise AssertionError("packing LP reported unbounded")
             self._pivot(leave, enter)
+
+    def with_pin(self, v: Optional[int]) -> PackingSimplex:
+        """A copy of this engine with x_v = 0 added; `self` is left as it was.
+
+        Pinning x_v = 0 deletes v's row from the packing LP.  Deleting a row
+        only relaxes a packing LP, so the current basis stays primal feasible
+        and `optimize` goes on from it: no dual phase is needed.  If v's
+        slack is basic (x_v = 0 here), its row simply goes.  Otherwise the
+        slack becomes free: its column is negated, it enters by the ratio
+        test, and the row it became basic in goes.  Either way the slack's
+        column is left all zero with reduced cost 0, so it never enters
+        again, and later constraints drop v.  A vertex without a row only
+        becomes the pin; v = None gives a plain copy.  Raises
+        PreconditionError on an engine that is already pinned.
+        """
+        if self.pinned is not None:
+            raise PreconditionError(f"engine is already pinned to vertex {self.pinned}")
+        new = PackingSimplex(v)
+        new.slack_col = dict(self.slack_col)
+        new.tab = [dict(row) for row in self.tab]
+        new.den = list(self.den)
+        new.rhs = list(self.rhs)
+        new.obj = list(self.obj)
+        new.obj_den = self.obj_den
+        new.value_num = self.value_num
+        new.basis = list(self.basis)
+        new.ncols = self.ncols
+        col = new.slack_col.pop(v, None)
+        if col is None:
+            return new
+        if col in new.basis:
+            i = new.basis.index(col)
+        else:
+            for row in new.tab:
+                a = row.get(col)
+                if a is not None:
+                    row[col] = -a
+            new.obj[col] = -new.obj[col]
+            i = new._leaving_row(col)
+            if i < 0:
+                # the negated slack column has the same nonzeros as v's
+                # unpinned row, and every obstacle has >= 2 vertices
+                raise AssertionError("pinned packing LP reported unbounded")
+            new._pivot(i, col)
+        del new.tab[i], new.den[i], new.rhs[i], new.basis[i]
+        return new
 
     def covering_numerators(self, n: int) -> tuple[int, list[int]]:
         """The optimal covering solution as (den, nums): x_u == nums[u] / den.

@@ -1,4 +1,4 @@
-"""Shared instance builders for the test suite.
+"""Shared instance builders for the test suite, and a simplex state snapshot.
 
 Random instances are always built from an explicit seed so failures replay.
 `random_singleton_instance` constructs instances together with a vertex v
@@ -116,3 +116,11 @@ def random_singleton_instance(problem, n, seed):
         return Instance(problem, Graph(n, True, edges), terminals), v
 
     raise AssertionError(f"no singleton construction for {problem}")
+
+
+def engine_snapshot(engine):
+    """A `PackingSimplex`'s whole state, copied: its int values first, then its layout."""
+    values = [engine.obj_den, engine.value_num, *engine.obj, *engine.den, *engine.rhs]
+    values += [a for row in engine.tab for a in row.values()]
+    layout = ([sorted(row) for row in engine.tab], list(engine.basis), dict(engine.slack_col))
+    return values, layout, engine.pinned, engine.ncols

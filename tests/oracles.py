@@ -15,8 +15,8 @@ over the guess k reaches the same first success with the same exact solver.
 So are `min_weight_cycle_through`, the oracle's earlier cycle search over
 the whole graph, which `fraction_violated_obstacle` still runs, and
 `per_vertex_lp_values`, detection's earliest one LP per vertex, kept to
-check that the vertex-cover matching, the zero rule and the start pools
-changed no f_v.  And `fraction_cutting_planes`, the cutting-plane loop's
+check that the vertex-cover matching, the zero rule and the warm starts
+from the unpinned tableau changed no f_v.  And `fraction_cutting_planes`, the cutting-plane loop's
 earlier round trip through `Fraction` weights and the public oracle, run on
 the dense reference simplex, kept to check that pricing the kernel's
 numerators directly changed no cut.  `solve_restricted`, the LP over an
@@ -377,7 +377,7 @@ def per_vertex_lp_values(inst: Instance):
     """Every f_v from its own pinned LP, one solve per vertex from an empty pool.
 
     Detection's earliest loop: no matching, no unpinned LP, no zero rule and
-    no start pool, so every f_v comes from the simplex and the oracle alone.
+    no warm start, so every f_v comes from the simplex and the oracle alone.
     """
     return tuple(solve(inst, v).value for v in range(inst.n))
 
@@ -404,22 +404,19 @@ def solve_restricted(pool, n, pinned=None):
     return FractionalSolution(engine.covering_solution(n), engine.objective())
 
 
-def fraction_cutting_planes(inst: Instance, pinned=None, pool=()):
+def fraction_cutting_planes(inst: Instance, pinned=None):
     """Reference `essentia.lp.solve`: every round goes through `Fraction` weights.
 
     The loop `solve` ran before it passed the kernel's numerators straight
     to the oracle: read the covering solution as `Fraction`s, hand it to the
     public `find_violated_obstacle` (which validates it and takes its least
     common denominator again), and add the cut it returns.  It runs on
-    `DenseFractionSimplex`, starts from `pool` without writing to it, and
-    returns the cuts it adds, in order, as the solution's `added`.
+    `DenseFractionSimplex` from no constraint at all and returns the cuts
+    it adds, in order, as the solution's `added`.
     """
     n = inst.n
     max_cuts = 10 * n * n
     engine = DenseFractionSimplex(pinned)
-    for ob in pool:
-        engine.add_constraint(ob.vertices)
-    engine.optimize()
     added = []
     while True:
         x = engine.covering_solution(n)
@@ -543,8 +540,9 @@ def scan_packing_lb(search, removed, blocked, need, infeasible):
     """Reference packing bound of `essentia.exact._Search`, recomputed in full.
 
     Greedily packs violated obstacles with pairwise disjoint deletable sets
-    (whole vertex sets for the path families, each found by
-    `scan_violated`), up to `need`; `infeasible` for an undeletable one.
+    (for the path families, each found by `scan_violated` with the packed
+    deletable vertices removed), up to `need`; `infeasible` for an
+    undeletable one.
     """
     if search.obstacles is not None:
         used = set()
@@ -562,7 +560,7 @@ def scan_packing_lb(search, removed, blocked, need, infeasible):
             if count >= need:
                 return count
         return count
-    if need > (search.g.n - len(removed)) // 2:
+    if need > search.g.n - len(removed | blocked):
         return 0
     gone = set(removed)
     count = 0
@@ -570,10 +568,10 @@ def scan_packing_lb(search, removed, blocked, need, infeasible):
         res = scan_violated(search, frozenset(gone), blocked)
         if res is None:
             break
-        allowed, vs = res
+        allowed, _ = res
         if not allowed:
             return infeasible
-        gone |= vs
+        gone |= set(allowed)
         count += 1
     return count
 

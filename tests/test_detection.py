@@ -2,7 +2,6 @@ import logging
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
-from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -23,9 +22,8 @@ from essentia.lab import gen_dfvs_gadget, gen_matching_apex, gen_star_multicut, 
 from essentia.lp import solve
 from essentia.problems import Instance, Problem
 
-from conftest import random_graph, random_instance
+from conftest import engine_snapshot, random_graph, random_instance
 from oracles import (
-    induces_p4,
     naive_all_obstacle_sets,
     naive_opt,
     per_vertex_lp_values,
@@ -93,8 +91,8 @@ class TestDetect:
 
     @pytest.mark.parametrize("problem", [Problem.COGRAPH_DELETION, *PATH_FAMILIES])
     def test_parallel_jobs_give_the_same_starts(self, problem, monkeypatch):
-        # an in-process pool: every pinned LP starts from the pool the start
-        # rule gives its vertex, however the vertices are split
+        # an in-process pool: every pinned LP starts from the unpinned LP's
+        # solution, however the vertices are split
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
         monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 2)
         for seed in range(4):
@@ -104,9 +102,7 @@ class TestDetect:
                 calls = []
                 with mock.patch.object(detection, "solve", _recording_solve(calls)):
                     by_jobs[jobs] = lp_values(inst, jobs=jobs)
-                top = calls[0][2]
-                for v, pool, _ in calls[1:]:
-                    _assert_start(inst, top, v, pool)
+                _assert_route(calls)
             assert by_jobs[1] == by_jobs[2] == per_vertex_lp_values(inst)
 
     def test_jobs_clamped_to_cpu_count_and_n(self, monkeypatch):
@@ -181,29 +177,31 @@ class _InProcessPool:
 
 
 def _recording_solve(calls):
-    """A `solve` that appends (pinned, pool, solution) to `calls` and checks it only reads its pool."""
+    """A `solve` that appends (pinned, start, solution) to `calls` and checks it only reads its start."""
 
-    def recording_solve(inst, pinned=None, pool=()):
-        before = tuple(pool)
-        sol = solve(inst, pinned, pool)
-        assert tuple(pool) == before
-        calls.append((pinned, before, sol))
+    def recording_solve(inst, pinned=None, start=None):
+        before = None if start is None else engine_snapshot(start.tableau)
+        sol = solve(inst, pinned, start=start)
+        if start is not None:
+            assert engine_snapshot(start.tableau) == before
+        calls.append((pinned, start, sol))
         return sol
 
     return recording_solve
 
 
-def _assert_start(inst, top, v, pool):
-    """v's pinned LP started from the unpinned LP's cuts, or from the P4s through v."""
-    if inst.problem is not Problem.COGRAPH_DELETION:
-        assert pool == top.added
-        return
-    quads = {
-        frozenset(q) for q in combinations(range(inst.n), 4) if v in q and induces_p4(inst.graph, q)
-    }
-    if len(quads) > detection._P4_START_CAP * inst.n:
-        quads = set()
-    assert len(pool) == len(quads) and {ob.vertices for ob in pool} == quads
+def _assert_route(calls):
+    """The unpinned LP came first, from nothing, and every pinned LP started from it.
+
+    Each vertex is pinned at most once, and never a zero of the unpinned
+    optimum: the zero rule settles those.
+    """
+    pin, start, top = calls[0]
+    assert (pin, start) == (None, None)
+    pins = [v for v, _, _ in calls[1:]]
+    assert len(set(pins)) == len(pins) and None not in pins
+    for v, start, _ in calls[1:]:
+        assert start is top and top.weights[v] != 0
 
 
 def _opt_with_forced(inst, forced):
@@ -339,7 +337,7 @@ def detection_instances(draw):
 
 
 class TestLpValuesMatchPerVertexSolves:
-    """`lp_values` (matching, zero rule, start pools) against one LP per vertex."""
+    """`lp_values` (matching, zero rule, warm starts) against one LP per vertex."""
 
     @settings(derandomize=True, max_examples=250, deadline=None)
     @given(detection_instances())
@@ -351,24 +349,7 @@ class TestLpValuesMatchPerVertexSolves:
         if inst.problem is Problem.VERTEX_COVER:
             assert calls == []  # f_v by matching: no LP at all
             return
-        pin, pool, top = calls[0]
-        assert (pin, pool) == (None, ())  # the unpinned LP comes first, from nothing
-        pins = [v for v, _, _ in calls[1:]]
-        assert len(set(pins)) == len(pins) and None not in pins
-        for v in pins:
-            assert top.weights[v] != 0  # a zero of x* is settled, not solved
-        for v, pool, _ in calls[1:]:
-            _assert_start(inst, top, v, pool)
-
-    def test_apex_on_too_many_p4s_starts_from_nothing(self):
-        # the apex of matching-apex(6) lies on 30 induced P4s, above 2n = 26
-        inst = gen_matching_apex(6).instance
-        calls = []
-        with mock.patch.object(detection, "solve", _recording_solve(calls)):
-            assert lp_values(inst) == per_vertex_lp_values(inst)
-        assert (0, ()) in [(v, pool) for v, pool, _ in calls[1:]]
-        for v, pool, _ in calls[1:]:
-            _assert_start(inst, calls[0][2], v, pool)
+        _assert_route(calls)
 
     def test_no_zero_in_the_unpinned_optimum(self):
         for problem in PATH_FAMILIES:
@@ -385,7 +366,7 @@ class TestLpValuesMatchPerVertexSolves:
 
 
 def _detection_record(caplog, inst):
-    """The DEBUG record's args and each LP solve's (pinned, pool, result)."""
+    """The DEBUG record's args and each LP solve's (pinned, start, result)."""
     calls = []
     with caplog.at_level(logging.DEBUG, logger="essentia.detection"):
         with mock.patch.object(detection, "solve", _recording_solve(calls)):

@@ -13,7 +13,7 @@ from essentia.lab import gen_gnp, gen_matching_apex, gen_star_multicut, gnp_gap_
 from essentia.lp import FractionalSolution, solve, verify_feasible
 from essentia.problems import Instance, Obstacle, ObstacleKind, Problem
 
-from conftest import random_instance
+from conftest import engine_snapshot, random_instance
 from oracles import (
     fraction_cutting_planes,
     fraction_violated_obstacle,
@@ -193,25 +193,33 @@ class TestVerifyFeasible:
 
 
 class TestPoolIsOnlyRead:
-    """`solve` reads its pool and returns what it adds as the solution's `added`."""
+    """`solve` only reads its start, and returns what it adds as the solution's `added`.
+
+    The start is the unpinned LP's solution, the one pool every pinned LP
+    begins from: its optimal tableau, copied with the pinned vertex's row
+    dropped.
+    """
 
     @pytest.mark.parametrize("problem", list(Problem))
     def test_unpinned_pinned_and_shared_routes(self, problem):
         inst = random_instance(problem, 7, 41)
         top = solve(inst)
-        assert top == solve(inst, None, ())
-        pool = list(top.added)
+        assert top == solve(inst, None, None) == fraction_cutting_planes(inst)
+        assert top.instance is inst and top.tableau.pinned is None
+        before = engine_snapshot(top.tableau)
+        again = solve(inst, None, start=top)
+        assert again == top and again.added == ()  # its own optimum: no cut to add
         for v in range(inst.n):
-            for given in ([], pool):  # an empty pool, then one that keeps growing
-                before = list(given)
-                sol = solve(inst, v, given)
-                assert given == before
-                assert sol == solve_restricted(given + list(sol.added), inst.n, pinned=v)
-            pool.extend(sol.added)
+            cold = solve(inst, v)
+            assert cold == fraction_cutting_planes(inst, v)
+            warm = solve(inst, v, start=top)
+            assert engine_snapshot(top.tableau) == before
+            assert warm.value == cold.value and verify_feasible(inst, warm, v)
+            assert warm.tableau.pinned == v and warm.tableau is not top.tableau
 
     def test_added_holds_only_oracle_cuts(self, monkeypatch):
         # every added obstacle is one oracle call's cut, in call order,
-        # whatever pool the LP starts from: solve adds no seeds of its own
+        # whatever the LP starts from: solve adds no seeds of its own
         oracle, answers = lp.separate_numerators, []
 
         def recording_oracle(*args):
@@ -223,18 +231,51 @@ class TestPoolIsOnlyRead:
             inst = random_instance(problem, 7, 43)
             top = solve(inst)
             for v in range(inst.n):
-                for pool in ((), top.added):
+                for start in (None, top):
                     answers.clear()
-                    sol = solve(inst, v, pool)
+                    sol = solve(inst, v, start=start)
                     assert answers[-1] is None  # the last call certified the optimum
                     assert sol.added == tuple(answers[:-1])
+                    assert sol.value == fraction_cutting_planes(inst, v).value
 
     def test_added_takes_no_part_in_eq_or_repr(self):
         inst = gen_star_multicut(4).instance
         sol = solve(inst)
-        assert sol.added
+        assert sol.added and sol.instance is inst and sol.tableau is not None
         bare = FractionalSolution(sol.weights, sol.value)
         assert sol == bare and hash(sol) == hash(bare) and repr(sol) == repr(bare)
+
+
+class TestBadStart:
+    """A start must be an unpinned solution from `solve` on an equal instance."""
+
+    def test_pinned_start_raises(self):
+        inst = gen_star_multicut(4).instance
+        pinned = solve(inst, 1)
+        with pytest.raises(InputError, match=r"^start is an LP pinned at vertex 1, not the unpinned LP$"):
+            solve(inst, 0, start=pinned)
+
+    def test_start_without_a_tableau_raises(self):
+        # built by hand like gnp_gap_experiment's quarters, or stripped of
+        # its tableau: nothing to start from
+        inst = gen_gnp(7, 0)
+        quarters = FractionalSolution((F(1, 4),) * 7, F(7, 4))
+        with pytest.raises(InputError, match=r"^start carries no tableau: pass the result of solve\(inst\)$"):
+            solve(inst, 0, start=quarters)
+        top = solve(inst)
+        with pytest.raises(InputError, match=r"^start carries no tableau"):
+            solve(inst, 0, start=FractionalSolution(top.weights, top.value, top.added, inst))
+
+    def test_start_from_an_unequal_instance_raises(self):
+        inst = gen_star_multicut(4).instance
+        other = gen_star_multicut(5).instance
+        same_n = Instance(inst.problem, inst.graph, inst.terminals[:-1])
+        for foreign in (other, same_n):
+            with pytest.raises(InputError, match=r"^start was solved on another instance$"):
+                solve(inst, 0, start=solve(foreign))
+        # an equal instance built anew is accepted
+        twin = Instance(inst.problem, inst.graph, inst.terminals)
+        assert solve(inst, 0, start=solve(twin)).value == solve(inst, 0).value
 
 
 class TestFractionalSolutionInvariants:
@@ -290,14 +331,14 @@ class TestFractionalSolutionInvariants:
 def lp_runs(draw):
     """An instance and the pins of the LPs solved in order.
 
-    Routes: one unpinned LP; one pinned LP from an empty pool; or
-    detection's path-family route, the unpinned LP followed by pinned LPs
-    that each start from its cuts.
+    Routes: one unpinned LP; one pinned LP from nothing; or detection's
+    route, the unpinned LP followed by pinned LPs that each start from its
+    optimal tableau.
     """
     problem = draw(st.sampled_from(list(Problem)))
     n = draw(st.integers(3, 9))
     inst = random_instance(problem, n, draw(st.integers(0, 10**6)))
-    route = draw(st.sampled_from(["unpinned", "pinned", "unpinned-cuts"]))
+    route = draw(st.sampled_from(["unpinned", "pinned", "unpinned-start"]))
     if route == "unpinned":
         pins = [None]
     elif route == "pinned":
@@ -313,14 +354,18 @@ class TestLoopMatchesFractionReference:
     @settings(derandomize=True, max_examples=250, deadline=None)
     @given(lp_runs())
     def test_same_cuts_in_the_same_order_and_same_solution(self, case):
+        # from nothing, both loops take the same pivots and cuts; from the
+        # unpinned tableau, the pinned LP reaches the same value, maybe at
+        # another optimal vertex, by its own cuts
         inst, pins = case
-        pool = []
+        start = None
         for v in pins:
-            before = list(pool)
-            got = solve(inst, v, pool)
-            want = fraction_cutting_planes(inst, v, pool)
-            assert pool == before  # both only read the pool they are given
-            assert got.added == want.added
-            assert got.weights == want.weights and got.value == want.value
+            want = fraction_cutting_planes(inst, v)
+            got = solve(inst, v, start=start)
+            if start is None:
+                assert got.added == want.added
+                assert got.weights == want.weights and got.value == want.value
+            else:
+                assert got.value == want.value and verify_feasible(inst, got, v)
             if v is None:
-                pool = list(got.added)
+                start = got

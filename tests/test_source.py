@@ -116,6 +116,23 @@ def test_lp_names_no_problem():
     assert not found, f"lp.py names problems: {found}"
 
 
+def test_detection_ties_no_start_rule_to_a_problem():
+    # every pinned LP starts from the unpinned LP's optimal tableau, so
+    # detection builds no obstacle of its own and enumerates none
+    path = PACKAGE / "detection.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    banned = {"all_induced_p4s", "Obstacle", "ObstacleKind"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in banned:
+            found.append(f"detection.py:{node.lineno}: {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in banned:
+            found.append(f"detection.py:{node.lineno}: {node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"detection.py:{node.lineno}: import {a.name}" for a in node.names if a.name in banned]
+    assert not found, f"detection.py names obstacles: {found}"
+
+
 def test_import_leaves_multiprocessing_unloaded():
     # only detection's `jobs > 1` branch starts worker processes, and it
     # imports the process pool itself; a one-worker run never pays for it
