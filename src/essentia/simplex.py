@@ -12,9 +12,17 @@ column here, so the current basis warm-starts every re-solve.  Pinning
 x_v = 0 deletes v's row, which only relaxes the packing LP, so `with_pin`
 starts a pinned LP from an unpinned optimal tableau with no dual phase.
 
-Arithmetic is exact over Python ints: each tableau row keeps the integer
-numerators of its nonzero entries over one positive row denominator, and the
-objective row keeps dense integer numerators over one shared denominator.
+Arithmetic is exact over Python ints by integer-preserving (Bareiss)
+pivoting on dense rows.  `obj_den` is D = |det B| of the current basis B,
+and the objective row holds D times the reduced costs.  Row k holds the
+entries of d·B^-1 A for d = den[k], the value D had when row k was last
+rewritten (1 for a fresh slack row).  Each such entry is a minor of the 0/1
+constraint matrix (Cramer's rule), hence an integer.  A pivot on entry p of
+the pivot row in D's scale makes p the new determinant, and every row it
+rewrites comes out as p times a new entry of B^-1 A, again a minor.  So
+every `//` in this module divides exactly, and no common factor is ever
+searched for.
+
 Pivoting follows Bland's rule, so the optimum is exact and cycling is
 impossible.  The optimal covering solution is read off the objective row:
 x_u equals the negated reduced cost of vertex u's slack column, and
@@ -27,7 +35,6 @@ denominator, which is what the cutting-plane loop prices obstacles in.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional
 
 from .errors import PinInfeasibleError, PreconditionError
@@ -43,16 +50,18 @@ class PackingSimplex:
     row (`with_pin` drops it), which realises the x_pin = 0 restriction of
     the covering LP.
 
-    Row k holds the entries `tab[k][c] / den[k]` (absent columns are zero)
-    and the right-hand side `rhs[k] / den[k]`; the reduced cost of column c
-    is `obj[c] / obj_den` and the objective value `value_num / obj_den`.
-    Every denominator is positive.
+    Row k is a dense list holding the entries `tab[k][c] / den[k]` and the
+    right-hand side `rhs[k] / den[k]`; the reduced cost of column c is
+    `obj[c] / obj_den` and the objective value `value_num / obj_den`.
+    `obj_den` is the basis determinant D, and `den[k]` is the value D had
+    when row k was last rewritten, so every denominator is positive and
+    every numerator is a minor of the constraint matrix.
     """
 
     def __init__(self, pinned: Optional[int] = None):
         self.pinned = pinned
         self.slack_col: dict[int, int] = {}
-        self.tab: list[dict[int, int]] = []
+        self.tab: list[list[int]] = []
         self.den: list[int] = []
         self.rhs: list[int] = []
         self.obj: list[int] = []
@@ -64,12 +73,15 @@ class PackingSimplex:
     def _new_row(self, u: int) -> None:
         # A fresh vertex appears in no pooled constraint, so its new slack
         # stays basic and the inverse-basis block extends by an identity
-        # row/column: existing rows get a zero entry, the new row is a unit.
+        # row/column: existing rows get a zero entry, the new row is a unit,
+        # and the basis determinant does not change.
         col = self.ncols
         self.ncols += 1
+        for row in self.tab:
+            row.append(0)
         self.obj.append(0)
         self.slack_col[u] = col
-        self.tab.append({col: 1})
+        self.tab.append([0] * col + [1])
         self.den.append(1)
         self.rhs.append(1)
         self.basis.append(col)
@@ -88,69 +100,37 @@ class PackingSimplex:
         # New packing column in current-basis coordinates: B^-1 a equals the
         # sum of the members' slack columns, since a is their 0/1 indicator.
         # Row numerators share the row's denominator, so they simply add up.
-        col = self.ncols
         self.ncols += 1
         for row in self.tab:
-            entry = 0
-            for c in cols:
-                entry += row.get(c, 0)
-            if entry:
-                row[col] = entry
+            row.append(sum(map(row.__getitem__, cols)))
         obj = self.obj
-        reduced = self.obj_den
-        for c in cols:
-            reduced += obj[c]
-        obj.append(reduced)
+        obj.append(self.obj_den + sum(map(obj.__getitem__, cols)))
 
     def _pivot(self, i: int, j: int) -> None:
-        # Dividing row i by its pivot entry p / den[i] cancels den[i]: the
-        # pivot row becomes its own numerators over p.
-        prow, p, prhs = self.tab[i], self.tab[i][j], self.rhs[i]
-        g = gcd(prhs, *prow.values())
-        if g != 1:
-            prow = {c: a // g for c, a in prow.items()}
-            p //= g
-            prhs //= g
-        self.tab[i], self.den[i], self.rhs[i] = prow, p, prhs
-        # Row k with entry t in column j becomes (row·p − t·prow) / (den·p);
-        # rows with no entry in column j are unchanged.
+        # Lift the pivot row to the current determinant D; its entry p in
+        # column j is the new determinant, and the row becomes itself over p.
         tab, den, rhs = self.tab, self.den, self.rhs
+        d = self.obj_den
+        prow, prhs = tab[i], rhs[i]
+        if den[i] != d:
+            e = den[i]
+            prow = [a * d // e for a in prow]
+            prhs = prhs * d // e
+        p = prow[j]
+        tab[i], den[i], rhs[i] = prow, p, prhs
+        # Row k with entry t in column j becomes (row·p − t·prow) / den[k]
+        # over p; rows with no entry in column j are unchanged.
         for k, row in enumerate(tab):
-            t = row.get(j)
-            if t is None or k == i:
-                continue
-            new = {c: a * p for c, a in row.items()} if p != 1 else row
-            for c, b in prow.items():
-                v = new.get(c, 0) - t * b
-                if v:
-                    new[c] = v
-                else:
-                    del new[c]
-            r = rhs[k] * p - t * prhs
-            d = den[k] * p
-            if d != 1:
-                g = gcd(d, r, *new.values())
-                if g != 1:
-                    new = {c: a // g for c, a in new.items()}
-                    r //= g
-                    d //= g
-            tab[k], den[k], rhs[k] = new, d, r
-        obj = self.obj
-        f = obj[j]
-        if p != 1:
-            obj = [a * p for a in obj]
-            self.value_num *= p
-            self.obj_den *= p
-        for c, b in prow.items():
-            obj[c] -= f * b
-        self.value_num += f * prhs
-        if p != 1:
-            g = gcd(self.obj_den, self.value_num, *obj)
-            if g != 1:
-                obj = [a // g for a in obj]
-                self.value_num //= g
-                self.obj_den //= g
-        self.obj = obj
+            t = row[j]
+            if t and k != i:
+                e = den[k]
+                tab[k] = [(a * p - t * b) // e for a, b in zip(row, prow)]
+                rhs[k] = (rhs[k] * p - t * prhs) // e
+                den[k] = p
+        f = self.obj[j]
+        self.obj = [(a * p - f * b) // d for a, b in zip(self.obj, prow)]
+        self.value_num = (self.value_num * p + f * prhs) // d
+        self.obj_den = p
         self.basis[i] = j
 
     def _leaving_row(self, enter: int) -> int:
@@ -162,7 +142,7 @@ class PackingSimplex:
         leave = -1
         best_r = best_a = 0
         for i, row in enumerate(self.tab):
-            a = row.get(enter, 0)
+            a = row[enter]
             if a > 0:
                 if leave >= 0:
                     lhs, rhs_l = rhs[i] * best_a, best_r * a
@@ -194,15 +174,18 @@ class PackingSimplex:
         slack becomes free: its column is negated, it enters by the ratio
         test, and the row it became basic in goes.  Either way the slack's
         column is left all zero with reduced cost 0, so it never enters
-        again, and later constraints drop v.  A vertex without a row only
-        becomes the pin; v = None gives a plain copy.  Raises
-        PreconditionError on an engine that is already pinned.
+        again, and later constraints drop v.  Negating a nonbasic column
+        leaves the basis alone, and the row that goes has a unit basic
+        column, so the basis determinant keeps its value and every row its
+        exact scale.  A vertex without a row only becomes the pin; v = None
+        gives a plain copy.  Raises PreconditionError on an engine that is
+        already pinned.
         """
         if self.pinned is not None:
             raise PreconditionError(f"engine is already pinned to vertex {self.pinned}")
         new = PackingSimplex(v)
         new.slack_col = dict(self.slack_col)
-        new.tab = [dict(row) for row in self.tab]
+        new.tab = [row[:] for row in self.tab]
         new.den = list(self.den)
         new.rhs = list(self.rhs)
         new.obj = list(self.obj)
@@ -217,9 +200,7 @@ class PackingSimplex:
             i = new.basis.index(col)
         else:
             for row in new.tab:
-                a = row.get(col)
-                if a is not None:
-                    row[col] = -a
+                row[col] = -row[col]
             new.obj[col] = -new.obj[col]
             i = new._leaving_row(col)
             if i < 0:

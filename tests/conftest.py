@@ -1,4 +1,4 @@
-"""Shared instance builders for the test suite, and a simplex state snapshot.
+"""Shared instance builders for the test suite, and simplex state and pivot probes.
 
 Random instances are always built from an explicit seed so failures replay.
 `random_singleton_instance` constructs instances together with a vertex v
@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from essentia.graphs import Graph
 from essentia.problems import Instance, Problem
+from essentia.simplex import PackingSimplex
 
 
 def random_graph(n, seed, directed=False, p=None):
@@ -121,6 +122,27 @@ def random_singleton_instance(problem, n, seed):
 def engine_snapshot(engine):
     """A `PackingSimplex`'s whole state, copied: its int values first, then its layout."""
     values = [engine.obj_den, engine.value_num, *engine.obj, *engine.den, *engine.rhs]
-    values += [a for row in engine.tab for a in row.values()]
-    layout = ([sorted(row) for row in engine.tab], list(engine.basis), dict(engine.slack_col))
+    values += [a for row in engine.tab for a in row]
+    layout = ([len(row) for row in engine.tab], list(engine.basis), dict(engine.slack_col))
     return values, layout, engine.pinned, engine.ncols
+
+
+def record_pivots(monkeypatch):
+    """Log every `PackingSimplex` pivot from here on; returns the log.
+
+    Each entry is (D, d, p, dens): the determinant before the pivot, the
+    pivot row's denominator (a lift when d != D), the pivot entry p (the
+    new determinant) and the denominators of the other rows it rewrites
+    (the divisors of those rows).
+    """
+    log = []
+    pivot = PackingSimplex._pivot
+
+    def logged(engine, i, j):
+        dens = [engine.den[k] for k, row in enumerate(engine.tab) if row[j] and k != i]
+        det, d = engine.obj_den, engine.den[i]
+        pivot(engine, i, j)
+        log.append((det, d, engine.obj_den, dens))
+
+    monkeypatch.setattr(PackingSimplex, "_pivot", logged)
+    return log

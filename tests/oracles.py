@@ -316,10 +316,10 @@ class DenseFractionSimplex:
                 continue
             f = row[j]
             if f:
-                self.tab[k] = [a - f * b for a, b in zip(row, prow)]
+                self.tab[k] = [a - f * b if b else a for a, b in zip(row, prow)]
                 self.rhs[k] -= f * prhs
         f = self.obj[j]
-        self.obj = [a - f * b for a, b in zip(self.obj, prow)]
+        self.obj = [a - f * b if b else a for a, b in zip(self.obj, prow)]
         self.value += f * prhs
         self.basis[i] = j
 

@@ -18,12 +18,13 @@ from essentia.detection import (
 from essentia.errors import SizeCapError
 from essentia.exact import opt_value
 from essentia.graphs import Graph
-from essentia.lab import gen_dfvs_gadget, gen_matching_apex, gen_star_multicut, gen_vc_gadget
+from essentia.lab import gen_dfvs_gadget, gen_gnp, gen_matching_apex, gen_star_multicut, gen_vc_gadget
 from essentia.lp import solve
 from essentia.problems import Instance, Problem
 
 from conftest import engine_snapshot, random_graph, random_instance
 from oracles import (
+    fraction_cutting_planes,
     naive_all_obstacle_sets,
     naive_opt,
     per_vertex_lp_values,
@@ -363,6 +364,36 @@ class TestLpValuesMatchPerVertexSolves:
         with mock.patch.object(detection, "solve", wraps=solve) as spy:
             assert lp_values(inst) == (F(0),) * 7
         assert spy.call_count == 1
+
+
+def _relabel(inst, rng):
+    perm = list(range(inst.n))
+    rng.shuffle(perm)
+    g = inst.graph
+    return Instance(inst.problem, Graph(g.n, g.directed, [(perm[u], perm[v]) for u, v in g.edges]))
+
+
+def _bench_size_instances(family):
+    """A dozen instances of one family at the benchmark's sizes, built here."""
+    rng = random.Random(family)
+    for seed in range(12):
+        if family == "cograph":
+            yield gen_gnp(10, seed)
+        elif family == "matching-apex":
+            yield _relabel(gen_matching_apex(rng.randint(8, 12)).instance, rng)
+        else:
+            base = Instance(Problem.DFVS, random_graph(4, seed, directed=True, p=0.5))
+            yield gen_dfvs_gadget(base, F(1)).instance
+
+
+class TestLpValuesAtBenchSize:
+    """`lp_values` against the `Fraction` reference, which runs no kernel code."""
+
+    @pytest.mark.parametrize("family", ["cograph", "matching-apex", "dfvs-gadget"])
+    def test_against_fraction_cutting_planes(self, family):
+        for inst in _bench_size_instances(family):
+            want = tuple(fraction_cutting_planes(inst, v).value for v in range(inst.n))
+            assert lp_values(inst) == want
 
 
 def _detection_record(caplog, inst):

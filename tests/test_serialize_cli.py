@@ -15,10 +15,12 @@ from essentia.cli import _build_parser, _check_jobs, run
 from essentia.detection import DEFAULT_SIZE_CAP
 from essentia.errors import InputError, ResourceCapError
 from essentia.graphs import Graph
-from essentia.lab import gen_matching_apex, gen_star_multicut
+from essentia.lab import gen_gnp, gen_matching_apex, gen_star_multicut
 from essentia.lp import solve
 from essentia.problems import Instance, Problem
 from essentia.rounding import round_multicut
+
+from conftest import record_pivots
 
 
 class TestRationals:
@@ -294,20 +296,29 @@ class TestCli:
         with pytest.raises(ResourceCapError):
             _check_jobs(int(jobs))
 
-    @pytest.mark.parametrize("command", ["solve", "reduce", "detect-vertex-cover"])
-    def test_optimized_mode_matches_in_process(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["solve", "reduce", "detect-vertex-cover", "detect-cograph"])
+    def test_optimized_mode_matches_in_process(self, tmp_path, capsys, monkeypatch, command):
         # `python -O` strips assert statements; the package's invariants
         # must not rest on them, so its output must not change
-        if command == "detect-vertex-cover":  # f_v by matching, no LP
-            path = tmp_path / "vc.json"
-            # a star, an edge and an isolated vertex: only the centre has f_v > 2
-            inst = Instance(Problem.VERTEX_COVER, Graph(7, False, [(0, 1), (0, 2), (0, 3), (4, 5)]))
+        if command.startswith("detect-"):
+            path = tmp_path / "g.json"
+            if command == "detect-vertex-cover":  # f_v by matching, no LP
+                # a star, an edge and an isolated vertex: only the centre has f_v > 2
+                inst = Instance(Problem.VERTEX_COVER, Graph(7, False, [(0, 1), (0, 2), (0, 3), (4, 5)]))
+            else:
+                inst = gen_gnp(8, 0)
             path.write_text(serialize.dumps_instance(inst))
             argv = ["detect", "--k", "2", str(path)]
         else:
             argv = [command, self.write_star(tmp_path, m=4)]
+        log = record_pivots(monkeypatch)
         assert run(argv) == 0
         want = json.loads(capsys.readouterr().out)
+        if command == "detect-cograph":
+            # the kernel's integer-preserving pivots really run: pivot rows
+            # are lifted, and rows are divided by a determinant other than p
+            assert any(d != D for D, d, p, dens in log)
+            assert any(1 < e != p for D, d, p, dens in log for e in dens)
         src = Path(essentia.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(

@@ -5,20 +5,59 @@ from itertools import combinations
 import pytest
 
 from essentia.errors import PinInfeasibleError, PreconditionError
-from essentia.lab import gen_matching_apex
+from essentia.lab import gen_gnp, gen_matching_apex
 from essentia.simplex import PackingSimplex
 
-from conftest import engine_snapshot
+from conftest import engine_snapshot, record_pivots
 from oracles import DenseFractionSimplex, naive_all_obstacle_sets
+
+
+def basis_determinant(engine, packing):
+    """|det B| of a cold engine's basis, from its 0/1 constraint matrix.
+
+    `packing` lists each packing column's vertices in column order.  Rows
+    are the vertices in the order their rows were made, which is the order
+    of `slack_col`.  Exact `Fraction` elimination, written without the kernel.
+    """
+    rows = list(engine.slack_col)
+    slack = {c: u for u, c in engine.slack_col.items()}
+    members = iter(packing)
+    cols = [{slack[c]} if c in slack else set(next(members)) for c in range(engine.ncols)]
+    m = [[F(int(u in cols[c])) for c in engine.basis] for u in rows]
+    det = F(1)
+    for k in range(len(m)):
+        pivot = next(r for r in range(k, len(m)) if m[r][k])
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+        det *= m[k][k]
+        for r in range(k + 1, len(m)):
+            f = m[r][k] / m[k][k]
+            if f:
+                m[r] = [a - f * b for a, b in zip(m[r], m[k])]
+    return abs(det)
+
+
+def assert_same_tableau(fast, ref):
+    """Every row entry, rhs and reduced cost of `fast` equals the reference's."""
+    assert len(fast.tab) == len(ref.tab) == len(fast.den) == len(fast.rhs)
+    for row, den, rhs, ref_row, ref_rhs in zip(fast.tab, fast.den, fast.rhs, ref.tab, ref.rhs):
+        assert den > 0 and all(type(a) is int for a in row)
+        assert [F(a, den) for a in row] == ref_row
+        assert F(rhs, den) == ref_rhs
+    assert [F(a, fast.obj_den) for a in fast.obj] == ref.obj
+    assert F(fast.value_num, fast.obj_den) == ref.value
 
 
 def run_both(n, pinned, batches):
     """Feed both kernels the same add/optimize sequence; compare after each optimize.
 
     `batches` is a list of constraint lists; each batch is added column by
-    column and followed by one optimize.  Returns the last objective.
+    column and followed by one optimize.  After each optimize the whole
+    tableaux must agree, and the kernel's objective denominator must be the
+    basis determinant.  Returns the kernel.
     """
     fast, ref = PackingSimplex(pinned), DenseFractionSimplex(pinned)
+    packing = []
     for batch in batches:
         for members in batch:
             if set(members) <= {pinned}:
@@ -28,6 +67,7 @@ def run_both(n, pinned, batches):
                 continue
             fast.add_constraint(members)
             ref.add_constraint(members)
+            packing.append(set(members) - {pinned})
         fast.optimize()
         ref.optimize()
         want = ref.covering_solution(n)
@@ -40,14 +80,16 @@ def run_both(n, pinned, batches):
             assert F(a, den) == want[u]
         assert fast.objective() == ref.objective()
         assert fast.basis == ref.basis
-    return fast.objective()
+        assert_same_tableau(fast, ref)
+        assert fast.obj_den == basis_determinant(fast, packing)
+    return fast
 
 
-def split(pool, rng):
+def split(pool, rng, most=4):
     """Cut a pool into random consecutive batches (interleaved re-solves)."""
     batches, i = [], 0
     while i < len(pool):
-        step = rng.randint(1, 4)
+        step = rng.randint(1, most)
         batches.append(pool[i : i + step])
         i += step
     return batches or [[]]
@@ -65,14 +107,14 @@ class TestAgainstDenseReference:
     @pytest.mark.parametrize("length", [3, 5, 7, 9])
     def test_odd_cycles(self, length):
         pool = [[u, (u + 1) % length] for u in range(length)]
-        assert run_both(length, None, [pool]) == F(length, 2)
+        assert run_both(length, None, [pool]).objective() == F(length, 2)
         rng = random.Random(length)
         for pin in range(length):
             run_both(length, pin, split(pool, rng))
 
     def test_all_triples_give_thirds(self):
         pool = [list(t) for t in combinations(range(5), 3)]
-        assert run_both(5, None, split(pool, random.Random(0))) == F(5, 3)
+        assert run_both(5, None, split(pool, random.Random(0))).objective() == F(5, 3)
         run_both(5, 2, split(pool, random.Random(1)))
 
     @pytest.mark.parametrize("m", [2, 3, 5])
@@ -83,9 +125,24 @@ class TestAgainstDenseReference:
         for pin in [None] + list(range(inst.n)):
             run_both(inst.n, pin, split(pool, rng))
 
+    @pytest.mark.parametrize("n, seed", [(10, 0), (10, 1), (14, 1)])
+    def test_bench_size_p4_pools(self, monkeypatch, n, seed):
+        # every induced P4 of G(n, 1/2), cold and under every pin, as
+        # cograph deletion's LPs grow at the benchmark's sizes: pivot rows
+        # are lifted to the determinant, and rows are divided by old ones
+        inst = gen_gnp(n, seed)
+        pool = sorted(sorted(vs) for vs in naive_all_obstacle_sets(inst))
+        rng = random.Random(seed)
+        log = record_pivots(monkeypatch)
+        for pin in [None, *range(n)]:
+            run_both(n, pin, split(pool, rng, most=len(pool) // 3))
+        assert any(d != D for D, d, p, dens in log)
+        assert any(1 < e != p for D, d, p, dens in log for e in dens)
+        assert max(p for D, d, p, dens in log) > 6
+
     def test_pin_only_constraint_leaves_state_intact(self):
         batches = [[[0, 1], [1]], [[1, 2], [0, 2]]]
-        assert run_both(3, 1, batches) == 2
+        assert run_both(3, 1, batches).objective() == 2
 
 
 def test_kernel_builds_no_fraction_inside():
@@ -172,7 +229,9 @@ class TestWithPin:
     def test_none_gives_a_copy(self):
         top = optimum([list(t) for t in combinations(range(5), 3)])
         copy = top.with_pin(None)
-        assert engine_snapshot(copy) == engine_snapshot(top) and copy.tab[0] is not top.tab[0]
+        assert engine_snapshot(copy) == engine_snapshot(top)
+        # no row list is shared, so growing or pivoting the copy leaves top alone
+        assert not {id(row) for row in copy.tab} & {id(row) for row in top.tab}
 
     def test_pinned_engine_refuses_a_second_pin(self):
         engine = optimum([[0, 1], [1, 2]], pinned=1)

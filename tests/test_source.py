@@ -143,3 +143,12 @@ def test_import_leaves_multiprocessing_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_simplex_kernel_takes_no_gcd():
+    # integer-preserving pivots divide exactly, so no row is ever reduced
+    tree = ast.parse((PACKAGE / "simplex.py").read_text(encoding="utf-8"))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "gcd" not in names
