@@ -10,7 +10,8 @@ disjoint deletable sets, and (for the finitely enumerated obstacle families)
 a domination rule: a vertex whose violated obstacles are all covered by some
 other deletable vertex never needs to be branched on.  The path and cycle
 families get their branch obstacles from `problems.cheapest_obstacle`, the
-search the separation oracle uses, with deletable vertices costing 1.
+search the separation oracle uses, with deletable vertices costing 1: its
+answer is the globally least (cost, order) path or cycle.
 
 Deterministic throughout: among minimum solutions the lexicographically
 least vertex set is returned.  Once the optimum size is known, a second
@@ -128,8 +129,10 @@ class _Search:
         """(deletable vertices, obstacle vertex set) minimizing the deletable
         count, ties to the least witness, or None when no obstacle survives
         `removed`; `alive` is the node's surviving enumerated obstacles.  The
-        scan stops early once a count <= 1 shows up: a forced or refuting
-        obstacle is as good a branch point as any.
+        scan of the enumerated ones stops early once a count <= 1 shows up: a
+        forced or refuting obstacle is as good a branch point as any.  The
+        path families take the least (count, order) path or cycle, whose
+        search stops at the first one it closes.
         """
         if alive is not None:
             best = None
@@ -150,7 +153,7 @@ class _Search:
         below = None
         if target is not None and target.isdisjoint(removed):
             below = len(target - blocked) + 1
-        found = cheapest_obstacle(self.inst, cost, removed, below=below, enough=1)
+        found = cheapest_obstacle(self.inst, cost, removed, below=below)
         if found is None:
             if below is None:
                 return None

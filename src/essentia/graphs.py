@@ -1,18 +1,18 @@
 """Exact-arithmetic graph primitives.
 
 Everything downstream is built on the operations defined here: simple graphs
-(directed or not), one label-setting search for the cheapest paths under
-per-vertex costs (shortest weighted paths, and through them the path and
-cycle searches of `problems.cheapest_obstacle`, are thin uses of it),
-minimum vertex separators computed by vertex-splitting max-flow, and
-maximum matchings of bipartite double covers, whose sizes are twice the
-vertex-cover LP values of `detection`.  Path and cycle weights are sums of
-*vertex* costs, endpoints included; LP weights are exact
-`fractions.Fraction` values, and `check_weights` validates weights that
-come from outside and puts them over one common denominator, so that the
-separation oracle compares integer numerators, never approximations.  The
-cutting-plane loop skips it: its weights are already numerators over the
-simplex kernel's denominator.
+(directed or not), a label-setting search for the cheapest paths from a set
+of sources under per-vertex costs (the rounding's heavy sets; the path and
+cycle obstacle searches run their own loop over one heap for all origins,
+in `problems.cheapest_obstacle`), minimum vertex separators computed by
+vertex-splitting max-flow, and maximum matchings of bipartite double
+covers, whose sizes are twice the vertex-cover LP values of `detection`.
+Path and cycle weights are sums of *vertex* costs, endpoints included; LP
+weights are exact `fractions.Fraction` values, and `check_weights`
+validates weights that come from outside and puts them over one common
+denominator, so that the separation oracle compares integer numerators,
+never approximations.  The cutting-plane loop skips it: its weights are
+already numerators over the simplex kernel's denominator.
 """
 
 from __future__ import annotations
@@ -169,40 +169,6 @@ def cheapest_paths(
             if v not in best or cand < best[v]:
                 best[v] = cand
                 push(heap, cand)
-
-
-def shortest_weighted_path(
-    g: Graph,
-    w: Sequence,
-    sources: Iterable[int],
-    targets: Iterable[int],
-    removed: AbstractSet[int] = frozenset(),
-    below: Optional[tuple] = None,
-) -> Optional[tuple]:
-    """Minimum-weight simple path from any source to any target, as (cost, path).
-
-    The first label of `cheapest_paths` that ends in a target: a single
-    vertex that is both source and target is a valid path of weight w(s),
-    and equal-weight paths resolve to the lexicographically least vertex
-    sequence.  Returns None when no target is reachable without entering
-    `removed`, including when no source or no target survives it.  With a
-    `below` label, returns None unless that label is less than it, and
-    stops at the first settled label that is not.  Vertex ids and weights
-    are trusted: `Instance` validates the former, and the separation oracle
-    passes integer numerators over one denominator, which order paths as
-    the weights do (`problems.find_violated_obstacle` validates outside
-    weights; the cutting-plane loop passes the simplex kernel's).
-    """
-    target_set = set(targets) - removed
-    if not target_set:
-        # nothing to find: do not settle the whole component first
-        return None
-    for label in cheapest_paths(g, w, sources, removed):
-        if below is not None and label >= below:
-            return None  # labels never decrease: no later one is below
-        if label[1][-1] in target_set:
-            return label
-    return None
 
 
 def reverse_graph(g: Graph) -> Graph:

@@ -16,8 +16,9 @@ feedback vertex set  directed    vertex sets of directed simple cycles
 An instance never enumerates its obstacles up front; feasibility checks and
 the weighted separation oracle inspect the graph directly.  For the path and
 cycle families one search, `cheapest_obstacle`, finds the least terminal
-path or directed cycle under integer vertex costs: the oracle finds its cuts
-with it, and exact search its branch obstacles.  The oracle is the
+path or directed cycle under integer vertex costs, with one heap for the
+searches from every source or least vertex: the oracle finds its cuts with
+it, and exact search its branch obstacles.  The oracle is the
 workhorse of the cutting-plane solver: given rational vertex weights it
 either certifies that every obstacle weighs at least 1 (the right-hand side
 of every covering constraint) or produces a minimum-weight obstacle lighter
@@ -31,19 +32,14 @@ simplex kernel.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, PreconditionError
-from .graphs import (
-    Graph,
-    VertexWeights,
-    check_weights,
-    reachable_set,
-    shortest_weighted_path,
-)
+from .graphs import Graph, VertexWeights, check_weights, reachable_set
 
 
 class Problem(Enum):
@@ -232,50 +228,61 @@ def cheapest_obstacle(
     cost: Sequence[int],
     removed: AbstractSet[int] = frozenset(),
     below: Optional[int] = None,
-    enough: int = -1,
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """Least (cost, order) terminal path or directed cycle of G - removed.
 
     An obstacle costs the sum of the nonnegative ints `cost[u]` over its
-    vertices; None means none costs less than `below`.  The multicuts are
-    searched from each source in increasing order; DFVS, for each v in
-    increasing order, for the cycles whose least vertex is v, in G[v..n-1]
-    from v's out-neighbours above v, so a cycle comes in its canonical
-    rotation.  A later source or least vertex gives a larger order at equal
-    cost, so once an obstacle is found each later search stops at its first
-    label that is not strictly cheaper.  The scan stops as soon as the best
-    cost is <= `enough` and returns the best obstacle found so far.
+    vertices; None means none costs less than `below`.  One label-setting
+    loop over one heap searches from every origin at once: each multicut
+    source with a surviving target, and for DFVS each vertex v, for the
+    cycles whose least vertex is v.  A label is (cost, path) with the path
+    starting at its origin and the origin's cost counted from the start, and
+    states are settled per (origin, vertex), so labels pop in the obstacles'
+    own (cost, order) and the first one that closes an obstacle is the
+    answer.  A DFVS search never enters a vertex below its origin, so the
+    arc back to v that closes a cycle leaves it in its canonical rotation.
     """
     g = inst.graph
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-    limit = None if below is None else (below,)
+    n, adj = g.n, g.adj
     if inst.problem is Problem.DFVS:
-        region = set(removed)  # removed and every vertex below v
-        for v in range(g.n):
-            if v in region:
-                continue
-            starts = [u for u in g.adj[v] if u not in region]
-            if starts:
-                found = shortest_weighted_path(g, cost, starts, (v,), removed=region, below=limit)
-                if found is not None:
-                    best = (found[0], (v,) + found[1][:-1])
-                    if best[0] <= enough:
-                        break
-                    limit = (best[0],)
-            region.add(v)
+        targets = None
+        heap = [(cost[v], (v,)) for v in range(n) if v not in removed]
     elif inst.problem.uses_terminals:
-        for s, targets in inst.targets_by_source:
-            if s in removed:
-                continue
-            found = shortest_weighted_path(g, cost, (s,), targets, removed=removed, below=limit)
-            if found is not None:
-                best = found
-                if best[0] <= enough:
-                    break
-                limit = (best[0],)
+        targets = dict(inst.targets_by_source)
+        heap = [
+            (cost[s], (s,))
+            for s, ts in inst.targets_by_source
+            if s not in removed and not ts <= removed
+        ]
     else:
         raise PreconditionError(f"{inst.problem.value} has no path or cycle obstacles")
-    return best
+    heapq.heapify(heap)
+    settled: set[int] = set()  # origin * n + vertex
+    push, pop = heapq.heappush, heapq.heappop
+    # Extending a path adds a nonnegative cost and lengthens the tuple, so a
+    # state's first pop is its least label, and labels pop in nondecreasing
+    # (cost, path) order across all origins.
+    while heap:
+        label = pop(heap)
+        dist, path = label
+        if below is not None and dist >= below:
+            return None
+        origin, u = path[0], path[-1]
+        base = origin * n
+        if base + u in settled:
+            continue
+        settled.add(base + u)
+        if targets is not None and u in targets[origin]:
+            return label
+        floor = -1 if targets is not None else origin
+        for x in adj[u]:
+            if x <= floor:
+                if x == origin:
+                    return label  # the arc back to the origin closes a cycle
+                continue
+            if x not in removed and base + x not in settled:
+                push(heap, (dist + cost[x], path + (x,)))
+    return None
 
 
 # ---------------------------------------------------------------------------

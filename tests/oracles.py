@@ -6,7 +6,11 @@ simplex, matchings for the vertex-cover LP) without touching the library's
 solvers, so agreement is meaningful.  The `Fraction` separation oracle is
 the exception: it is the library's earlier scan, kept to check that pricing
 in integer numerators changed no answer, and it reuses the library's path
-searches, which take any cost type.  So are `scan_violated`,
+searches, which take any cost type.  So are `shortest_weighted_path` and
+`sequential_cheapest_obstacle`, the library's earlier path and cycle
+obstacle search, one `graphs.cheapest_paths` search per source or least
+vertex, kept to check that one heap for every origin changed no answer.
+So are `scan_violated`,
 `scan_packing_lb` and `scan_dominated`: exact search's earlier full
 scans, kept to check that per-node surviving obstacles and bounded path
 searches changed no answer.  And so is `dovetail_reduce`: the driver's
@@ -38,7 +42,7 @@ from essentia.detection import lp_values
 from essentia.driver import restrict_instance
 from essentia.errors import InputError, IterationCapError, PinInfeasibleError, PreconditionError
 from essentia.exact import SolveBudget, opt_value_avoiding, solve_exact
-from essentia.graphs import Graph, shortest_weighted_path
+from essentia.graphs import Graph, cheapest_paths
 from essentia.lp import FractionalSolution, solve
 from essentia.problems import (
     Instance,
@@ -142,6 +146,65 @@ def naive_shortest_weighted_path(g: Graph, w, sources, targets, removed=frozense
                 cand = (sum((w[u] for u in path), Fraction(0)), path)
                 if best is None or cand < best:
                     best = cand
+    return best
+
+
+def shortest_weighted_path(g: Graph, w, sources, targets, removed=frozenset(), below=None):
+    """Minimum-weight simple path from any source to any target, as (cost, path).
+
+    The library's earlier single search: the first label of
+    `graphs.cheapest_paths` that ends in a target, so a lone vertex that is
+    both source and target is a path of weight w(s), and equal-weight paths
+    resolve to the lexicographically least vertex sequence.  Returns None
+    when no target is reachable without entering `removed`.  With a `below`
+    label, returns None unless the answer is less than it, and stops at the
+    first settled label that is not.
+    """
+    target_set = set(targets) - removed
+    if not target_set:
+        return None
+    for label in cheapest_paths(g, w, sources, removed):
+        if below is not None and label >= below:
+            return None
+        if label[1][-1] in target_set:
+            return label
+    return None
+
+
+def sequential_cheapest_obstacle(inst: Instance, cost, removed=frozenset(), below=None):
+    """Reference for `problems.cheapest_obstacle`: one search per origin.
+
+    The library's earlier loop.  The multicuts search from each source in
+    increasing order; DFVS, for each v in increasing order, for the cycles
+    whose least vertex is v, in G[v..n-1] from v's out-neighbours above v.
+    A later origin gives a larger order at equal cost, so once an obstacle
+    is found each later search is bounded by a strictly cheaper label.
+    """
+    g = inst.graph
+    best = None
+    limit = None if below is None else (below,)
+    if inst.problem is Problem.DFVS:
+        region = set(removed)  # removed and every vertex below v
+        for v in range(g.n):
+            if v in region:
+                continue
+            starts = [u for u in g.adj[v] if u not in region]
+            if starts:
+                found = shortest_weighted_path(g, cost, starts, (v,), region, limit)
+                if found is not None:
+                    best = (found[0], (v,) + found[1][:-1])
+                    limit = (best[0],)
+            region.add(v)
+    elif inst.problem.uses_terminals:
+        for s, targets in inst.targets_by_source:
+            if s in removed:
+                continue
+            found = shortest_weighted_path(g, cost, (s,), targets, removed, limit)
+            if found is not None:
+                best = found
+                limit = (best[0],)
+    else:
+        raise PreconditionError(f"{inst.problem.value} has no path or cycle obstacles")
     return best
 
 
@@ -489,7 +552,9 @@ def scan_violated(search, removed, blocked):
     graph, with no least-vertex restriction, and compares cycles in their
     canonical rotation.  Returns (sorted deletable vertices, obstacle vertex
     set) with the fewest deletable vertices, ties to the least witness, or
-    None; like the search it checks, it stops at the first count <= 1.
+    None.  Like the search it checks, it stops the scan of the enumerated
+    obstacles at the first count <= 1, and takes the least path or cycle
+    over every search.
     """
     p = search.inst.problem
     g = search.g
@@ -514,11 +579,7 @@ def scan_violated(search, removed, blocked):
             found = shortest_weighted_path(g, cost, (s,), targets, removed)
             if found is not None and (best_path is None or found < best_path):
                 best_path = found
-                if best_path[0] <= 1:
-                    break
     elif p is Problem.DFVS:
-        # after vertex v the least canonical cycle through any of 0..v is
-        # the least canonical cycle whose least vertex is at most v
         for v in range(g.n):
             if v in removed:
                 continue
@@ -528,8 +589,6 @@ def scan_violated(search, removed, blocked):
             cand = (found[0], canonical_cycle((v,) + found[1][:-1]))
             if best_path is None or cand < best_path:
                 best_path = cand
-                if best_path[0] <= 1:
-                    break
     if best_path is None:
         return None
     vs = frozenset(best_path[1])

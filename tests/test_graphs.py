@@ -11,7 +11,6 @@ from essentia.graphs import (
     check_weights,
     double_cover_matching,
     min_vertex_separator,
-    shortest_weighted_path,
 )
 from essentia.problems import Instance, Problem, find_violated_obstacle
 
@@ -22,6 +21,7 @@ from oracles import (
     naive_min_separator_size,
     naive_shortest_weighted_path,
     nx_double_cover_matching,
+    shortest_weighted_path,
 )
 
 

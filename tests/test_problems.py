@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from essentia import problems
 from essentia.errors import InputError, PreconditionError
-from essentia.graphs import Graph, check_weights, shortest_weighted_path
+from essentia.graphs import Graph, cheapest_paths, check_weights
 from essentia.problems import (
     Instance,
     ObstacleKind,
@@ -26,6 +27,7 @@ from oracles import (
     naive_all_obstacle_sets,
     naive_is_solution,
     naive_minimal_obstacle_sets,
+    sequential_cheapest_obstacle,
 )
 
 
@@ -176,6 +178,35 @@ def oracle_inputs(draw, families=tuple(Problem), sizes=(5, 7)):
     return inst, tuple(w), pinned
 
 
+PATH_FAMILIES = (Problem.DFVS, Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT)
+
+
+@st.composite
+def search_inputs(draw):
+    """A path-family instance, integer vertex costs, a removed set and a bound.
+
+    Costs are 0/1, as exact search prices deletable vertices, half the
+    time, and LP numerators over one denominator otherwise; zero costs come
+    up in both, so equal-cost obstacles tie.  Dense digraphs have 2-cycles.
+    The bound is None or any value up to just past the costliest path.
+    """
+    problem = draw(st.sampled_from(PATH_FAMILIES))
+    n = draw(st.integers(1, 9))
+    p = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    g = random_graph(n, draw(st.integers(0, 10**6)), problem.directed, p)
+    terminals = ()
+    if problem.uses_terminals and n > 1:
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        chosen = st.lists(st.sampled_from(pairs), min_size=1, max_size=5, unique=True)
+        terminals = tuple(draw(chosen))
+    inst = Instance(problem, g, terminals)
+    den = draw(st.one_of(st.just(1), st.integers(2, 12)))
+    cost = [draw(st.integers(0, den)) for _ in range(n)]
+    removed = draw(st.frozensets(st.integers(0, n - 1), max_size=n // 3))
+    below = draw(st.one_of(st.none(), st.integers(0, sum(cost) + 1)))
+    return inst, cost, removed, below
+
+
 class TestCheapestObstacle:
     # two directed cycles: 0-4 and 1-2-3, the latter entered at 3
     CYCLES = Instance(Problem.DFVS, Graph(5, True, [(0, 4), (4, 0), (3, 1), (1, 2), (2, 3)]))
@@ -186,17 +217,43 @@ class TestCheapestObstacle:
         assert cheapest_obstacle(self.CYCLES, [1] * 5, removed={4}) == (3, (1, 2, 3))
         assert cheapest_obstacle(self.CYCLES, [1] * 5, removed={0, 2}) is None
 
-    def test_below_and_enough(self):
+    def test_below_and_global_least(self):
         assert cheapest_obstacle(self.CYCLES, [1] * 5, below=3) == (2, (0, 4))
         assert cheapest_obstacle(self.CYCLES, [1] * 5, below=2) is None
-        # the scan stops at the first cost <= enough, before a cheaper cycle
-        assert cheapest_obstacle(self.CYCLES, [1, 0, 0, 0, 1], enough=2) == (2, (0, 4))
+        # a later least vertex's cost-0 cycle beats the first one's cost-1 cycle
+        assert cheapest_obstacle(self.CYCLES, [1, 0, 0, 0, 0]) == (0, (1, 2, 3))
+        assert cheapest_obstacle(self.CYCLES, [1, 0, 0, 0, 0], below=1) == (0, (1, 2, 3))
+        assert cheapest_obstacle(self.CYCLES, [1, 0, 0, 0, 0], below=0) is None
 
     def test_terminal_paths_from_the_least_source(self):
         g = Graph(4, False, [(0, 1), (1, 2), (2, 3)])
         inst = Instance(Problem.VERTEX_MULTICUT, g, ((3, 1), (1, 3)))
         assert cheapest_obstacle(inst, [1] * 4) == (3, (1, 2, 3))
         assert cheapest_obstacle(inst, [1] * 4, removed={1}) is None
+
+    def test_later_source_with_a_cheaper_path_wins(self):
+        # source 0 reaches its target 1 at cost 1; source 2 reaches 3 at cost 0
+        g = Graph(4, False, [(0, 1), (2, 3)])
+        inst = Instance(Problem.VERTEX_MULTICUT, g, ((0, 1), (2, 3)))
+        assert cheapest_obstacle(inst, [1, 0, 0, 0]) == (0, (2, 3))
+        assert cheapest_obstacle(inst, [1, 0, 0, 0], removed={3}) == (1, (0, 1))
+        assert cheapest_obstacle(inst, [1, 0, 0, 0], removed={3}, below=1) is None
+
+    def test_two_cycles_and_zero_cost_ties(self):
+        # 2-cycles 0-1, 0-2 and 1-2 all cost 0; the least order wins
+        g = Graph(3, True, [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+        inst = Instance(Problem.DFVS, g)
+        assert cheapest_obstacle(inst, [0, 0, 0]) == (0, (0, 1))
+        assert cheapest_obstacle(inst, [0, 0, 0], removed={1}) == (0, (0, 2))
+        assert cheapest_obstacle(inst, [1, 0, 0]) == (0, (1, 2))
+        assert cheapest_obstacle(inst, [0, 0, 0], removed={0, 1}) is None
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(search_inputs())
+    def test_matches_the_search_per_origin(self, case):
+        inst, cost, removed, below = case
+        want = sequential_cheapest_obstacle(inst, cost, removed, below)
+        assert cheapest_obstacle(inst, cost, removed, below) == want
 
     def test_enumerated_families_have_no_path_search(self):
         inst = Instance(Problem.VERTEX_COVER, Graph(2, False, [(0, 1)]))
@@ -230,19 +287,16 @@ class TestIntegerOracleMatchesFractionReference:
         assert ob is not None and ob.order == (0, 1, 2, 3)
 
 
-PATH_FAMILIES = (Problem.DFVS, Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT)
-
-
 class TestPathOraclesAtBenchSizes:
     """The DFVS and multicut searches at n = 10-14, as the benchmark runs them.
 
-    Besides the witness, every search the oracle makes is checked against an
-    unbounded search of its own region: a DFVS search for the cycles whose
-    least vertex is v covers G[v..n-1] from v's out-neighbours above v, a
-    multicut search covers all of G from one source, and each returns that
-    region's cheapest label exactly when it is violated and strictly cheaper
-    than the best witness so far (a later region's label is larger at equal
-    cost, so it could not win a tie).
+    Besides the witness, every label the one-heap search pops is checked.
+    Labels pop in nondecreasing (cost, path) order, and the first pop of
+    each (origin, vertex) state is that state's cheapest label in a search
+    from its origin alone: a DFVS origin v searches G[v..n-1], a multicut
+    source all of G.  The settled states are exactly those whose labels are
+    less than the stop key, the returned obstacle or else (den,), plus the
+    returned obstacle itself: none is settled at or past it.
     """
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -250,14 +304,14 @@ class TestPathOraclesAtBenchSizes:
     def test_same_witness_and_bounded_searches(self, case):
         inst, w, pinned = case
         g = inst.graph
-        searches = []
+        pops, heappop = [], heapq.heappop
 
-        def recording_search(*args, **kwargs):
-            found = shortest_weighted_path(*args, **kwargs)
-            searches.append((args, found))
-            return found
+        def recording_pop(heap):
+            label = heappop(heap)
+            pops.append(label)
+            return label
 
-        with mock.patch.object(problems, "shortest_weighted_path", recording_search):
+        with mock.patch.object(problems.heapq, "heappop", recording_pop):
             got = find_violated_obstacle(inst, w, v_pinned=pinned)
         want = fraction_violated_obstacle(inst, w, v_pinned=pinned)
         if want is None:
@@ -267,18 +321,29 @@ class TestPathOraclesAtBenchSizes:
             assert (got.kind, got.vertices, got.order) == (want.kind, want.vertices, want.order)
 
         den, nums = check_weights(g, w)
-        best = None
-        for (_, _, sources, targets), found in searches:
-            if inst.problem is Problem.DFVS:
-                [v] = targets
-                region = frozenset(range(v))
-                full = shortest_weighted_path(g, nums, [u for u in g.adj[v] if u > v], (v,), region)
-            else:
-                full = shortest_weighted_path(g, nums, sources, targets)
-            admitted = full is not None and full[0] < den and (best is None or full[0] < best)
-            assert found == (full if admitted else None)
-            if found is not None:
-                best = found[0] if best is None else min(best, found[0])
+        found = cheapest_obstacle(inst, nums, below=den)
+        stop = found if found is not None else (den,)
+        assert pops == sorted(pops)
+        assert all(label < stop for label in pops[:-1])
+        if found is not None:
+            assert pops[-1] == found
+        settled = {}
+        for label in pops:
+            if label < stop or label == found:
+                settled.setdefault((label[1][0], label[1][-1]), label)
+        if inst.problem is Problem.DFVS:
+            regions = [(v, frozenset(range(v))) for v in range(g.n)]
+        else:
+            regions = [(s, frozenset()) for s, _ in inst.targets_by_source]
+        expected = {
+            (origin, label[1][-1]): label
+            for origin, region in regions
+            for label in cheapest_paths(g, nums, (origin,), region)
+            if label < stop
+        }
+        if found is not None:
+            expected[found[1][0], found[1][-1]] = found
+        assert settled == expected
 
 
 def minimal_obstacles_from_is_solution(inst):

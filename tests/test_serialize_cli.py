@@ -15,12 +15,12 @@ from essentia.cli import _build_parser, _check_jobs, run
 from essentia.detection import DEFAULT_SIZE_CAP
 from essentia.errors import InputError, ResourceCapError
 from essentia.graphs import Graph
-from essentia.lab import gen_gnp, gen_matching_apex, gen_star_multicut
+from essentia.lab import gen_dfvs_gadget, gen_gnp, gen_matching_apex, gen_star_multicut
 from essentia.lp import solve
 from essentia.problems import Instance, Problem
 from essentia.rounding import round_multicut
 
-from conftest import record_pivots
+from conftest import random_instance, record_pivots
 
 
 class TestRationals:
@@ -296,11 +296,32 @@ class TestCli:
         with pytest.raises(ResourceCapError):
             _check_jobs(int(jobs))
 
-    @pytest.mark.parametrize("command", ["solve", "reduce", "detect-vertex-cover", "detect-cograph"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "solve",
+            "reduce",
+            "detect-vertex-cover",
+            "detect-cograph",
+            "reduce-dfvs-gadget",
+            "solve-multicut",
+        ],
+    )
     def test_optimized_mode_matches_in_process(self, tmp_path, capsys, monkeypatch, command):
         # `python -O` strips assert statements; the package's invariants
         # must not rest on them, so its output must not change
-        if command.startswith("detect-"):
+        if command in ("reduce-dfvs-gadget", "solve-multicut"):
+            # the one-heap path and cycle search, from many origins at once
+            if command == "reduce-dfvs-gadget":
+                arcs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)]
+                base = Instance(Problem.DFVS, Graph(4, True, arcs))
+                inst = gen_dfvs_gadget(base, F(1)).instance
+            else:
+                inst = random_instance(Problem.VERTEX_MULTICUT, 14, 5)
+            path = tmp_path / "g.json"
+            path.write_text(serialize.dumps_instance(inst))
+            argv = [command.split("-")[0], str(path)]
+        elif command.startswith("detect-"):
             path = tmp_path / "g.json"
             if command == "detect-vertex-cover":  # f_v by matching, no LP
                 # a star, an edge and an isolated vertex: only the centre has f_v > 2

@@ -65,16 +65,23 @@ def test_bench_tracer_bindings_resolve():
 
 def test_only_problems_calls_the_path_search():
     # the path and cycle obstacle search has one owner: exact search and the
-    # separation oracle both go through problems.cheapest_obstacle
-    callers = set()
+    # separation oracle both go through problems.cheapest_obstacle, whose
+    # heap is the only one besides graphs.cheapest_paths (the rounding's
+    # single-source search); nothing else in the package uses heapq
+    users, importers = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "shortest_weighted_path":
-                    callers.add(path.name)
-    assert callers == {"problems.py"}
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "heapq":
+                    users.add(f"{path.stem}: from heapq import")
+                elif isinstance(node, ast.Import):
+                    if any(alias.name == "heapq" for alias in node.names):
+                        importers.add(path.stem)
+                elif isinstance(node, ast.Name) and node.id == "heapq":
+                    users.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert users == {"graphs.cheapest_paths", "problems.cheapest_obstacle"}
+    assert importers == {"graphs", "problems"}
 
 
 def test_every_dataclass_is_frozen():
