@@ -29,10 +29,9 @@ from .errors import (
     SizeCapError,
 )
 from .exact import SolveBudget, opt_value, opt_value_avoiding, solve_exact
-from .graphs import Graph, Path, VertexWeights, min_vertex_separator
+from .graphs import Graph, VertexWeights, min_vertex_separator
 from .lab import (
     GapReport,
-    GnpGapRow,
     LabeledInstance,
     convert,
     gap_csv_rows,
@@ -41,7 +40,6 @@ from .lab import (
     gen_matching_apex,
     gen_star_multicut,
     gen_vc_gadget,
-    gnp_gap_experiment,
     measure_gap,
 )
 from .lp import FractionalSolution, solve, verify_feasible
@@ -69,10 +67,10 @@ __all__ = [
     "NodeCapError", "PinInfeasibleError", "PreconditionError", "ResourceCapError",
     "SizeCapError",
     "SolveBudget", "opt_value", "opt_value_avoiding", "solve_exact",
-    "Graph", "Path", "VertexWeights", "min_vertex_separator",
-    "GapReport", "GnpGapRow", "LabeledInstance", "convert", "gap_csv_rows",
+    "Graph", "VertexWeights", "min_vertex_separator",
+    "GapReport", "LabeledInstance", "convert", "gap_csv_rows",
     "gen_dfvs_gadget", "gen_gnp", "gen_matching_apex", "gen_star_multicut",
-    "gen_vc_gadget", "gnp_gap_experiment", "measure_gap",
+    "gen_vc_gadget", "measure_gap",
     "FractionalSolution", "solve", "verify_feasible",
     "Instance", "Obstacle", "ObstacleKind", "Problem", "find_violated_obstacle",
     "is_solution",

@@ -1,38 +1,32 @@
 """Exact-arithmetic graph primitives.
 
 Everything downstream is built on the operations defined here: simple graphs
-(directed or not), a label-setting search for the cheapest paths from a set
-of sources under per-vertex costs (the rounding's heavy sets; the path and
-cycle obstacle searches run their own loop over one heap for all origins,
-in `problems.cheapest_obstacle`), minimum vertex separators computed by
+(directed or not), reachability, minimum vertex separators computed by
 vertex-splitting max-flow, and maximum matchings of bipartite double
 covers, whose sizes are twice the vertex-cover LP values of `detection`.
-Path and cycle weights are sums of *vertex* costs, endpoints included; LP
-weights are exact `fractions.Fraction` values, and `check_weights`
-validates weights that come from outside and puts them over one common
-denominator, so that the separation oracle compares integer numerators,
-never approximations.  The cutting-plane loop skips it: its weights are
-already numerators over the simplex kernel's denominator.
+No weighted search lives here: the one cheapest-path search of the
+package, for terminal paths and directed cycles under per-vertex costs, is
+`problems.cheapest_obstacle`.  LP weights are exact `fractions.Fraction`
+values, and `check_weights` validates weights that come from outside and
+puts them over one common denominator, so that the separation oracle
+compares integer numerators, never approximations.  The cutting-plane loop
+skips it: its weights are already numerators over the simplex kernel's
+denominator.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from fractions import Fraction
 from math import gcd
-from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional
 
 from .errors import InfeasibleSeparatorError, InputError
 
 # Per-vertex rational weights in [0, 1]; index u holds the weight of vertex u.
 VertexWeights = tuple[Fraction, ...]
 
-# A simple path, as the ordered tuple of its vertices.
-Path = tuple[int, ...]
-
 ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 
 
 class Graph:
@@ -127,55 +121,6 @@ def reachable_set(g: Graph, starts: Iterable[int], removed: frozenset[int] = fro
                 seen.add(v)
                 queue.append(v)
     return seen
-
-
-def cheapest_paths(
-    g: Graph,
-    cost: Sequence,
-    sources: Iterable[int],
-    removed: AbstractSet[int] = frozenset(),
-) -> Iterator[tuple]:
-    """Settled labels of a label-setting search under per-vertex costs.
-
-    A label is (cost, path): the path's vertex costs summed, endpoints
-    included, so a lone source s has label (cost[s], (s,)).  `cost` is any
-    nonnegative per-vertex sequence (exact `Fraction` weights, 0/1 ints);
-    it is trusted, not validated.  Vertices in `removed` are neither
-    started from nor entered.  Every vertex reachable from the surviving
-    sources is yielded once, with its cheapest path and, among equal-cost
-    paths, the lexicographically least one.  Labels come in nondecreasing
-    (cost, path) order, so a consumer may stop at the first label it wants.
-    """
-    heap = [(cost[s], (s,)) for s in sorted(set(sources)) if s not in removed]
-    best = {label[1][0]: label for label in heap}
-    heapq.heapify(heap)
-    settled: set[int] = set()
-    adj, push, pop = g.adj, heapq.heappush, heapq.heappop
-    # Extending a path adds a nonnegative cost and lengthens the tuple, so
-    # the (cost, path) key is monotone along arcs: the first pop of a vertex
-    # is final.
-    while heap:
-        label = pop(heap)
-        dist, path = label
-        u = path[-1]
-        if u in settled:
-            continue
-        settled.add(u)
-        yield label
-        for v in adj[u]:
-            if v in settled or v in removed:
-                continue
-            cand = (dist + cost[v], path + (v,))
-            if v not in best or cand < best[v]:
-                best[v] = cand
-                push(heap, cand)
-
-
-def reverse_graph(g: Graph) -> Graph:
-    """The same graph with every arc flipped (identity for undirected graphs)."""
-    if not g.directed:
-        return g
-    return Graph(g.n, True, [(v, u) for u, v in g.edges])
 
 
 def _vertex_split_maxflow(

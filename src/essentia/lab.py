@@ -1,4 +1,4 @@
-"""Instance generators, problem converters, and gap-measurement experiments.
+"""Instance generators, problem converters, and gap measurement.
 
 The tight families here realise the extremal ratios of the vertex-avoiding
 relaxations: a star with all leaf pairs as terminals (multicut, pinned-center
@@ -6,9 +6,10 @@ ratio 2(m-1)/m) and a perfect matching with an apex vertex touching one
 endpoint of each edge (P4 hitting, pinned-apex ratio 2(m-1)/m).  The two
 gadget builders embed an arbitrary base instance so that the base's optimum
 dominates which vertices become unavoidable; their structural claims are
-checked empirically at small scale by the test suite.  Random graphs feed
-the standard-LP gap experiment, which reports exact fractional and integral
-optima per seed.
+checked empirically at small scale by the test suite.  `measure_gap`
+reports the exact fractional and integral optima of one instance, pinned
+or not, and `gen_gnp` draws the seeded random graphs of the standard-LP
+gap experiment in the test suite.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Optional
 from .errors import InputError
 from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
 from .graphs import Graph
-from .lp import FractionalSolution, solve, verify_feasible
+from .lp import solve
 from .problems import Instance, Problem
 
 
@@ -223,49 +224,3 @@ def gap_csv_rows(reports: Iterable[GapReport]) -> str:
         ratio = "" if r.ratio is None else f"{r.ratio.numerator}/{r.ratio.denominator}"
         writer.writerow([r.label, r.n, frac, integ, ratio])
     return out.getvalue()
-
-
-@dataclass(frozen=True)
-class GnpGapRow:
-    """One seed of the random-graph standard-LP gap experiment."""
-
-    seed: int
-    n: int
-    fractional: Fraction
-    integral: int
-    ratio: Optional[Fraction]
-    quarters_feasible: bool
-    max_p4_free_subset: int  # n - integral: the largest P4-free vertex set
-
-
-def gnp_gap_experiment(n: int, seeds: Iterable[int]) -> list[GnpGapRow]:
-    """Standard-LP gap statistics on seeded G(n, 1/2) samples.
-
-    The asymptotic near-4 lower bound needs graphs far beyond exhaustive
-    solving, so this experiment instead reports, per seed, the exact
-    integral/fractional ratio, whether the uniform all-quarters assignment
-    is feasible, and the size of the largest induced-P4-free vertex set
-    (n minus the integral optimum).
-    """
-    rows = []
-    for seed in seeds:
-        inst = gen_gnp(n, seed)
-        quarters = FractionalSolution(
-            tuple([Fraction(1, 4)] * n), Fraction(n, 4)
-        )
-        feasible = verify_feasible(inst, quarters)
-        report = measure_gap(inst, label=f"gnp-{n}-{seed}")
-        if report.integral is None:
-            raise AssertionError("an unpinned cograph deletion instance always has a solution")
-        rows.append(
-            GnpGapRow(
-                seed=seed,
-                n=n,
-                fractional=report.fractional,
-                integral=report.integral,
-                ratio=report.ratio,
-                quarters_feasible=feasible,
-                max_p4_free_subset=n - report.integral,
-            )
-        )
-    return rows

@@ -16,13 +16,15 @@ feedback vertex set  directed    vertex sets of directed simple cycles
 An instance never enumerates its obstacles up front; feasibility checks and
 the weighted separation oracle inspect the graph directly.  For the path and
 cycle families one search, `cheapest_obstacle`, finds the least terminal
-path or directed cycle under integer vertex costs, with one heap for the
-searches from every source or least vertex: the oracle finds its cuts with
-it, and exact search its branch obstacles.  The oracle is the
-workhorse of the cutting-plane solver: given rational vertex weights it
-either certifies that every obstacle weighs at least 1 (the right-hand side
-of every covering constraint) or produces a minimum-weight obstacle lighter
-than that.  It prices obstacles in integer numerators over one common
+path or directed cycle under integer vertex costs, endpoints included, with
+one heap for the searches from every source or least vertex.  It is the
+package's only weighted path search, and it has three callers: the oracle
+finds its cuts with it, exact search its branch obstacles, and the rounding
+its heavy sets (one single-pair multicut instance per vertex).  The
+oracle is the workhorse of the cutting-plane solver: given rational vertex
+weights it either certifies that every obstacle weighs at least 1 (the
+right-hand side of every covering constraint) or produces a minimum-weight
+obstacle lighter than that.  It prices obstacles in integer numerators over one common
 denominator.  The public `find_violated_obstacle` validates `Fraction`
 weights once and puts them over their least common denominator;
 `separate_numerators` is the same oracle on numerators the caller
@@ -197,9 +199,15 @@ def is_acyclic(g: Graph, removed: frozenset[int] = frozenset()) -> bool:
 
 
 def is_solution(inst: Instance, x: Iterable[int]) -> bool:
-    """True iff deleting x destroys every obstacle of the instance."""
+    """True iff deleting x destroys every obstacle of the instance.
+
+    Raises InputError on a member that is not an in-range int (a bool is
+    refused, and so is a float, even an integral one).
+    """
     removed = frozenset(x)
     for u in removed:
+        if type(u) is bool or not isinstance(u, int):
+            raise InputError(f"vertex ids must be ints, got {u!r}")
         if not 0 <= u < inst.n:
             raise InputError(f"vertex {u} out of range (n={inst.n})")
     g = inst.graph

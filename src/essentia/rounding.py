@@ -6,7 +6,10 @@ fractional solution into an integral one of certified size:
 
 * multicut (factor 2): collect the vertices whose every path to v carries
   fractional weight at least 1/2, then cut them away from v with a minimum
-  vertex separator.  Doubling the fractional values yields a fractional
+  vertex separator.  "Every v-u path weighs at least 1/2" is the separation
+  question of the multicut instance with the single pair (v, u), so the
+  heavy sets ask `problems.cheapest_obstacle`, the package's one path
+  search.  Doubling the fractional values yields a fractional
   separator of weight 2z, and vertex-disjoint-path duality bounds the
   integral separator by the same amount.
 * directed multicut (factor 4): the same idea applied twice, once against
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, PreconditionError
-from .graphs import Graph, HALF, cheapest_paths, min_vertex_separator, reverse_graph
-from .lp import FractionalSolution, verify_feasible
-from .problems import Instance, Problem, has_induced_p4, is_solution, iter_induced_p4s
+from .graphs import Graph, check_weights, min_vertex_separator
+from .lp import FractionalSolution, _check_pin, verify_feasible
+from .problems import Instance, Problem, cheapest_obstacle, is_solution, iter_induced_p4s
 
 POINT_FOUR = Fraction(2, 5)
 POINT_TWO = Fraction(1, 5)
@@ -58,22 +61,32 @@ class RoundingCertificate:
 
 
 def _check_inputs(inst: Instance, v: int, x: FractionalSolution) -> None:
-    if not 0 <= v < inst.n:
-        raise PreconditionError(f"vertex {v} out of range (n={inst.n})")
+    _check_pin(inst, v)
     if not is_solution(inst, {v}):
         raise PreconditionError(f"{{{v}}} does not hit every obstacle; nothing to certify")
     if not verify_feasible(inst, x, v):
         raise PreconditionError(f"fractional solution is not feasible with vertex {v} pinned to 0")
 
 
-def _heavy_set(g: Graph, x: FractionalSolution, v: int) -> frozenset[int]:
-    """Vertices whose every path to the source set {v} weighs at least 1/2.
+def _heavy_set(g: Graph, x: FractionalSolution, v: int, to_v: bool = False) -> frozenset[int]:
+    """Vertices u whose every path from v (to v, with `to_v`) weighs at least 1/2.
 
-    Computed from single-source distances out of v; vertices unreachable
-    from v qualify vacuously.  `_check_inputs` has validated the weights.
+    u is heavy exactly when the multicut instance with the single pair
+    (v, u), or (u, v) with `to_v`, has no terminal path lighter than 1/2.
+    With the weights as numerators over den, and every cost doubled, that is
+    `cheapest_obstacle` finding nothing below den.  Vertices that v cannot
+    reach (that cannot reach v) qualify vacuously; v itself never does,
+    since x_v = 0.  `_check_inputs` has validated the weights.
     """
-    dist = {path[-1]: d for d, path in cheapest_paths(g, x.weights, (v,))}
-    return frozenset(u for u in range(g.n) if dist.get(u, None) is None or dist[u] >= HALF)
+    den, nums = check_weights(g, x.weights)
+    cost = [2 * a for a in nums]
+    problem = Problem.DIRECTED_VERTEX_MULTICUT if g.directed else Problem.VERTEX_MULTICUT
+    heavy = set()
+    for u in range(g.n):
+        pair = (u, v) if to_v else (v, u)
+        if u != v and cheapest_obstacle(Instance(problem, g, (pair,)), cost, below=den) is None:
+            heavy.add(u)
+    return frozenset(heavy)
 
 
 def round_multicut(inst: Instance, v: int, x: FractionalSolution) -> RoundingCertificate:
@@ -115,7 +128,7 @@ def round_directed_multicut(inst: Instance, v: int, x: FractionalSolution) -> Ro
         raise PreconditionError(f"expected a directed multicut instance, got {inst.problem.value}")
     _check_inputs(inst, v, x)
     g = inst.graph
-    s_set = _heavy_set(reverse_graph(g), x, v)
+    s_set = _heavy_set(g, x, v, to_v=True)
     t_set = _heavy_set(g, x, v)
     extra = g.n
     src_aux = Graph(g.n + 1, True, list(g.edges) + [(extra, u) for u in sorted(s_set)])
@@ -149,8 +162,6 @@ def round_cograph(g: Graph, v: int, x: FractionalSolution) -> RoundingCertificat
     half the residual support, i.e. 5/2 of the residual value.
     """
     inst = Instance(Problem.COGRAPH_DELETION, g)
-    if has_induced_p4(g, frozenset({v})):
-        raise PreconditionError(f"graph minus vertex {v} still has an induced P4")
     _check_inputs(inst, v, x)
 
     removed: set[int] = set()

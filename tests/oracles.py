@@ -3,13 +3,17 @@
 Everything here recomputes answers from first principles (subset and path
 enumeration, networkx traversals, float LP via scipy, a dense `Fraction`
 simplex, matchings for the vertex-cover LP) without touching the library's
-solvers, so agreement is meaningful.  The `Fraction` separation oracle is
-the exception: it is the library's earlier scan, kept to check that pricing
-in integer numerators changed no answer, and it reuses the library's path
-searches, which take any cost type.  So are `shortest_weighted_path` and
+solvers, so agreement is meaningful.  `cheapest_paths`, a single-source
+label-setting search under per-vertex costs of any type, was the library's
+second path search until the rounding's heavy sets moved onto
+`problems.cheapest_obstacle`; here it is the reference that the other
+path references are built on, and it is itself checked against path
+enumeration.  The `Fraction` separation oracle is the library's earlier
+scan, kept to check that pricing in integer numerators changed no answer,
+and it runs on `cheapest_paths`.  So are `shortest_weighted_path` and
 `sequential_cheapest_obstacle`, the library's earlier path and cycle
-obstacle search, one `graphs.cheapest_paths` search per source or least
-vertex, kept to check that one heap for every origin changed no answer.
+obstacle search, one `cheapest_paths` search per source or least vertex,
+kept to check that one heap for every origin changed no answer.
 So are `scan_violated`,
 `scan_packing_lb` and `scan_dominated`: exact search's earlier full
 scans, kept to check that per-node surviving obstacles and bounded path
@@ -32,9 +36,11 @@ one vertex at a time, rebuilt from the driver's `restrict_instance` and
 enumeration cannot reach, through the minimum pass only.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 import networkx as nx
 
@@ -42,7 +48,7 @@ from essentia.detection import lp_values
 from essentia.driver import restrict_instance
 from essentia.errors import InputError, IterationCapError, PinInfeasibleError, PreconditionError
 from essentia.exact import SolveBudget, opt_value_avoiding, solve_exact
-from essentia.graphs import Graph, cheapest_paths
+from essentia.graphs import Graph
 from essentia.lp import FractionalSolution, solve
 from essentia.problems import (
     Instance,
@@ -149,11 +155,53 @@ def naive_shortest_weighted_path(g: Graph, w, sources, targets, removed=frozense
     return best
 
 
+def cheapest_paths(
+    g: Graph,
+    cost: Sequence,
+    sources: Iterable[int],
+    removed: AbstractSet[int] = frozenset(),
+) -> Iterator[tuple]:
+    """Settled labels of a label-setting search under per-vertex costs.
+
+    A label is (cost, path): the path's vertex costs summed, endpoints
+    included, so a lone source s has label (cost[s], (s,)).  `cost` is any
+    nonnegative per-vertex sequence (exact `Fraction` weights, 0/1 ints);
+    it is trusted, not validated.  Vertices in `removed` are neither
+    started from nor entered.  Every vertex reachable from the surviving
+    sources is yielded once, with its cheapest path and, among equal-cost
+    paths, the lexicographically least one.  Labels come in nondecreasing
+    (cost, path) order, so a consumer may stop at the first label it wants.
+    """
+    heap = [(cost[s], (s,)) for s in sorted(set(sources)) if s not in removed]
+    best = {label[1][0]: label for label in heap}
+    heapq.heapify(heap)
+    settled: set[int] = set()
+    adj, push, pop = g.adj, heapq.heappush, heapq.heappop
+    # Extending a path adds a nonnegative cost and lengthens the tuple, so
+    # the (cost, path) key is monotone along arcs: the first pop of a vertex
+    # is final.
+    while heap:
+        label = pop(heap)
+        dist, path = label
+        u = path[-1]
+        if u in settled:
+            continue
+        settled.add(u)
+        yield label
+        for v in adj[u]:
+            if v in settled or v in removed:
+                continue
+            cand = (dist + cost[v], path + (v,))
+            if v not in best or cand < best[v]:
+                best[v] = cand
+                push(heap, cand)
+
+
 def shortest_weighted_path(g: Graph, w, sources, targets, removed=frozenset(), below=None):
     """Minimum-weight simple path from any source to any target, as (cost, path).
 
     The library's earlier single search: the first label of
-    `graphs.cheapest_paths` that ends in a target, so a lone vertex that is
+    `cheapest_paths` that ends in a target, so a lone vertex that is
     both source and target is a path of weight w(s), and equal-weight paths
     resolve to the lexicographically least vertex sequence.  Returns None
     when no target is reachable without entering `removed`.  With a `below`

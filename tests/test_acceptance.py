@@ -28,14 +28,13 @@ from essentia.lab import (
     gen_matching_apex,
     gen_star_multicut,
     gen_vc_gadget,
-    gnp_gap_experiment,
     measure_gap,
 )
 from essentia.lp import solve
 from essentia.problems import Instance, Problem, is_solution
 from essentia.rounding import round_cograph, round_directed_multicut, round_multicut
 
-from conftest import random_instance, random_singleton_instance
+from conftest import gnp_gap_experiment, random_instance, random_singleton_instance
 from oracles import (
     float_lp_value,
     induces_p4,

@@ -7,7 +7,6 @@ import pytest
 from essentia.errors import InfeasibleSeparatorError, InputError
 from essentia.graphs import (
     Graph,
-    cheapest_paths,
     check_weights,
     double_cover_matching,
     min_vertex_separator,
@@ -16,6 +15,7 @@ from essentia.problems import Instance, Problem, find_violated_obstacle
 
 from conftest import random_graph
 from oracles import (
+    cheapest_paths,
     min_weight_cycle_through,
     naive_min_cycle_through,
     naive_min_separator_size,

@@ -16,14 +16,13 @@ from essentia.lab import (
     gen_matching_apex,
     gen_star_multicut,
     gen_vc_gadget,
-    gnp_gap_experiment,
     measure_gap,
 )
 from essentia.graphs import Graph
 from essentia.lp import FractionalSolution, solve, verify_feasible
 from essentia.problems import Instance, Problem, is_solution
 
-from conftest import random_instance
+from conftest import gnp_gap_experiment, random_instance
 from oracles import induces_p4, naive_is_solution, naive_opt
 
 

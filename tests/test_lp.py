@@ -9,11 +9,11 @@ from essentia.errors import InputError, IterationCapError, PinInfeasibleError
 from essentia.exact import opt_value
 from essentia import lp
 from essentia.graphs import Graph
-from essentia.lab import gen_gnp, gen_matching_apex, gen_star_multicut, gnp_gap_experiment
+from essentia.lab import gen_gnp, gen_matching_apex, gen_star_multicut
 from essentia.lp import FractionalSolution, solve, verify_feasible
 from essentia.problems import Instance, Obstacle, ObstacleKind, Problem
 
-from conftest import engine_snapshot, random_instance
+from conftest import engine_snapshot, gnp_gap_experiment, random_instance
 from oracles import (
     fraction_cutting_planes,
     fraction_violated_obstacle,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from essentia import problems
 from essentia.errors import InputError, PreconditionError
-from essentia.graphs import Graph, cheapest_paths, check_weights
+from essentia.graphs import Graph, check_weights
 from essentia.problems import (
     Instance,
     ObstacleKind,
@@ -23,6 +23,7 @@ from essentia.lab import gen_matching_apex, gen_star_multicut
 
 from conftest import random_graph, random_instance
 from oracles import (
+    cheapest_paths,
     fraction_violated_obstacle,
     naive_all_obstacle_sets,
     naive_is_solution,
@@ -57,6 +58,19 @@ class TestIsSolution:
         inst = Instance(Problem.COGRAPH_DELETION, Graph(4, False, [(0, 1), (1, 2), (2, 3)]))
         assert not is_solution(inst, set())
         assert is_solution(inst, {2})
+
+    def test_float_vertex_id_is_input_error(self):
+        # 0.0 == 0, but a float is not a vertex id
+        with pytest.raises(InputError, match=r"^vertex ids must be ints, got 0\.0$"):
+            is_solution(gen_star_multicut(3).instance, {0.0})
+
+    def test_string_vertex_id_is_input_error(self):
+        with pytest.raises(InputError, match=r"^vertex ids must be ints, got '0'$"):
+            is_solution(gen_star_multicut(3).instance, {"0"})
+
+    def test_bool_vertex_id_is_input_error(self):
+        with pytest.raises(InputError, match=r"^vertex ids must be ints, got True$"):
+            is_solution(gen_star_multicut(3).instance, {True})
 
     @pytest.mark.parametrize("problem", list(Problem))
     @pytest.mark.parametrize("seed", range(8))

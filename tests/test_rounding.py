@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -9,10 +10,12 @@ from essentia.graphs import Graph
 from essentia.lab import gen_matching_apex, gen_star_multicut
 from essentia.lp import FractionalSolution, solve
 from essentia.problems import Instance, Problem, is_solution
-from essentia.rounding import round_cograph, round_directed_multicut, round_multicut
+from essentia.rounding import _heavy_set, round_cograph, round_directed_multicut, round_multicut
 
-from conftest import random_singleton_instance
-from oracles import naive_min_separator_size
+from conftest import random_graph, random_singleton_instance
+from oracles import cheapest_paths, naive_min_separator_size
+
+HALF = F(1, 2)
 
 
 def pinned_optimum(inst, v):
@@ -30,6 +33,67 @@ class TestCertificateInvariants:
         cert = round_multicut(inst, 0, pinned_optimum(inst, 0))
         with pytest.raises(InputError, match=match):
             replace(cert, integral_set=frozenset(integral_set))
+
+
+class TestVertexIds:
+    # v is checked with the LP's pin rule, so the rounders and `lp.solve`
+    # refuse the same vertex ids with the same error
+    def test_float_vertex_is_input_error(self):
+        inst = gen_star_multicut(4).instance
+        with pytest.raises(InputError, match=r"^pinned vertex must be an int, got 1\.5$"):
+            round_multicut(inst, 1.5, pinned_optimum(inst, 0))
+
+    def test_bool_vertex_is_input_error(self):
+        inst = gen_star_multicut(4).instance
+        with pytest.raises(InputError, match=r"^pinned vertex must be an int, got True$"):
+            round_multicut(inst, True, pinned_optimum(inst, 0))
+
+    @pytest.mark.parametrize("v", [-1, 5])
+    def test_out_of_range_vertex_is_input_error(self, v):
+        x = FractionalSolution((F(0),) * 5, F(0))
+        directed = Instance(
+            Problem.DIRECTED_VERTEX_MULTICUT, Graph(5, True, [(1, 0), (0, 2)]), ((1, 2),)
+        )
+        for call in (
+            lambda: round_multicut(gen_star_multicut(4).instance, v, x),
+            lambda: round_directed_multicut(directed, v, x),
+            lambda: round_cograph(Graph(5, False, [(0, 1), (1, 2), (2, 3)]), v, x),
+        ):
+            with pytest.raises(InputError, match=rf"^pinned vertex {v} out of range$"):
+                call()
+
+
+class TestHeavySet:
+    """`_heavy_set` against the reference search's distances from (to) v.
+
+    Every weight is a multiple of 1/12, so many paths weigh exactly 1/2:
+    that is the boundary between heavy and light.
+    """
+
+    WEIGHTS = (F(0), F(1, 12), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["graph", "digraph"])
+    def test_matches_reference_distances(self, directed):
+        tight = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(2, 9)
+            g = random_graph(n, seed, directed=directed)
+            v = rng.randrange(n)
+            w = [F(0) if u == v else rng.choice(self.WEIGHTS) for u in range(n)]
+            x = FractionalSolution(tuple(w), sum(w, F(0)))
+            # D (graphs) or T (digraphs) from g; S from the reversed digraph
+            sides = [(g, False)]
+            if directed:
+                sides.append((Graph(n, True, [(b, a) for a, b in g.edges]), True))
+            for searched, to_v in sides:
+                dist = {path[-1]: d for d, path in cheapest_paths(searched, w, (v,))}
+                want = {u for u in range(n) if u != v and (u not in dist or dist[u] >= HALF)}
+                assert _heavy_set(g, x, v, to_v) == want, (seed, to_v)
+                tight += sum(d == HALF for d in dist.values())
+        # the sweep reaches the boundary, where a strict and a weak
+        # comparison disagree
+        assert tight >= 50
 
 
 class TestRoundMulticut:

@@ -64,10 +64,9 @@ def test_bench_tracer_bindings_resolve():
 
 
 def test_only_problems_calls_the_path_search():
-    # the path and cycle obstacle search has one owner: exact search and the
-    # separation oracle both go through problems.cheapest_obstacle, whose
-    # heap is the only one besides graphs.cheapest_paths (the rounding's
-    # single-source search); nothing else in the package uses heapq
+    # the package has one path search: exact search, the separation oracle
+    # and the rounding's heavy sets all go through problems.cheapest_obstacle,
+    # whose heap is the only one; nothing else in the package uses heapq
     users, importers = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -80,8 +79,8 @@ def test_only_problems_calls_the_path_search():
                         importers.add(path.stem)
                 elif isinstance(node, ast.Name) and node.id == "heapq":
                     users.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert users == {"graphs.cheapest_paths", "problems.cheapest_obstacle"}
-    assert importers == {"graphs", "problems"}
+    assert users == {"problems.cheapest_obstacle"}
+    assert importers == {"problems"}
 
 
 def test_every_dataclass_is_frozen():
