@@ -5,10 +5,10 @@ deletable vertices, trying each in turn while excluding the previously tried
 ones (include-vertex branches, partitioned by the first chosen vertex).
 Obstacles whose deletable set is a single vertex force that vertex; an empty
 deletable set refutes the branch.  Pruning combines a greedy incumbent found
-up front, a lower bound from packing violated obstacles with pairwise
-disjoint deletable sets, and (for the finitely enumerated obstacle families)
-a domination rule: a vertex whose violated obstacles are all covered by some
-other deletable vertex never needs to be branched on.  The path and cycle
+up front and a lower bound from packing violated obstacles with pairwise
+disjoint deletable sets.  On vertex cover that bound is raised to the LP
+value of the graph left: ν/2, rounded up, for the maximum matching ν of its
+bipartite double cover (`graphs.double_cover_matching`).  The path and cycle
 families get their branch obstacles from `problems.cheapest_obstacle`, the
 search the separation oracle uses, with deletable vertices costing 1: its
 answer is the globally least (cost, order) path or cycle.
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InputError, NodeCapError
+from .graphs import double_cover_matching
 from .problems import Instance, Problem, all_induced_p4s, cheapest_obstacle, is_solution
 
 _INFEASIBLE = 10**9
@@ -178,7 +179,11 @@ class _Search:
         `_violated` answer, with a deletable vertex), then the unhit target
         when its deletable set misses `first`'s, and search each next
         obstacle with the packed deletable vertices removed; the enumerated
-        ones scan `alive` in order, where the target comes first.
+        ones scan `alive` in order, where the target comes first.  On vertex
+        cover a count short of `need` is raised to ceil(ν/2), the LP value of
+        G - removed, which every completion covers; with blocked vertices the
+        greedy count can be the larger (a star whose centre is blocked packs
+        every leaf's edge), so the bound is the larger of the two.
         """
         if alive is not None:
             # `used` never meets `blocked`, so it meets vs - blocked iff vs
@@ -194,6 +199,8 @@ class _Search:
                 count += 1
                 if count >= need:
                     return count
+            if self.inst.problem is Problem.VERTEX_COVER:
+                return max(count, (double_cover_matching(self.g, removed) + 1) // 2)
             return count
         if need > self.g.n - len(removed | blocked):
             return 0  # each packed obstacle needs a deletable vertex of its own
@@ -216,35 +223,6 @@ class _Search:
             gone = gone.union(allowed)
             count += 1
         return count
-
-    # -- domination (finitely enumerated families only) -------------------------
-
-    def _dominated(
-        self, allowed: list[int], alive: Optional[list[_Enumerated]]
-    ) -> frozenset[int]:
-        """Deletable vertices of the branch obstacle that some other deletable
-        vertex covers: every violated obstacle containing u also contains w,
-        so some minimum solution avoids u.  Equal coverage keeps the lower id.
-        Obstacles are numbered by their position in `alive`.
-        """
-        if alive is None or len(allowed) <= 1:
-            return frozenset()
-        membership: dict[int, set[int]] = {u: set() for u in allowed}
-        for idx, (order, _) in enumerate(alive):
-            for u in order:
-                if u in membership:
-                    membership[u].add(idx)
-        out: set[int] = set()
-        for u in allowed:
-            mu = membership[u]
-            for w in allowed:
-                if w == u or w in out:
-                    continue
-                mw = membership[w]
-                if mu <= mw and (mu != mw or w < u):
-                    out.add(u)
-                    break
-        return frozenset(out)
 
     # -- search ------------------------------------------------------------------
 
@@ -295,10 +273,6 @@ class _Search:
         need = bound - len(chosen) + 1
         if self._packing_lb(removed, blocked, need, alive, vs) >= need:
             return
-        dominated = self._dominated(allowed, alive)
-        if dominated:
-            blocked = blocked | dominated
-            allowed = [u for u in allowed if u not in dominated]
         tried: set[int] = set()
         for u in allowed:
             self._dfs(chosen | {u}, blocked | frozenset(tried), max_k, _avoiding(alive, u))

@@ -152,10 +152,11 @@ def round_directed_multicut(inst: Instance, v: int, x: FractionalSolution) -> Ro
 def round_cograph(g: Graph, v: int, x: FractionalSolution) -> RoundingCertificate:
     """Factor-5/2 rounding for P4 hitting when the graph minus v is P4-free.
 
-    Repeatedly moves every residual vertex of weight >= 2/5 into the
-    solution and deletes it; the restricted fractional solution stays
-    feasible, so no re-solve is needed and the 2/5 threshold pays for each
-    harvested vertex.  Once no heavy vertex remains, each vertex still on an
+    Moves every vertex of weight >= 2/5 into the solution at once and
+    deletes it; the restricted fractional solution stays feasible, so no
+    re-solve is needed and the 2/5 threshold pays for each harvested
+    vertex.  The weights never change, so one harvest leaves no heavy
+    vertex behind.  Once no heavy vertex remains, each vertex still on an
     induced P4 weighs >= 1/5, and because every residual P4 passes through v
     it contains both a neighbor and a non-neighbor of v; the smaller side of
     that split (ties to the non-neighbors) finishes the job at cost at most
@@ -164,19 +165,11 @@ def round_cograph(g: Graph, v: int, x: FractionalSolution) -> RoundingCertificat
     inst = Instance(Problem.COGRAPH_DELETION, g)
     _check_inputs(inst, v, x)
 
-    removed: set[int] = set()
-    rounds: list[tuple[int, ...]] = []
-    while True:
-        heavy = tuple(
-            u for u in range(g.n) if u not in removed and x.weights[u] >= POINT_FOUR
-        )
-        if not heavy:
-            break
-        rounds.append(heavy)
-        removed.update(heavy)
+    heavy = tuple(u for u in range(g.n) if x.weights[u] >= POINT_FOUR)
+    removed = frozenset(heavy)
 
     v_star: set[int] = set()
-    for quad in iter_induced_p4s(g, frozenset(removed)):
+    for quad in iter_induced_p4s(g, removed):
         v_star.update(quad)
     v_star.discard(v)
     if any(x.weights[u] < POINT_TWO for u in v_star):
@@ -185,13 +178,13 @@ def round_cograph(g: Graph, v: int, x: FractionalSolution) -> RoundingCertificat
     non_neigh = frozenset(sorted(v_star - g.neighbors(v)))
     picked = neigh if len(neigh) < len(non_neigh) else non_neigh
 
-    integral = frozenset(removed | picked)
+    integral = removed | picked
     return RoundingCertificate(
         factor_bound=Fraction(5, 2),
         fractional_value=x.value,
         integral_set=integral,
         witness_sets={
-            "heavy_rounds": tuple(rounds),
+            "heavy_rounds": (heavy,) if heavy else (),
             "V_star": tuple(sorted(v_star)),
             "split_neighbors": tuple(sorted(neigh)),
             "split_non_neighbors": tuple(sorted(non_neigh)),

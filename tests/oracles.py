@@ -14,10 +14,11 @@ and it runs on `cheapest_paths`.  So are `shortest_weighted_path` and
 `sequential_cheapest_obstacle`, the library's earlier path and cycle
 obstacle search, one `cheapest_paths` search per source or least vertex,
 kept to check that one heap for every origin changed no answer.
-So are `scan_violated`,
-`scan_packing_lb` and `scan_dominated`: exact search's earlier full
-scans, kept to check that per-node surviving obstacles and bounded path
-searches changed no answer.  And so is `dovetail_reduce`: the driver's
+So are `scan_violated` and
+`scan_packing_lb`: exact search's earlier full scans, kept to check that
+per-node surviving obstacles and bounded path searches changed no answer;
+the packing's vertex-cover LP bound there comes from the networkx
+matching.  And so is `dovetail_reduce`: the driver's
 earlier loop over a residual budget, kept to check that one ascending sweep
 over the guess k reaches the same first success with the same exact solver.
 So are `min_weight_cycle_through`, the oracle's earlier cycle search over
@@ -649,7 +650,8 @@ def scan_packing_lb(search, removed, blocked, need, infeasible):
     Greedily packs violated obstacles with pairwise disjoint deletable sets
     (for the path families, each found by `scan_violated` with the packed
     deletable vertices removed), up to `need`; `infeasible` for an
-    undeletable one.
+    undeletable one.  On vertex cover a count short of `need` is raised to
+    ceil(ν/2) for the double cover's matching ν of G - removed.
     """
     if search.obstacles is not None:
         used = set()
@@ -666,6 +668,8 @@ def scan_packing_lb(search, removed, blocked, need, infeasible):
             count += 1
             if count >= need:
                 return count
+        if search.inst.problem is Problem.VERTEX_COVER:
+            return max(count, ceil(Fraction(nx_double_cover_matching(search.g, removed), 2)))
         return count
     if need > search.g.n - len(removed | blocked):
         return 0
@@ -681,34 +685,6 @@ def scan_packing_lb(search, removed, blocked, need, infeasible):
         gone |= set(allowed)
         count += 1
     return count
-
-
-def scan_dominated(search, removed, allowed):
-    """Reference domination rule of `essentia.exact._Search`, recomputed in full.
-
-    Numbers every enumerated obstacle that survives `removed` by its index
-    in `search.obstacles`; u is dominated when another deletable vertex w lies
-    on every obstacle u lies on (equal coverage keeps the lower id).
-    """
-    if search.obstacles is None or len(allowed) <= 1:
-        return frozenset()
-    membership = {u: set() for u in allowed}
-    for idx, (_, vs) in enumerate(search.obstacles):
-        if vs & removed:
-            continue
-        for u in allowed:
-            if u in vs:
-                membership[u].add(idx)
-    out = set()
-    for u in allowed:
-        for w in allowed:
-            if w == u or w in out:
-                continue
-            mu, mw = membership[u], membership[w]
-            if mu <= mw and (mu != mw or w < u):
-                out.add(u)
-                break
-    return frozenset(out)
 
 
 def dovetail_reduce(inst: Instance):

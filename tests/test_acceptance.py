@@ -150,8 +150,10 @@ def test_criterion_3_rounding_factor_certification():
     violations = []
     per_problem = 500
     for problem, factor, rounder in plans:
+        # a stable salt per problem: hash() of a str is salted per process
+        salt = list(Problem).index(problem)
         for seed in range(per_problem):
-            rng = random.Random(seed * 7919 + hash(problem.value) % 1000)
+            rng = random.Random(seed * 7919 + salt)
             n = rng.randint(4, 9)
             inst, v = random_singleton_instance(problem, n, seed)
             x = solve(inst, v)

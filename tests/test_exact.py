@@ -22,7 +22,6 @@ from oracles import (
     lex_least_by_restriction,
     naive_min_solution,
     naive_opt,
-    scan_dominated,
     scan_packing_lb,
     scan_violated,
 )
@@ -269,7 +268,7 @@ def bench_path_nodes(draw):
 class TestNodeStateMatchesScan:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(search_nodes(), st.integers(1, 4))
-    def test_branch_obstacle_packing_and_domination(self, node, need):
+    def test_branch_obstacle_and_packing(self, node, need):
         self.check(*node, need)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -304,12 +303,30 @@ class TestNodeStateMatchesScan:
         assert got == scan_violated(search, removed, blocked)
         if got is None or not got[0]:
             return
-        allowed, vs = got
         # the packing starts from the branch obstacle the node just found
-        assert search._packing_lb(removed, blocked, need, alive, vs) == scan_packing_lb(
+        assert search._packing_lb(removed, blocked, need, alive, got[1]) == scan_packing_lb(
             search, removed, blocked, need, _INFEASIBLE
         )
-        assert search._dominated(allowed, alive) == scan_dominated(search, removed, allowed)
+
+
+class TestVertexCoverLpBound:
+    """The enumerated packing on vertex cover, raised to ceil(ν/2)."""
+
+    @staticmethod
+    def bound(g, blocked):
+        search = _Search(Instance(Problem.VERTEX_COVER, g), frozenset(), 10**6)
+        alive = search.obstacles
+        return search._packing_lb(frozenset(), blocked, g.n + 1, alive, alive[0][1])
+
+    def test_odd_cycle_takes_the_matching_bound(self):
+        # greedy packs two disjoint edges of C5; its LP value is 5/2
+        c5 = Graph(5, False, [(i, (i + 1) % 5) for i in range(5)])
+        assert self.bound(c5, frozenset()) == 3
+
+    def test_star_with_blocked_centre_keeps_the_greedy_count(self):
+        # each leaf's edge packs on its own, while ceil(ν/2) is 1
+        star = Graph(4, False, [(0, 1), (0, 2), (0, 3)])
+        assert self.bound(star, frozenset({0})) == 3
 
 
 class TestLogging:
@@ -324,7 +341,7 @@ class TestLogging:
         assert minimum_nodes == search.nodes
         # the second pass refutes at most one range per vertex it keeps
         assert refuted <= len(got)
-        assert (minimum_nodes, lex_nodes, refuted) == (5, 9, 2)
+        assert (minimum_nodes, lex_nodes, refuted) == (1, 4, 2)
 
     def test_no_solution_logs_an_empty_second_pass(self, caplog):
         inst = gen_star_multicut(5).instance

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import essentia
-from essentia import serialize
+from essentia import exact, serialize
 from essentia.cli import _build_parser, _check_jobs, run
 from essentia.detection import DEFAULT_SIZE_CAP
 from essentia.errors import InputError, ResourceCapError
@@ -305,19 +305,37 @@ class TestCli:
             "detect-cograph",
             "reduce-dfvs-gadget",
             "solve-multicut",
+            "solve-vertex-cover",
         ],
     )
     def test_optimized_mode_matches_in_process(self, tmp_path, capsys, monkeypatch, command):
         # `python -O` strips assert statements; the package's invariants
         # must not rest on them, so its output must not change
-        if command in ("reduce-dfvs-gadget", "solve-multicut"):
-            # the one-heap path and cycle search, from many origins at once
+        pruned = []  # per packing bound: did the vertex-cover matching prune?
+        if command in ("reduce-dfvs-gadget", "solve-multicut", "solve-vertex-cover"):
+            # the one-heap path and cycle search, from many origins at once,
+            # and exact search's vertex-cover LP bound, ceil(ν/2)
             if command == "reduce-dfvs-gadget":
                 arcs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)]
                 base = Instance(Problem.DFVS, Graph(4, True, arcs))
                 inst = gen_dfvs_gadget(base, F(1)).instance
-            else:
+            elif command == "solve-multicut":
                 inst = random_instance(Problem.VERTEX_MULTICUT, 14, 5)
+            else:
+                inst = random_instance(Problem.VERTEX_COVER, 12, 6012)
+                matchings = []
+                matching, packing_lb = exact.double_cover_matching, exact._Search._packing_lb
+
+                def recorded(search, removed, blocked, need, alive, first):
+                    before = len(matchings)
+                    lb = packing_lb(search, removed, blocked, need, alive, first)
+                    pruned.append(len(matchings) > before and lb >= need)
+                    return lb
+
+                monkeypatch.setattr(
+                    exact, "double_cover_matching", lambda g, r: matchings.append(r) or matching(g, r)
+                )
+                monkeypatch.setattr(exact._Search, "_packing_lb", recorded)
             path = tmp_path / "g.json"
             path.write_text(serialize.dumps_instance(inst))
             argv = [command.split("-")[0], str(path)]
@@ -340,6 +358,8 @@ class TestCli:
             # are lifted, and rows are divided by a determinant other than p
             assert any(d != D for D, d, p, dens in log)
             assert any(1 < e != p for D, d, p, dens in log for e in dens)
+        if command == "solve-vertex-cover":
+            assert any(pruned)
         src = Path(essentia.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(
