@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .errors import InputError, SizeCapError
 from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
-from .graphs import double_cover_matching
+from .graphs import _is_int, double_cover_matching
 from .lp import FractionalSolution, solve
 from .problems import Instance, Problem
 
@@ -71,6 +71,8 @@ class DetectionRequest:
     k: int
 
     def __post_init__(self):
+        if not _is_int(self.k):
+            raise InputError(f"k must be an int, got {self.k!r}")
         if not 0 <= self.k <= self.instance.n:
             raise InputError(f"k={self.k} out of range (n={self.instance.n})")
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InputError, NodeCapError
-from .graphs import double_cover_matching
+from .graphs import _is_int, double_cover_matching
 from .problems import Instance, Problem, all_induced_p4s, cheapest_obstacle, is_solution
 
 _INFEASIBLE = 10**9
@@ -41,10 +41,6 @@ _log = logging.getLogger("essentia.exact")
 
 # Search-node budget of one exact solve unless the caller passes its own.
 DEFAULT_NODE_CAP = 2_000_000
-
-
-def _is_int(x: object) -> bool:
-    return type(x) is not bool and isinstance(x, int)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Exact-arithmetic graph primitives.
 
 Everything downstream is built on the operations defined here: simple graphs
-(directed or not), reachability, minimum vertex separators computed by
-vertex-splitting max-flow, and maximum matchings of bipartite double
-covers, whose sizes are twice the vertex-cover LP values of `detection`.
+(directed or not), reachability, minimum vertex separators (one
+augmenting-path loop on the vertex-split graph, whose last, failed search
+yields the cut), and maximum matchings of bipartite double covers, whose
+sizes are twice the vertex-cover LP values of `detection`.
 No weighted search lives here: the one cheapest-path search of the
 package, for terminal paths and directed cycles under per-vertex costs, is
 `problems.cheapest_obstacle`.  LP weights are exact `fractions.Fraction`
@@ -29,24 +30,38 @@ VertexWeights = tuple[Fraction, ...]
 ZERO = Fraction(0)
 
 
+def _is_int(x: object) -> bool:
+    """The vertex-id and count test of the package: an int, never a bool."""
+    return type(x) is not bool and isinstance(x, int)
+
+
 class Graph:
     """A finite simple graph with vertices 0..n-1.
 
     Undirected graphs store each edge in both adjacency lists.  Instances are
-    immutable after construction and safe to share between threads.
+    immutable after construction and safe to share between threads.  A count
+    or endpoint that is not an int (a bool, a float or a string included), an
+    edge that is not a pair, an endpoint out of range, a self-loop or a
+    duplicate edge is an InputError.
     """
 
     __slots__ = ("n", "directed", "adj", "_adj_sets", "edges")
 
     def __init__(self, n: int, directed: bool, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {n}")
+        if not _is_int(n) or n < 0:
+            raise InputError(f"vertex count must be a nonnegative int, got {n!r}")
         self.n = n
         self.directed = directed
         seen = set()
         adj = [[] for _ in range(n)]
         canon = []
-        for pos, (u, v) in enumerate(edges):
+        for pos, edge in enumerate(edges):
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise InputError(f"edges[{pos}]: expected a pair of vertices, got {edge!r}") from None
+            if not (_is_int(u) and _is_int(v)):
+                raise InputError(f"edges[{pos}]: vertex ids must be ints, got {edge!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edges[{pos}]: endpoint out of range (n={n}): ({u}, {v})")
             if u == v:
@@ -123,87 +138,6 @@ def reachable_set(g: Graph, starts: Iterable[int], removed: frozenset[int] = fro
     return seen
 
 
-def _vertex_split_maxflow(
-    g: Graph,
-    sources: Iterable[int],
-    targets: Iterable[int],
-    forbidden: frozenset[int],
-) -> tuple[int, frozenset[int]]:
-    """Unit-capacity max-flow on the vertex-split graph.
-
-    Every vertex u becomes u_in -> u_out with capacity 1; forbidden vertices
-    get effectively infinite split capacity so they are never cut; arcs carry
-    infinite capacity.  Returns (flow value, min cut as original vertices).
-    """
-    sources = sorted(set(sources))
-    targets = sorted(set(targets))
-    for u in sources + targets:
-        if not 0 <= u < g.n:
-            raise InputError(f"vertex {u} out of range (n={g.n})")
-    big = g.n + 1  # any finite vertex cut has size <= n, so n+1 acts as infinity
-    n2 = 2 * g.n
-    source_node, sink_node = n2, n2 + 1
-    cap: list[dict[int, int]] = [dict() for _ in range(n2 + 2)]
-
-    def add(a: int, b: int, c: int) -> None:
-        cap[a][b] = cap[a].get(b, 0) + c
-        cap[b].setdefault(a, 0)
-
-    for u in range(g.n):
-        add(2 * u, 2 * u + 1, big if u in forbidden else 1)
-    for u in range(g.n):
-        for v in g.adj[u]:
-            add(2 * u + 1, 2 * v, big)
-    for u in sources:
-        add(source_node, 2 * u, big)
-    for u in targets:
-        add(2 * u + 1, sink_node, big)
-
-    flow = 0
-    while True:
-        # BFS for a shortest augmenting path.
-        parent = {source_node: source_node}
-        queue = deque([source_node])
-        while queue and sink_node not in parent:
-            a = queue.popleft()
-            for b in sorted(cap[a]):
-                if b not in parent and cap[a][b] > 0:
-                    parent[b] = a
-                    queue.append(b)
-        if sink_node not in parent:
-            break
-        bottleneck = None
-        b = sink_node
-        while b != source_node:
-            a = parent[b]
-            c = cap[a][b]
-            bottleneck = c if bottleneck is None else min(bottleneck, c)
-            b = a
-        b = sink_node
-        while b != source_node:
-            a = parent[b]
-            cap[a][b] -= bottleneck
-            cap[b][a] += bottleneck
-            b = a
-        flow += bottleneck
-        if flow > g.n:
-            # only possible when some source-target path is fully forbidden
-            raise InfeasibleSeparatorError(
-                "every separator would need a forbidden vertex"
-            )
-
-    reach = {source_node}
-    queue = deque([source_node])
-    while queue:
-        a = queue.popleft()
-        for b in cap[a]:
-            if b not in reach and cap[a][b] > 0:
-                reach.add(b)
-                queue.append(b)
-    cut = frozenset(u for u in range(g.n) if 2 * u in reach and 2 * u + 1 not in reach)
-    return flow, cut
-
-
 def min_vertex_separator(
     g: Graph,
     sources: Iterable[int],
@@ -217,8 +151,61 @@ def min_vertex_separator(
     the maximum number of internally vertex-disjoint sources->targets paths.
     Raises InfeasibleSeparatorError when some path consists of forbidden
     vertices only, so that no valid separator exists.
+
+    Unit-capacity max-flow on the vertex-split graph: vertex u becomes the
+    arc 2u -> 2u+1 of capacity 1, or n + 1 (more than any vertex cut) when u
+    is forbidden, and every other arc is uncapacitated.  Each breadth-first
+    search augments one unit; only a path of forbidden vertices could carry
+    more, so n + 1 units prove that no separator exists.  The last search,
+    which misses the sink, reaches the source side of the source-closest
+    minimum cut, the same for every maximum flow: the cut is the vertices
+    whose in-node it reaches and whose out-node it does not.
     """
-    flow, cut = _vertex_split_maxflow(g, sources, targets, frozenset(forbidden))
+    sources = sorted(set(sources))
+    targets = sorted(set(targets))
+    for u in sources + targets:
+        if not 0 <= u < g.n:
+            raise InputError(f"vertex {u} out of range (n={g.n})")
+    big = g.n + 1
+    source_node, sink_node = 2 * g.n, 2 * g.n + 1
+    cap: list[dict[int, int]] = [dict() for _ in range(2 * g.n + 2)]
+
+    def add(a: int, b: int, c: int) -> None:
+        cap[a][b] = cap[a].get(b, 0) + c
+        cap[b].setdefault(a, 0)
+
+    for u in range(g.n):
+        add(2 * u, 2 * u + 1, big if u in forbidden else 1)
+        for v in g.adj[u]:
+            add(2 * u + 1, 2 * v, big)
+    for u in sources:
+        add(source_node, 2 * u, big)
+    for u in targets:
+        add(2 * u + 1, sink_node, big)
+
+    flow = 0
+    while True:
+        parent = {source_node: source_node}
+        queue = deque([source_node])
+        while queue and sink_node not in parent:
+            a = queue.popleft()
+            for b, c in cap[a].items():
+                if c > 0 and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        if sink_node not in parent:
+            break
+        b = sink_node
+        while b != source_node:
+            a = parent[b]
+            cap[a][b] -= 1
+            cap[b][a] += 1
+            b = a
+        flow += 1
+        if flow > g.n:
+            raise InfeasibleSeparatorError("every separator would need a forbidden vertex")
+
+    cut = frozenset(u for u in range(g.n) if 2 * u in parent and 2 * u + 1 not in parent)
     if len(cut) != flow:
         raise AssertionError("min-cut size must equal the max-flow value")
     return cut

@@ -86,13 +86,16 @@ def _padded_copies(g: Graph, multiplier: int) -> list[tuple[int, int]]:
     ]
 
 
-def _pad_multiplier(n: int, size_formula) -> int:
-    """Smallest copy count t making size_formula(t * n) a nonnegative integer."""
-    for t in range(1, 8 * n + 9):
-        m = size_formula(t * n)
-        if m.denominator == 1 and m >= 0:
-            return t
-    raise InputError("no small copy count satisfies the divisibility requirement")
+def _pad_multiplier(n: int, c: Fraction) -> int:
+    """Smallest copy count t making c * t * n an integer, for a rational c >= 0.
+
+    With c * n = p/q in lowest terms, t * p/q is an integer exactly when q
+    divides t, so t = q.  Counts above 8n + 8 are refused.
+    """
+    t = (c * n).denominator
+    if t > 8 * n + 8:
+        raise InputError("no small copy count satisfies the divisibility requirement")
+    return t
 
 
 def gen_dfvs_gadget(base: Instance, eps: Fraction) -> LabeledInstance:
@@ -109,9 +112,10 @@ def gen_dfvs_gadget(base: Instance, eps: Fraction) -> LabeledInstance:
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise InputError(f"eps must lie in (0, 1], got {eps}")
-    t = _pad_multiplier(base.n, lambda nn: (1 - eps / 2) * nn)
+    c = 1 - eps / 2
+    t = _pad_multiplier(base.n, c)
     np = t * base.n
-    m = int((1 - eps / 2) * np)
+    m = int(c * np)
     arcs = _padded_copies(base.graph, t)
     q_in = tuple(range(np, np + m))
     q_out = tuple(range(np + m, np + 2 * m))
@@ -143,9 +147,10 @@ def gen_vc_gadget(base: Instance, eps: Fraction) -> LabeledInstance:
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(1, 2):
         raise InputError(f"eps must lie in (0, 1/2], got {eps}")
-    t = _pad_multiplier(base.n, lambda nn: (Fraction(1, 2) - eps / 2) * nn)
+    c = Fraction(1, 2) - eps / 2
+    t = _pad_multiplier(base.n, c)
     np = t * base.n
-    m = int((Fraction(1, 2) - eps / 2) * np)
+    m = int(c * np)
     edges = _padded_copies(base.graph, t)
     q = tuple(range(np, np + m))
     for p in range(np):

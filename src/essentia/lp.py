@@ -24,7 +24,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import InputError, IterationCapError
-from .graphs import VertexWeights
+from .graphs import VertexWeights, _is_int
 from .problems import Instance, Obstacle, find_violated_obstacle, separate_numerators
 from .simplex import PackingSimplex
 
@@ -71,7 +71,7 @@ class FractionalSolution:
 def _check_pin(inst: Instance, pinned: Optional[int]) -> None:
     if pinned is None:
         return
-    if type(pinned) is bool or not isinstance(pinned, int):
+    if not _is_int(pinned):
         raise InputError(f"pinned vertex must be an int, got {pinned!r}")
     if not 0 <= pinned < inst.n:
         raise InputError(f"pinned vertex {pinned} out of range")

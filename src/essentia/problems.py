@@ -41,7 +41,7 @@ from functools import lru_cache
 from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, PreconditionError
-from .graphs import Graph, VertexWeights, check_weights, reachable_set
+from .graphs import Graph, VertexWeights, _is_int, check_weights, reachable_set
 
 
 class Problem(Enum):
@@ -91,7 +91,10 @@ class Obstacle:
 @dataclass(frozen=True)
 class Instance:
     """A problem-tagged graph, plus terminal pairs for the multicut problems
-    and, derived from them, each source with its targets, sources ascending."""
+    and, derived from them, each source with its targets, sources ascending.
+
+    Terminal pairs are stored as tuples; a pair whose ids are not in-range
+    ints (bools refused) is an InputError, and nothing is coerced."""
 
     problem: Problem
     graph: Graph
@@ -104,12 +107,18 @@ class Instance:
         if self.graph.directed != self.problem.directed:
             kind = "directed" if self.problem.directed else "undirected"
             raise InputError(f"{self.problem.value} requires an {kind} graph")
-        terms = tuple((int(s), int(t)) for s, t in self.terminals)
-        object.__setattr__(self, "terminals", terms)
-        if terms and not self.problem.uses_terminals:
+        raw = tuple(self.terminals)
+        if raw and not self.problem.uses_terminals:
             raise InputError(f"{self.problem.value} does not take terminal pairs")
+        terms = []
         groups: dict[int, set[int]] = {}
-        for pos, (s, t) in enumerate(terms):
+        for pos, pair in enumerate(raw):
+            try:
+                s, t = pair
+            except (TypeError, ValueError):
+                raise InputError(f"terminals[{pos}]: expected a pair of vertices, got {pair!r}") from None
+            if not (_is_int(s) and _is_int(t)):
+                raise InputError(f"terminals[{pos}]: vertex ids must be ints, got {pair!r}")
             if not (0 <= s < self.graph.n and 0 <= t < self.graph.n):
                 raise InputError(f"terminals[{pos}]: vertex out of range: ({s}, {t})")
             if s == t:
@@ -117,6 +126,8 @@ class Instance:
             if t in groups.setdefault(s, set()):
                 raise InputError(f"terminals[{pos}]: duplicate pair ({s}, {t})")
             groups[s].add(t)
+            terms.append((s, t))
+        object.__setattr__(self, "terminals", tuple(terms))
         by_source = tuple((s, frozenset(ts)) for s, ts in sorted(groups.items()))
         object.__setattr__(self, "targets_by_source", by_source)
 
@@ -206,7 +217,7 @@ def is_solution(inst: Instance, x: Iterable[int]) -> bool:
     """
     removed = frozenset(x)
     for u in removed:
-        if type(u) is bool or not isinstance(u, int):
+        if not _is_int(u):
             raise InputError(f"vertex ids must be ints, got {u!r}")
         if not 0 <= u < inst.n:
             raise InputError(f"vertex {u} out of range (n={inst.n})")

@@ -94,23 +94,19 @@ def round_multicut(inst: Instance, v: int, x: FractionalSolution) -> RoundingCer
 
     D holds the vertices all of whose paths to v weigh at least 1/2; for
     every terminal pair at least one endpoint lands in D, so any (v, D)
-    separator avoiding v is a multicut.  The separator is computed on the
-    bidirected graph extended by a sink fed from D.
+    separator avoiding v is a multicut.  The separator is cut in the
+    instance's own graph and may contain members of D.
     """
     if inst.problem is not Problem.VERTEX_MULTICUT:
         raise PreconditionError(f"expected a vertex multicut instance, got {inst.problem.value}")
     _check_inputs(inst, v, x)
     g = inst.graph
     d_set = _heavy_set(g, x, v)
-    sink = g.n
-    arcs = [(a, b) for a, b in g.edges] + [(b, a) for a, b in g.edges]
-    arcs += [(u, sink) for u in sorted(d_set)]
-    aux = Graph(g.n + 1, True, arcs)
-    cut = min_vertex_separator(aux, (v,), (sink,), frozenset({v, sink}))
+    cut = min_vertex_separator(g, (v,), d_set, frozenset({v}))
     return RoundingCertificate(
         factor_bound=Fraction(2),
         fractional_value=x.value,
-        integral_set=frozenset(cut),
+        integral_set=cut,
         witness_sets={"D": tuple(sorted(d_set))},
         pinned_vertex=v,
     )
@@ -130,15 +126,12 @@ def round_directed_multicut(inst: Instance, v: int, x: FractionalSolution) -> Ro
     g = inst.graph
     s_set = _heavy_set(g, x, v, to_v=True)
     t_set = _heavy_set(g, x, v)
-    extra = g.n
-    src_aux = Graph(g.n + 1, True, list(g.edges) + [(extra, u) for u in sorted(s_set)])
-    cut_s = min_vertex_separator(src_aux, (extra,), (v,), frozenset({extra, v}))
-    sink_aux = Graph(g.n + 1, True, list(g.edges) + [(u, extra) for u in sorted(t_set)])
-    cut_t = min_vertex_separator(sink_aux, (v,), (extra,), frozenset({v, extra}))
+    cut_s = min_vertex_separator(g, s_set, (v,), frozenset({v}))
+    cut_t = min_vertex_separator(g, (v,), t_set, frozenset({v}))
     return RoundingCertificate(
         factor_bound=Fraction(4),
         fractional_value=x.value,
-        integral_set=frozenset(cut_s | cut_t),
+        integral_set=cut_s | cut_t,
         witness_sets={
             "S": tuple(sorted(s_set)),
             "T": tuple(sorted(t_set)),
@@ -174,8 +167,8 @@ def round_cograph(g: Graph, v: int, x: FractionalSolution) -> RoundingCertificat
     v_star.discard(v)
     if any(x.weights[u] < POINT_TWO for u in v_star):
         raise AssertionError("light vertex on a residual P4 contradicts feasibility")
-    neigh = frozenset(sorted(v_star & g.neighbors(v)))
-    non_neigh = frozenset(sorted(v_star - g.neighbors(v)))
+    neigh = frozenset(v_star & g.neighbors(v))
+    non_neigh = frozenset(v_star - g.neighbors(v))
     picked = neigh if len(neigh) < len(non_neigh) else non_neigh
 
     integral = removed | picked

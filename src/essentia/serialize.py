@@ -21,7 +21,7 @@ from typing import Optional
 from .detection import DetectionResult
 from .driver import DriverReport
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, _is_int
 from .lab import GapReport
 from .problems import Instance, Problem
 from .rounding import RoundingCertificate
@@ -72,7 +72,7 @@ def _expect(d: dict, key: str, kind, where: str):
     val = d[key]
     if kind is bool and not isinstance(val, bool):
         raise InputError(f"{where}: {key!r} must be a boolean, got {val!r}")
-    if kind is int and (isinstance(val, bool) or not isinstance(val, int)):
+    if kind is int and not _is_int(val):
         raise InputError(f"{where}: {key!r} must be an integer, got {val!r}")
     if kind is list and not isinstance(val, list):
         raise InputError(f"{where}: {key!r} must be a list, got {val!r}")
@@ -83,20 +83,12 @@ def _expect(d: dict, key: str, kind, where: str):
     return val
 
 
-def _pair_list(raw: list, n: int, what: str) -> list[tuple[int, int]]:
-    pairs = []
+def _pair_list(raw: list, what: str) -> list:
+    """`raw`, once each item is a JSON list of two; `Graph` and `Instance` check the ids."""
     for pos, item in enumerate(raw):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in item)
-        ):
+        if not isinstance(item, list) or len(item) != 2:
             raise InputError(f"{what}[{pos}]: expected a pair of integers, got {item!r}")
-        u, v = item
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"{what}[{pos}]: vertex out of range (n={n}): {item!r}")
-        pairs.append((u, v))
-    return pairs
+    return raw
 
 
 def instance_from_dict(d: dict) -> Instance:
@@ -109,10 +101,10 @@ def instance_from_dict(d: dict) -> Instance:
         raise InputError(
             f"instance: directed={directed} contradicts problem {problem.value!r}"
         )
-    edges = _pair_list(_expect(d, "edges", list, "instance"), n, "edges")
+    edges = _pair_list(_expect(d, "edges", list, "instance"), "edges")
     terminals = []  # an absent or null "terminals" means no pairs
     if d.get("terminals") is not None:
-        terminals = _pair_list(_expect(d, "terminals", list, "instance"), n, "terminals")
+        terminals = _pair_list(_expect(d, "terminals", list, "instance"), "terminals")
     return Instance(problem, Graph(n, directed, edges), tuple(terminals))
 
 
@@ -194,7 +186,7 @@ def detection_result_from_dict(d: dict, n: int) -> DetectionResult:
 
 def _int_list(raw: list, what: str) -> list[int]:
     for pos, x in enumerate(raw):
-        if isinstance(x, bool) or not isinstance(x, int):
+        if not _is_int(x):
             raise InputError(f"{what}[{pos}]: expected an integer, got {x!r}")
     return list(raw)
 

@@ -35,6 +35,10 @@ enumerated it is the reference optimum for the cutting-plane loop.
 one vertex at a time, rebuilt from the driver's `restrict_instance` and
 `opt_value_avoiding`: it checks the range-refuting pass at sizes subset
 enumeration cannot reach, through the minimum pass only.
+`aux_min_vertex_separator` is the rounders' earlier separator: an
+auxiliary graph with a super-source and a super-sink, cut by bottleneck
+augmentations and a separate reach search, kept to check that the
+library's unit augmentations on the graph itself return the same set.
 """
 
 import heapq
@@ -47,7 +51,13 @@ import networkx as nx
 
 from essentia.detection import lp_values
 from essentia.driver import restrict_instance
-from essentia.errors import InputError, IterationCapError, PinInfeasibleError, PreconditionError
+from essentia.errors import (
+    InfeasibleSeparatorError,
+    InputError,
+    IterationCapError,
+    PinInfeasibleError,
+    PreconditionError,
+)
 from essentia.exact import SolveBudget, opt_value_avoiding, solve_exact
 from essentia.graphs import Graph
 from essentia.lp import FractionalSolution, solve
@@ -291,6 +301,72 @@ def naive_min_separator_size(g: Graph, sources, targets, forbidden=frozenset()):
             if separates(set(sub)):
                 return k
     return None
+
+
+def aux_min_vertex_separator(g: Graph, sources, targets, forbidden=frozenset()):
+    """`graphs.min_vertex_separator`'s earlier formulation, on an auxiliary graph.
+
+    The library's rounders once built it: g (both directions of each
+    undirected edge) plus a forbidden super-source feeding every source and
+    a forbidden super-sink fed by every target, cut by the earlier max-flow
+    from the one to the other.  That flow scans the residual arcs in sorted
+    order, augments each path by its bottleneck and finds the cut with a
+    separate search for the residual reach.  Raises InfeasibleSeparatorError
+    as the library does.
+    """
+    n = g.n + 2
+    s_star, t_star = g.n, g.n + 1
+    arcs = [(a, b) for a in range(g.n) for b in g.adj[a]]
+    arcs += [(s_star, u) for u in sorted(set(sources))]
+    arcs += [(u, t_star) for u in sorted(set(targets))]
+    blocked = set(forbidden) | {s_star, t_star}
+    big = n + 1
+    source_node, sink_node = 2 * s_star, 2 * t_star + 1
+    cap = [dict() for _ in range(2 * n)]
+
+    def add(a, b, c):
+        cap[a][b] = cap[a].get(b, 0) + c
+        cap[b].setdefault(a, 0)
+
+    for u in range(n):
+        add(2 * u, 2 * u + 1, big if u in blocked else 1)
+    for a, b in arcs:
+        add(2 * a + 1, 2 * b, big)
+    flow = 0
+    while True:
+        parent = {source_node: source_node}
+        queue = [source_node]
+        for a in queue:
+            if sink_node in parent:
+                break
+            for b in sorted(cap[a]):
+                if b not in parent and cap[a][b] > 0:
+                    parent[b] = a
+                    queue.append(b)
+        if sink_node not in parent:
+            break
+        path = [sink_node]
+        while path[-1] != source_node:
+            path.append(parent[path[-1]])
+        steps = [(a, b) for b, a in zip(path, path[1:])]  # arcs a -> b of the path
+        bottleneck = min(cap[a][b] for a, b in steps)
+        for a, b in steps:
+            cap[a][b] -= bottleneck
+            cap[b][a] += bottleneck
+        flow += bottleneck
+        if flow > n:
+            raise InfeasibleSeparatorError("every separator would need a forbidden vertex")
+    reach = {source_node}
+    queue = [source_node]
+    for a in queue:
+        for b in cap[a]:
+            if b not in reach and cap[a][b] > 0:
+                reach.add(b)
+                queue.append(b)
+    cut = frozenset(u for u in range(g.n) if 2 * u in reach and 2 * u + 1 not in reach)
+    if len(cut) != flow:
+        raise AssertionError("min-cut size must equal the max-flow value")
+    return cut
 
 
 def naive_all_obstacle_sets(inst: Instance):

@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 from unittest import mock
@@ -15,7 +16,7 @@ from essentia.detection import (
     essential_vertices_exact,
     lp_values,
 )
-from essentia.errors import SizeCapError
+from essentia.errors import InputError, SizeCapError
 from essentia.exact import opt_value
 from essentia.graphs import Graph
 from essentia.lab import gen_dfvs_gadget, gen_gnp, gen_matching_apex, gen_star_multicut, gen_vc_gadget
@@ -52,6 +53,12 @@ class TestDetect:
         for v in range(inst.n):
             pool = sorted((s - {v} for s in obstacles), key=sorted)
             assert res.lp_values[v] == solve_restricted(pool, inst.n).value
+
+    @pytest.mark.parametrize("k", [1.5, True, 1.0, "1"])
+    def test_k_that_is_not_an_int_is_input_error(self, k):
+        inst = gen_star_multicut(3).instance
+        with pytest.raises(InputError, match=rf"^k must be an int, got {re.escape(repr(k))}$"):
+            DetectionRequest(inst, k)
 
     def test_obstacle_free_selects_nothing(self):
         inst = Instance(Problem.VERTEX_COVER, Graph(5, False, []))

@@ -15,6 +15,7 @@ from essentia.problems import Instance, Problem, find_violated_obstacle
 
 from conftest import random_graph
 from oracles import (
+    aux_min_vertex_separator,
     cheapest_paths,
     min_weight_cycle_through,
     naive_min_cycle_through,
@@ -309,6 +310,44 @@ class TestMinVertexSeparator:
         assert not (cut & forbidden)
         assert len(cut) == naive_min_separator_size(g, sources, targets, forbidden)
 
+    @pytest.mark.parametrize("directed", [False, True], ids=["graph", "digraph"])
+    def test_same_set_as_the_auxiliary_vertex_formulation(self, directed):
+        # the source-closest minimum cut is the same for every maximum flow,
+        # so the set, not only its size, matches the earlier formulation
+        cuts = infeasible = 0
+        for seed in range(150):
+            rng = random.Random(500 + seed)
+            n = rng.randint(2, 10)
+            g = random_graph(n, rng.randrange(1 << 30), directed=directed, p=rng.choice([0.2, 0.35, 0.5]))
+            sources = rng.sample(range(n), rng.randint(1, min(3, n)))
+            targets = rng.sample(range(n), rng.randint(1, min(3, n)))
+            forbidden = frozenset(u for u in range(n) if rng.random() < 0.3)
+            try:
+                want = aux_min_vertex_separator(g, sources, targets, forbidden)
+            except InfeasibleSeparatorError:
+                infeasible += 1
+                with pytest.raises(InfeasibleSeparatorError):
+                    min_vertex_separator(g, sources, targets, forbidden)
+                continue
+            assert min_vertex_separator(g, sources, targets, forbidden) == want
+            cuts += len(want) >= 2
+        assert cuts >= 20 and infeasible >= 10
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["graph", "digraph"])
+    def test_long_forbidden_path_is_infeasible(self, directed):
+        # 0 - 1 - ... - 9 all forbidden, beside two free routes 0 - 10 - 9 and
+        # 0 - 11 - 9: the free routes carry 2 units, then each search pushes
+        # one unit down the forbidden path until the flow exceeds n = 12
+        arcs = [(i, i + 1) for i in range(9)] + [(0, 10), (10, 9), (0, 11), (11, 9)]
+        g = Graph(12, directed, arcs)
+        path = frozenset(range(10))
+        for separator in (min_vertex_separator, aux_min_vertex_separator):
+            with pytest.raises(InfeasibleSeparatorError):
+                separator(g, [0], [9], path)
+        # one free vertex on the path makes it cuttable there
+        cut = min_vertex_separator(g, [0], [9], path - {5})
+        assert cut == frozenset({5, 10, 11}) == aux_min_vertex_separator(g, [0], [9], path - {5})
+
 
 class TestDoubleCoverMatching:
     @pytest.mark.parametrize("seed", range(30))
@@ -352,6 +391,28 @@ class TestGraphValidation:
     def test_rejects_out_of_range(self):
         with pytest.raises(InputError, match="out of range"):
             Graph(2, False, [(0, 5)])
+
+    def test_rejects_bool_endpoint(self):
+        with pytest.raises(InputError, match=r"^edges\[0\]: vertex ids must be ints, got \(True, 2\)$"):
+            Graph(3, False, [(True, 2)])
+
+    def test_rejects_float_endpoint(self):
+        with pytest.raises(InputError, match=r"^edges\[1\]: vertex ids must be ints, got \(1\.0, 2\)$"):
+            Graph(3, False, [(0, 1), (1.0, 2)])
+
+    @pytest.mark.parametrize("n", [3.0, True, "3"])
+    def test_rejects_vertex_count_that_is_not_an_int(self, n):
+        with pytest.raises(InputError, match=r"^vertex count must be a nonnegative int"):
+            Graph(n, False, [])
+
+    def test_rejects_string_endpoint(self):
+        with pytest.raises(InputError, match=r"^edges\[0\]: vertex ids must be ints, got \('0', 1\)$"):
+            Graph(3, True, [("0", 1)])
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 7])
+    def test_rejects_edge_that_is_not_a_pair(self, edge):
+        with pytest.raises(InputError, match=r"^edges\[0\]: expected a pair of vertices"):
+            Graph(3, False, [edge])
 
     def test_undirected_adjacency_is_symmetric(self):
         g = Graph(4, False, [(0, 1), (2, 3), (1, 3)])

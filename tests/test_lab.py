@@ -9,6 +9,7 @@ import pytest
 from essentia.errors import InputError
 from essentia.exact import SolveBudget, opt_value, solve_exact
 from essentia.lab import (
+    _pad_multiplier,
     convert,
     gap_csv_rows,
     gen_dfvs_gadget,
@@ -127,6 +128,30 @@ class TestVcGadget:
         base = Instance(Problem.VERTEX_COVER, Graph(2, False, [(0, 1)]))
         with pytest.raises(InputError):
             gen_vc_gadget(base, F(3, 4))
+
+
+class TestPadMultiplier:
+    @staticmethod
+    def smallest_by_search(n, c):
+        """The least copy count t in 1..8n+8 with c * t * n an integer, or None."""
+        return next((t for t in range(1, 8 * n + 9) if (c * t * n).denominator == 1), None)
+
+    def test_denominator_is_the_least_count(self):
+        refused = 0
+        for n in range(13):
+            for p, q in itertools.product(range(1, 16), repeat=2):
+                eps = F(p, q)
+                for c, valid in ((1 - eps / 2, eps <= 1), (F(1, 2) - eps / 2, eps <= F(1, 2))):
+                    if not valid:
+                        continue
+                    want = self.smallest_by_search(n, c)
+                    if want is None:
+                        refused += 1
+                        with pytest.raises(InputError, match="no small copy count"):
+                            _pad_multiplier(n, c)
+                    else:
+                        assert _pad_multiplier(n, c) == want, (n, eps)
+        assert refused > 0
 
 
 class TestConvert:

@@ -449,3 +449,20 @@ class TestInstanceValidation:
             Instance(Problem.VERTEX_MULTICUT, g, ((1, 1),))
         with pytest.raises(InputError, match="duplicate"):
             Instance(Problem.VERTEX_MULTICUT, g, ((0, 1), (0, 1)))
+
+    @pytest.mark.parametrize("pair", [(0.9, "2"), (0, 2.0), (True, 2), ("0", 2)])
+    def test_terminal_ids_are_not_coerced(self, pair):
+        g = Graph(3, False, [(0, 1)])
+        with pytest.raises(InputError, match=r"^terminals\[1\]: vertex ids must be ints"):
+            Instance(Problem.VERTEX_MULTICUT, g, ((0, 1), pair))
+
+    @pytest.mark.parametrize("pair", [(0, 1, 2), (0,), 5])
+    def test_terminal_that_is_not_a_pair(self, pair):
+        g = Graph(3, False, [(0, 1)])
+        with pytest.raises(InputError, match=r"^terminals\[0\]: expected a pair of vertices"):
+            Instance(Problem.VERTEX_MULTICUT, g, (pair,))
+
+    def test_terminal_lists_are_stored_as_tuples(self):
+        g = Graph(3, False, [(0, 1)])
+        inst = Instance(Problem.VERTEX_MULTICUT, g, [[0, 2], [1, 2]])
+        assert inst.terminals == ((0, 2), (1, 2))

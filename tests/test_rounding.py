@@ -1,9 +1,16 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import essentia
+from essentia import serialize
 from essentia.errors import InputError, PreconditionError
 from essentia.exact import SolveBudget, opt_value_avoiding, solve_exact
 from essentia.graphs import Graph
@@ -20,6 +27,14 @@ HALF = F(1, 2)
 
 def pinned_optimum(inst, v):
     return solve(inst, v)
+
+
+def directed_star(p, q):
+    """Sources 1..p into centre 0, which feeds sinks p+1..p+q; every source-sink pair."""
+    arcs = [(i, 0) for i in range(1, p + 1)]
+    arcs += [(0, p + j) for j in range(1, q + 1)]
+    pairs = tuple((i, p + j) for i in range(1, p + 1) for j in range(1, q + 1))
+    return Instance(Problem.DIRECTED_VERTEX_MULTICUT, Graph(p + q + 1, True, arcs), pairs)
 
 
 class TestCertificateInvariants:
@@ -144,14 +159,8 @@ class TestRoundMulticut:
 
 
 class TestRoundDirectedMulticut:
-    def directed_star(self, p, q):
-        arcs = [(i, 0) for i in range(1, p + 1)]
-        arcs += [(0, p + j) for j in range(1, q + 1)]
-        pairs = tuple((i, p + j) for i in range(1, p + 1) for j in range(1, q + 1))
-        return Instance(Problem.DIRECTED_VERTEX_MULTICUT, Graph(p + q + 1, True, arcs), pairs)
-
     def test_directed_star_within_factor(self):
-        inst = self.directed_star(3, 3)
+        inst = directed_star(3, 3)
         x = pinned_optimum(inst, 0)
         cert = round_directed_multicut(inst, 0, x)
         assert len(cert.integral_set) <= 4 * x.value
@@ -234,3 +243,47 @@ class TestRoundCograph:
         g = Graph(5, False, [(0, 1), (1, 2), (2, 3), (3, 4)])  # P5: no singleton fix
         with pytest.raises(PreconditionError):
             round_cograph(g, 0, FractionalSolution((F(0),) * 5, F(0)))
+
+
+# reads an instance file and a pinned vertex, prints the multicut rounding's certificate
+OPTIMIZED_ROUNDING = """
+import json, sys
+from essentia import serialize
+from essentia.lp import solve
+from essentia.rounding import round_directed_multicut, round_multicut
+inst = serialize.loads_instance(sys.stdin.read())
+v = int(sys.argv[1])
+rounder = round_multicut if inst.problem.value == "vertex-multicut" else round_directed_multicut
+cert = rounder(inst, v, solve(inst, v))
+print(json.dumps({"debug": __debug__, "cert": serialize.rounding_certificate_to_dict(cert)}))
+"""
+
+
+class TestOptimizedMode:
+    @pytest.mark.parametrize(
+        "case", ["star", "directed-star", "random", "random-directed"]
+    )
+    def test_roundings_match_in_process(self, case):
+        # `python -O` strips assert statements; the separator's cut-equals-flow
+        # check is raised, so the roundings run it and cut the same sets there
+        if case == "star":
+            inst, v = gen_star_multicut(5).instance, 0
+        elif case == "directed-star":
+            inst, v = directed_star(3, 4), 0
+        else:
+            # seeds whose cuts have two vertices (on both sides, directed)
+            if case == "random":
+                inst, v = random_singleton_instance(Problem.VERTEX_MULTICUT, 9, 11)
+            else:
+                inst, v = random_singleton_instance(Problem.DIRECTED_VERTEX_MULTICUT, 9, 10)
+        rounder = round_multicut if case in ("star", "random") else round_directed_multicut
+        want = serialize.rounding_certificate_to_dict(rounder(inst, v, pinned_optimum(inst, v)))
+        assert len(want["integral_set"]) >= 2
+        src = Path(essentia.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMIZED_ROUNDING, str(v)],
+            input=serialize.dumps_instance(inst),
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"debug": False, "cert": want}

@@ -57,6 +57,22 @@ class TestInstanceJson:
         with pytest.raises(InputError, match=r"edges\[1\].*out of range"):
             serialize.instance_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, item, match",
+        [
+            ("edges", [0, True], r"^edges\[1\]: vertex ids must be ints"),
+            ("edges", [0, 1.5], r"^edges\[1\]: vertex ids must be ints"),
+            ("edges", [0, 1, 2], r"^edges\[1\]: expected a pair of integers"),
+            ("terminals", [1, "2"], r"^terminals\[1\]: vertex ids must be ints"),
+            ("terminals", [1, 9], r"^terminals\[1\]: vertex out of range"),
+        ],
+    )
+    def test_pairs_are_checked_by_graph_and_instance(self, key, item, match):
+        data = serialize.instance_to_dict(gen_star_multicut(3).instance)
+        data[key][1] = item
+        with pytest.raises(InputError, match=match):
+            serialize.instance_from_dict(data)
+
     def test_unknown_problem_tag(self):
         with pytest.raises(InputError, match="unknown problem tag"):
             serialize.instance_from_dict(
