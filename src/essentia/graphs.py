@@ -40,9 +40,10 @@ class Graph:
 
     Undirected graphs store each edge in both adjacency lists.  Instances are
     immutable after construction and safe to share between threads.  A count
-    or endpoint that is not an int (a bool, a float or a string included), an
-    edge that is not a pair, an endpoint out of range, a self-loop or a
-    duplicate edge is an InputError.
+    or endpoint that is not an int (a bool, a float or a string included), a
+    `directed` that is not a bool, edges that are not an iterable of pairs,
+    an endpoint out of range, a self-loop or a duplicate edge is an
+    InputError.
     """
 
     __slots__ = ("n", "directed", "adj", "_adj_sets", "edges")
@@ -50,6 +51,12 @@ class Graph:
     def __init__(self, n: int, directed: bool, edges: Iterable[tuple[int, int]]):
         if not _is_int(n) or n < 0:
             raise InputError(f"vertex count must be a nonnegative int, got {n!r}")
+        if type(directed) is not bool:
+            raise InputError(f"directed must be a bool, got {directed!r}")
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise InputError(f"edges must be an iterable of pairs, got {edges!r}") from None
         self.n = n
         self.directed = directed
         seen = set()

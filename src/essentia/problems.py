@@ -93,8 +93,9 @@ class Instance:
     """A problem-tagged graph, plus terminal pairs for the multicut problems
     and, derived from them, each source with its targets, sources ascending.
 
-    Terminal pairs are stored as tuples; a pair whose ids are not in-range
-    ints (bools refused) is an InputError, and nothing is coerced."""
+    Terminal pairs are stored as tuples; terminals that are not an iterable
+    of pairs, or a pair whose ids are not in-range ints (bools refused), is
+    an InputError, and nothing is coerced."""
 
     problem: Problem
     graph: Graph
@@ -105,9 +106,14 @@ class Instance:
 
     def __post_init__(self):
         if self.graph.directed != self.problem.directed:
-            kind = "directed" if self.problem.directed else "undirected"
-            raise InputError(f"{self.problem.value} requires an {kind} graph")
-        raw = tuple(self.terminals)
+            kind = "a directed" if self.problem.directed else "an undirected"
+            raise InputError(f"{self.problem.value} requires {kind} graph")
+        try:
+            raw = tuple(self.terminals)
+        except TypeError:
+            raise InputError(
+                f"terminals must be an iterable of pairs, got {self.terminals!r}"
+            ) from None
         if raw and not self.problem.uses_terminals:
             raise InputError(f"{self.problem.value} does not take terminal pairs")
         terms = []

@@ -33,8 +33,8 @@ def rat_str(x: Fraction) -> str:
 
 
 def parse_rat(text) -> Fraction:
-    """Parse "p/q" or "p" (also plain ints) into an exact rational."""
-    if isinstance(text, int):
+    """Parse "p/q" or "p" (also plain ints, never bools) into an exact rational."""
+    if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise InputError(f"expected a rational string, got {text!r}")

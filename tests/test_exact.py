@@ -1,9 +1,16 @@
+import json
 import logging
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import essentia
+from essentia import exact, serialize
 from essentia.errors import InputError, NodeCapError
 from essentia.exact import (
     _INFEASIBLE,
@@ -15,7 +22,7 @@ from essentia.exact import (
 )
 from essentia.graphs import Graph
 from essentia.lab import gen_matching_apex, gen_star_multicut
-from essentia.problems import Instance, Problem, is_solution
+from essentia.problems import Instance, Problem, cheapest_obstacle, is_solution
 
 from conftest import random_graph, random_instance
 from oracles import (
@@ -221,6 +228,100 @@ class TestLexOrderAtBenchSizes:
             assert lex_least_by_restriction(inst, forbidden, max_k) is None
 
 
+def solve_counting_nodes(inst, forbidden):
+    """solve_exact's answer and the nodes of every search it ran."""
+    searches = []
+    init = _Search.__init__
+
+    def recorded(search, *args):
+        init(search, *args)
+        searches.append(search)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Search, "__init__", recorded)
+        got = solve_exact(inst, SolveBudget(forbidden=forbidden))
+    return got, sum(s.nodes for s in searches)
+
+
+class TestObstacleMemo:
+    """The memo of path and cycle searches changes no answer of a solve."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(bench_path_instances())
+    def test_every_served_answer_is_the_search_answer(self, case):
+        inst, forbidden, slack = case
+        cheapest = _Search._cheapest
+
+        def checked(search, removed, blocked, below):
+            hits = search.memo_hits
+            got = cheapest(search, removed, blocked, below)
+            if search.memo_hits > hits:
+                cost = [0 if u in blocked else 1 for u in range(search.g.n)]
+                assert got == cheapest_obstacle(search.inst, cost, removed, below)
+            return got
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Search, "_cheapest", checked)
+            got = solve_exact(inst, SolveBudget(forbidden=forbidden))
+            if got is not None and slack is not None and len(got) >= slack:
+                solve_exact(inst, SolveBudget(max_k=len(got) - slack, forbidden=forbidden))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(bench_path_instances())
+    def test_forced_clears_keep_solutions_and_nodes(self, case):
+        inst, forbidden, _ = case
+        want = solve_counting_nodes(inst, forbidden)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact, "_MEMO_CAP", 1)
+            assert solve_counting_nodes(inst, forbidden) == want
+
+    def test_a_refuted_range_is_mostly_served(self):
+        # the lexicographic pass re-walks the minimum pass's tree: refuting
+        # the range below the least vertex of {6, 8, 9} runs one search
+        inst = random_instance(Problem.DIRECTED_VERTEX_MULTICUT, 14, 0)
+        search = _Search(inst, frozenset(), 10**6)
+        base = search.minimum(None)
+        assert sorted(base) == [6, 8, 9]
+        searches, hits = search.searches, search.memo_hits
+        assert not search.completable(set(), set(), frozenset(range(6)), len(base))
+        assert (search.searches - searches, search.memo_hits - hits) == (1, 20)
+
+    def test_optimized_mode_matches_in_process(self, caplog):
+        # `python -O` strips assert statements: a directed multicut whose
+        # second pass refutes ranges and whose memo serves answers solves
+        # to the same set with the same counts there
+        inst = random_instance(Problem.DIRECTED_VERTEX_MULTICUT, 14, 0)
+        with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
+            got = solve_exact(inst)
+        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
+        assert record.args[2] >= 1 and record.args[4] > 0
+        src = Path(essentia.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMIZED_SOLVE],
+            input=serialize.dumps_instance(inst),
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        want = {"debug": False, "solution": sorted(got), "counts": list(record.args)}
+        assert json.loads(proc.stdout) == want
+
+
+OPTIMIZED_SOLVE = """
+import json, logging, sys
+from essentia import serialize
+from essentia.exact import solve_exact
+records = []
+handler = logging.Handler()
+handler.emit = records.append
+log = logging.getLogger("essentia.exact")
+log.addHandler(handler)
+log.setLevel(logging.DEBUG)
+got = solve_exact(serialize.loads_instance(sys.stdin.read()))
+[record] = records
+print(json.dumps({"debug": __debug__, "solution": sorted(got), "counts": list(record.args)}))
+"""
+
+
 class TestCaps:
     def test_node_cap_raises(self):
         inst = random_instance(Problem.VERTEX_MULTICUT, 8, 5)
@@ -335,20 +436,37 @@ class TestLogging:
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             got = solve_exact(inst)
         [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        minimum_nodes, lex_nodes, refuted = record.args
+        minimum_nodes, lex_nodes, refuted, searches, memo_hits = record.args
         search = _Search(inst, frozenset(), 10**6)
         search.minimum(None)
         assert minimum_nodes == search.nodes
         # the second pass refutes at most one range per vertex it keeps
         assert refuted <= len(got)
         assert (minimum_nodes, lex_nodes, refuted) == (1, 4, 2)
+        # vertex cover scans its edges and runs no path search
+        assert (searches, memo_hits) == (0, 0)
 
     def test_no_solution_logs_an_empty_second_pass(self, caplog):
         inst = gen_star_multicut(5).instance
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             assert solve_exact(inst, SolveBudget(max_k=0)) is None
         [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        assert record.args[1:] == (0, 0)
+        assert record.args[1:3] == (0, 0)
+
+    def test_searches_and_memo_answers_count_every_query(self, caplog, monkeypatch):
+        inst = random_instance(Problem.DIRECTED_VERTEX_MULTICUT, 14, 0)
+        calls = []
+        search = exact.cheapest_obstacle
+        monkeypatch.setattr(exact, "cheapest_obstacle", lambda *a, **k: calls.append(a) or search(*a, **k))
+        queries = []
+        cheapest = _Search._cheapest
+        monkeypatch.setattr(_Search, "_cheapest", lambda s, *a: queries.append(a) or cheapest(s, *a))
+        with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
+            solve_exact(inst)
+        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
+        searches, memo_hits = record.args[3:]
+        assert searches == len(calls) and searches + memo_hits == len(queries)
+        assert memo_hits > 0
 
     def test_silent_above_debug(self, caplog):
         inst = random_instance(Problem.VERTEX_COVER, 12, 6012)

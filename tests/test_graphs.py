@@ -414,6 +414,16 @@ class TestGraphValidation:
         with pytest.raises(InputError, match=r"^edges\[0\]: expected a pair of vertices"):
             Graph(3, False, [edge])
 
+    @pytest.mark.parametrize("directed", ["no", 1, None])
+    def test_rejects_directed_that_is_not_a_bool(self, directed):
+        with pytest.raises(InputError, match=r"^directed must be a bool, got "):
+            Graph(2, directed, [])
+
+    @pytest.mark.parametrize("edges", [None, 7])
+    def test_rejects_edges_that_are_not_iterable(self, edges):
+        with pytest.raises(InputError, match=r"^edges must be an iterable of pairs, got "):
+            Graph(3, False, edges)
+
     def test_undirected_adjacency_is_symmetric(self):
         g = Graph(4, False, [(0, 1), (2, 3), (1, 3)])
         for u in range(4):

@@ -425,10 +425,16 @@ class TestP4Scan:
 
 class TestInstanceValidation:
     def test_directedness_must_match_problem(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^dfvs requires a directed graph$"):
             Instance(Problem.DFVS, Graph(3, False, [(0, 1)]))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^vertex-cover requires an undirected graph$"):
             Instance(Problem.VERTEX_COVER, Graph(3, True, [(0, 1)]))
+
+    @pytest.mark.parametrize("problem", [Problem.VERTEX_MULTICUT, Problem.VERTEX_COVER])
+    def test_terminals_that_are_not_iterable(self, problem):
+        g = Graph(3, False, [(0, 1)])
+        with pytest.raises(InputError, match=r"^terminals must be an iterable of pairs, got None$"):
+            Instance(problem, g, None)
 
     def test_terminals_only_for_multicut(self):
         with pytest.raises(InputError):

@@ -34,9 +34,16 @@ class TestRationals:
         assert serialize.parse_rat(3) == F(3)
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "a/b", "1/0", "1.5", None):
+        for bad in ("", "a/b", "1/0", "1.5", None, True, False):
             with pytest.raises(InputError):
                 serialize.parse_rat(bad)
+
+    @pytest.mark.parametrize("threshold", [False, True])
+    def test_boolean_threshold_refused(self, threshold):
+        data = {"lp_values": {"0": "1/2"}, "selected": [], "threshold": threshold}
+        assert serialize.detection_result_from_dict({**data, "threshold": "1/2"}, 1).threshold_used == F(1, 2)
+        with pytest.raises(InputError, match=r"^expected a rational string, got "):
+            serialize.detection_result_from_dict(data, 1)
 
 
 class TestInstanceJson:
