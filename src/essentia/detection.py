@@ -181,9 +181,12 @@ def essential_vertices_exact(
     """Ground truth: vertices contained in every solution of size <= c * opt.
 
     Computed from exact optima with each vertex forbidden in turn, so it is
-    guarded by a size cap (exhaustive solving only).  c may be any exact
-    rational, e.g. Fraction(7, 2).
+    guarded by a size cap (exhaustive solving only): a size cap that is not
+    a nonnegative int is an InputError, a graph above it a SizeCapError.
+    c may be any exact rational, e.g. Fraction(7, 2).
     """
+    if not _is_int(size_cap) or size_cap < 0:
+        raise InputError(f"size_cap must be a nonnegative int, got {size_cap!r}")
     if inst.n > size_cap:
         raise SizeCapError(f"n={inst.n} exceeds the exact-essentiality cap {size_cap}")
     c = Fraction(c)

@@ -44,7 +44,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError, NodeCapError
 from .graphs import _is_int, double_cover_matching
-from .problems import Instance, Problem, all_induced_p4s, cheapest_obstacle, is_solution
+from .problems import Instance, Problem, cheapest_obstacle, is_solution, listed_obstacles
 
 _INFEASIBLE = 10**9
 
@@ -60,9 +60,9 @@ class SolveBudget:
     """Caps for one exact solve: size budget, undeletable vertices, node cap.
 
     `forbidden` may be any iterable of vertices and is stored as a
-    frozenset.  Every value must be an int (bools are refused); each solve
-    checks the ranges, which depend on the instance.  Bad input raises
-    InputError.
+    frozenset.  Every value must be an int (bools are refused) and the node
+    cap nonnegative; each solve checks the other ranges, which depend on the
+    instance.  Bad input raises InputError.
     """
 
     max_k: Optional[int] = None
@@ -82,8 +82,8 @@ class SolveBudget:
         object.__setattr__(self, "forbidden", frozenset(forbidden))
         if self.max_k is not None and not _is_int(self.max_k):
             raise InputError(f"max_k must be an int, got {self.max_k!r}")
-        if not _is_int(self.node_cap):
-            raise InputError(f"node_cap must be an int, got {self.node_cap!r}")
+        if not _is_int(self.node_cap) or self.node_cap < 0:
+            raise InputError(f"node_cap must be a nonnegative int, got {self.node_cap!r}")
 
 
 # An enumerated obstacle: its vertices in witness order, and as a set.
@@ -141,14 +141,10 @@ class _Search:
         self.memo_size = 0
         # the range a second-pass search must also hit, as one more obstacle
         self.target: Optional[frozenset[int]] = None
-        p = inst.problem
-        self.obstacles: Optional[list[_Enumerated]]
-        if p is Problem.COGRAPH_DELETION:
-            self.obstacles = [(q, frozenset(q)) for q in all_induced_p4s(self.g)]
-        elif p is Problem.VERTEX_COVER:
-            self.obstacles = [(e, frozenset(e)) for e in self.g.edges]
-        else:
-            self.obstacles = None
+        listed = listed_obstacles(inst)
+        self.obstacles: Optional[list[_Enumerated]] = (
+            None if listed is None else [(ob, frozenset(ob)) for ob in listed]
+        )
 
     # -- violated obstacle with fewest deletable vertices ---------------------
 

@@ -1,13 +1,12 @@
 """Exact-arithmetic graph primitives.
 
 Everything downstream is built on the operations defined here: simple graphs
-(directed or not), reachability, minimum vertex separators (one
-augmenting-path loop on the vertex-split graph, whose last, failed search
-yields the cut), and maximum matchings of bipartite double covers, whose
-sizes are twice the vertex-cover LP values of `detection`.
-No weighted search lives here: the one cheapest-path search of the
-package, for terminal paths and directed cycles under per-vertex costs, is
-`problems.cheapest_obstacle`.  LP weights are exact `fractions.Fraction`
+(directed or not), minimum vertex separators (one augmenting-path loop on
+the vertex-split graph, whose last, failed search yields the cut), and
+maximum matchings of bipartite double covers, whose sizes are twice the
+vertex-cover LP values of `detection`.  No obstacle search lives here:
+whether a terminal path or a directed cycle survives, and which one is
+cheapest under per-vertex costs, is asked of `problems.cheapest_obstacle`.  LP weights are exact `fractions.Fraction`
 values, and `check_weights` validates weights that come from outside and
 puts them over one common denominator, so that the separation oracle
 compares integer numerators, never approximations.  The cutting-plane loop
@@ -132,19 +131,6 @@ def check_weights(g: Graph, w: VertexWeights) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in w]
 
 
-def reachable_set(g: Graph, starts: Iterable[int], removed: frozenset[int] = frozenset()) -> set[int]:
-    """Vertices reachable from `starts` by arcs, never entering `removed`."""
-    seen = {s for s in starts if s not in removed}
-    queue = deque(sorted(seen))
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if v not in seen and v not in removed:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
 def min_vertex_separator(
     g: Graph,
     sources: Iterable[int],
@@ -157,7 +143,8 @@ def min_vertex_separator(
     target vertices themselves.  By max-flow/min-cut duality its size equals
     the maximum number of internally vertex-disjoint sources->targets paths.
     Raises InfeasibleSeparatorError when some path consists of forbidden
-    vertices only, so that no valid separator exists.
+    vertices only, so that no valid separator exists, and InputError on a
+    source or target that is not an in-range int (a bool included).
 
     Unit-capacity max-flow on the vertex-split graph: vertex u becomes the
     arc 2u -> 2u+1 of capacity 1, or n + 1 (more than any vertex cut) when u
@@ -168,11 +155,13 @@ def min_vertex_separator(
     minimum cut, the same for every maximum flow: the cut is the vertices
     whose in-node it reaches and whose out-node it does not.
     """
-    sources = sorted(set(sources))
-    targets = sorted(set(targets))
+    sources, targets = tuple(sources), tuple(targets)
     for u in sources + targets:
+        if not _is_int(u):
+            raise InputError(f"vertex ids must be ints, got {u!r}")
         if not 0 <= u < g.n:
             raise InputError(f"vertex {u} out of range (n={g.n})")
+    sources, targets = sorted(set(sources)), sorted(set(targets))
     big = g.n + 1
     source_node, sink_node = 2 * g.n, 2 * g.n + 1
     cap: list[dict[int, int]] = [dict() for _ in range(2 * g.n + 2)]

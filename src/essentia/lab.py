@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError
 from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
-from .graphs import Graph
+from .graphs import Graph, _is_int
 from .lp import solve
 from .problems import Instance, Problem
 
@@ -50,8 +50,8 @@ class GapReport:
 
 def gen_star_multicut(m: int) -> LabeledInstance:
     """Star with m leaves; every leaf pair is a terminal pair; center is 0."""
-    if m < 2:
-        raise InputError(f"star generator needs m >= 2 leaves, got {m}")
+    if not _is_int(m) or m < 2:
+        raise InputError(f"star generator needs an int m >= 2 leaves, got {m!r}")
     g = Graph(m + 1, False, [(0, i) for i in range(1, m + 1)])
     terms = tuple((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))
     inst = Instance(Problem.VERTEX_MULTICUT, g, terms)
@@ -64,8 +64,8 @@ def gen_matching_apex(m: int) -> LabeledInstance:
     Vertex 2i-1 is the apex-side endpoint of edge i, vertex 2i the far one.
     The apex alone hits every induced P4.
     """
-    if m < 2:
-        raise InputError(f"matching generator needs m >= 2 edges, got {m}")
+    if not _is_int(m) or m < 2:
+        raise InputError(f"matching generator needs an int m >= 2 edges, got {m!r}")
     edges = []
     for i in range(1, m + 1):
         a, b = 2 * i - 1, 2 * i
@@ -168,6 +168,8 @@ def convert(inst: Instance, target: Problem) -> Instance:
     per edge.  Deleting a set breaks all cycles (covers all edges) exactly
     when it cuts all those pairs.
     """
+    if not isinstance(target, Problem):
+        raise InputError(f"conversion target must be a Problem, got {target!r}")
     pair = (inst.problem, target)
     if pair == (Problem.DFVS, Problem.DIRECTED_VERTEX_MULTICUT):
         terms = tuple((b, a) for a, b in inst.graph.edges)
@@ -182,8 +184,8 @@ def convert(inst: Instance, target: Problem) -> Instance:
 
 def gen_gnp(n: int, seed: int) -> Instance:
     """Seeded Erdos-Renyi graph with edge probability 1/2, as a P4-hitting instance."""
-    if n < 4:
-        raise InputError(f"random graph generator needs n >= 4, got {n}")
+    if not _is_int(n) or n < 4:
+        raise InputError(f"random graph generator needs an int n >= 4, got {n!r}")
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
     return Instance(Problem.COGRAPH_DELETION, Graph(n, False, edges))

@@ -13,18 +13,22 @@ vertex cover         undirected  edges
 feedback vertex set  directed    vertex sets of directed simple cycles
 ===================  ==========  =======================================
 
-An instance never enumerates its obstacles up front; feasibility checks and
-the weighted separation oracle inspect the graph directly.  For the path and
-cycle families one search, `cheapest_obstacle`, finds the least terminal
-path or directed cycle under integer vertex costs, endpoints included, with
-one heap for the searches from every source or least vertex.  It is the
-package's only weighted path search, and it has three callers: the oracle
-finds its cuts with it, exact search its branch obstacles, and the rounding
-its heavy sets (one single-pair multicut instance per vertex).  The
-oracle is the workhorse of the cutting-plane solver: given rational vertex
-weights it either certifies that every obstacle weighs at least 1 (the
-right-hand side of every covering constraint) or produces a minimum-weight
-obstacle lighter than that.  It prices obstacles in integer numerators over one common
+A solution is a vertex set that meets every obstacle, and the package asks
+the families only one question, answered in one place: `cheapest_obstacle`
+returns the least (cost, order) obstacle of G - R under integer vertex
+costs, or None when none is cheaper than a bound.  The listed families
+(edges, and the induced P4s `all_induced_p4s` caches per graph) are
+scanned from `listed_obstacles`; the terminal paths and directed cycles
+are searched for, endpoints included, with one heap for the searches from
+every source or least vertex, the package's only weighted path search.
+Its callers: `is_solution` (all costs 0: is any obstacle left?), the
+separation oracle (its cuts), exact search (its branch obstacles, costing
+the deletable vertices 1) and the rounding's heavy sets (one single-pair
+multicut instance per vertex).  The oracle is the workhorse of the
+cutting-plane solver: given rational vertex weights it either certifies
+that every obstacle weighs at least 1 (the right-hand side of every
+covering constraint) or produces a minimum-weight obstacle lighter than
+that.  It prices obstacles in integer numerators over one common
 denominator.  The public `find_violated_obstacle` validates `Fraction`
 weights once and puts them over their least common denominator;
 `separate_numerators` is the same oracle on numerators the caller
@@ -38,10 +42,10 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError
-from .graphs import Graph, VertexWeights, _is_int, check_weights, reachable_set
+from .graphs import Graph, VertexWeights, _is_int, check_weights
 
 
 class Problem(Enum):
@@ -72,6 +76,15 @@ class ObstacleKind(Enum):
     INDUCED_P4 = "induced-p4"
     EDGE = "edge"
     DIRECTED_CYCLE = "directed-cycle"
+
+
+_KINDS = {
+    Problem.VERTEX_MULTICUT: ObstacleKind.TERMINAL_PATH,
+    Problem.DIRECTED_VERTEX_MULTICUT: ObstacleKind.TERMINAL_PATH,
+    Problem.COGRAPH_DELETION: ObstacleKind.INDUCED_P4,
+    Problem.VERTEX_COVER: ObstacleKind.EDGE,
+    Problem.DFVS: ObstacleKind.DIRECTED_CYCLE,
+}
 
 
 @dataclass(frozen=True)
@@ -143,32 +156,7 @@ class Instance:
 
 
 # ---------------------------------------------------------------------------
-# structure scans
-
-
-def iter_induced_p4s(
-    g: Graph, removed: frozenset[int] = frozenset()
-) -> Iterator[tuple[int, int, int, int]]:
-    """All induced 4-vertex paths avoiding `removed`, each exactly once.
-
-    Every quadruple of vertices that could induce a P4 is examined, grouped
-    by its (unique) middle edge b-c with b < c; a ranges over neighbors of b
-    that avoid c, d over neighbors of c that avoid b, and the a-d non-edge is
-    checked last.
-    """
-    for b, c in g.edges:
-        if b in removed or c in removed:
-            continue
-        nb, nc = g.neighbors(b), g.neighbors(c)
-        a_side = sorted(nb - nc - {c} - removed)
-        if not a_side:
-            continue
-        d_side = sorted(nc - nb - {b} - removed)
-        for a in a_side:
-            na = g.neighbors(a)
-            for d in d_side:
-                if d != a and d not in na:
-                    yield (a, b, c, d)
+# listed obstacles
 
 
 # One driver call reads the P4s of one instance graph through all n pinned
@@ -176,39 +164,35 @@ def iter_induced_p4s(
 # without holding P4 tuples of graphs from earlier calls for the process's life.
 @lru_cache(maxsize=8)
 def all_induced_p4s(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
-    """All induced 4-vertex paths of the graph, each once (cached per graph)."""
-    return tuple(iter_induced_p4s(g))
+    """All induced 4-vertex paths of the graph, each once (cached per graph).
 
-
-def has_induced_p4(g: Graph, removed: frozenset[int] = frozenset()) -> bool:
-    """True if the graph minus `removed` still contains an induced P4."""
-    return next(iter_induced_p4s(g, removed), None) is not None
-
-
-def is_acyclic(g: Graph, removed: frozenset[int] = frozenset()) -> bool:
-    """True if the directed graph minus `removed` has no directed cycle."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [BLACK if u in removed else WHITE for u in range(g.n)]
-    for root in range(g.n):
-        if color[root] != WHITE:
+    Every quadruple of vertices that could induce a P4 is examined, grouped
+    by its (unique) middle edge b-c with b < c; a ranges over neighbors of b
+    that avoid c, d over neighbors of c that avoid b, and the a-d non-edge is
+    checked last (a is off c's neighbourhood and d on it, so a != d).
+    """
+    quads = []
+    for b, c in g.edges:
+        nb, nc = g.neighbors(b), g.neighbors(c)
+        a_side = sorted(nb - nc - {c})
+        if not a_side:
             continue
-        stack = [(root, iter(g.adj[root]))]
-        color[root] = GRAY
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if color[v] == GRAY:
-                    return False
-                if color[v] == WHITE:
-                    color[v] = GRAY
-                    stack.append((v, iter(g.adj[v])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[u] = BLACK
-                stack.pop()
-    return True
+        d_side = sorted(nc - nb - {b})
+        for a in a_side:
+            na = g.neighbors(a)
+            quads.extend((a, b, c, d) for d in d_side if d not in na)
+    return tuple(quads)
+
+
+def listed_obstacles(inst: Instance) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The obstacles of a finitely listed family in witness order: the
+    sorted edges for vertex cover, the induced P4s for cograph deletion;
+    None for the path and cycle families, whose obstacles are searched for."""
+    if inst.problem is Problem.VERTEX_COVER:
+        return inst.graph.edges
+    if inst.problem is Problem.COGRAPH_DELETION:
+        return all_induced_p4s(inst.graph)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +200,8 @@ def is_acyclic(g: Graph, removed: frozenset[int] = frozenset()) -> bool:
 
 
 def is_solution(inst: Instance, x: Iterable[int]) -> bool:
-    """True iff deleting x destroys every obstacle of the instance.
+    """True iff deleting x destroys every obstacle of the instance, that is,
+    iff no obstacle of G - x is left for `cheapest_obstacle` to find.
 
     Raises InputError on a member that is not an in-range int (a bool is
     refused, and so is a float, even an integral one).
@@ -227,25 +212,11 @@ def is_solution(inst: Instance, x: Iterable[int]) -> bool:
             raise InputError(f"vertex ids must be ints, got {u!r}")
         if not 0 <= u < inst.n:
             raise InputError(f"vertex {u} out of range (n={inst.n})")
-    g = inst.graph
-    p = inst.problem
-    if p.uses_terminals:
-        # a reachable set never holds a removed vertex
-        return all(
-            s in removed or reachable_set(g, (s,), removed).isdisjoint(targets)
-            for s, targets in inst.targets_by_source
-        )
-    if p is Problem.COGRAPH_DELETION:
-        return not has_induced_p4(g, removed)
-    if p is Problem.VERTEX_COVER:
-        return all(u in removed or v in removed for u, v in g.edges)
-    if p is Problem.DFVS:
-        return is_acyclic(g, removed)
-    raise AssertionError(p)
+    return cheapest_obstacle(inst, [0] * inst.n, removed) is None
 
 
 # ---------------------------------------------------------------------------
-# cheapest path or cycle obstacle
+# cheapest obstacle
 
 
 def cheapest_obstacle(
@@ -254,33 +225,48 @@ def cheapest_obstacle(
     removed: AbstractSet[int] = frozenset(),
     below: Optional[int] = None,
 ) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Least (cost, order) terminal path or directed cycle of G - removed.
+    """Least (cost, order) obstacle of G - removed, on every family.
 
     An obstacle costs the sum of the nonnegative ints `cost[u]` over its
-    vertices; None means none costs less than `below`.  One label-setting
-    loop over one heap searches from every origin at once: each multicut
-    source with a surviving target, and for DFVS each vertex v, for the
-    cycles whose least vertex is v.  A label is (cost, path) with the path
-    starting at its origin and the origin's cost counted from the start, and
-    states are settled per (origin, vertex), so labels pop in the obstacles'
-    own (cost, order) and the first one that closes an obstacle is the
-    answer.  A DFVS search never enters a vertex below its origin, so the
-    arc back to v that closes a cycle leaves it in its canonical rotation.
+    vertices; None means none costs less than `below`.  The listed
+    families (edges, induced P4s) scan `listed_obstacles`, keeping those
+    that avoid `removed`.  The path and cycle families run one
+    label-setting loop over one heap that searches from every origin at
+    once: each multicut source with a surviving target, and for DFVS each
+    vertex v, for the cycles whose least vertex is v.  A label is
+    (cost, path) with the path starting at its origin and the origin's cost
+    counted from the start, and states are settled per (origin, vertex), so
+    labels pop in the obstacles' own (cost, order) and the first one that
+    closes an obstacle is the answer.  A DFVS search never enters a vertex
+    below its origin, so the arc back to v that closes a cycle leaves it in
+    its canonical rotation.
     """
+    listed = listed_obstacles(inst)
+    if listed is not None:
+        if removed:
+            listed = [ob for ob in listed if removed.isdisjoint(ob)]
+        # explicit sums per arity: a generic sum per obstacle slows the LP
+        # loop, which prices every P4 of the graph once per cut
+        if inst.problem is Problem.VERTEX_COVER:
+            wts = [cost[a] + cost[b] for a, b in listed]
+        else:
+            wts = [cost[a] + cost[b] + cost[c] + cost[d] for a, b, c, d in listed]
+        least = min(wts, default=None)
+        if least is None or (below is not None and least >= below):
+            return None
+        return least, min(ob for ob, wt in zip(listed, wts) if wt == least)
     g = inst.graph
     n, adj = g.n, g.adj
     if inst.problem is Problem.DFVS:
         targets = None
         heap = [(cost[v], (v,)) for v in range(n) if v not in removed]
-    elif inst.problem.uses_terminals:
+    else:
         targets = dict(inst.targets_by_source)
         heap = [
             (cost[s], (s,))
             for s, ts in inst.targets_by_source
             if s not in removed and not ts <= removed
         ]
-    else:
-        raise PreconditionError(f"{inst.problem.value} has no path or cycle obstacles")
     heapq.heapify(heap)
     settled: set[int] = set()  # origin * n + vertex
     push, pop = heapq.heappush, heapq.heappop
@@ -319,10 +305,9 @@ def find_violated_obstacle(
 ) -> Optional[Obstacle]:
     """Minimum-weight obstacle of weight < 1, or None if none exists.
 
-    A minimum-weight obstacle of every subfamily is examined: the path and
-    cycle families through `cheapest_obstacle`, every quadruple for induced
-    P4s, every edge for vertex cover.  Hence a None answer certifies that
-    all obstacles weigh at least 1.  Ties break toward the lexicographically
+    `cheapest_obstacle` finds a minimum-weight obstacle of the whole family
+    (every edge or listed P4 is priced, every path or cycle searched for),
+    so a None answer certifies that all obstacles weigh at least 1.  Ties break toward the lexicographically
     least witness (a cycle in its rotation that starts at its least
     vertex).  The weights are validated here, once, and scaled to integer
     numerators over their least common denominator; `separate_numerators`
@@ -343,30 +328,9 @@ def separate_numerators(
     positive factor keeps the order of every sum.  An obstacle is violated
     when its numerator sum is below den.
     """
-    g = inst.graph
     if v_pinned is not None and nums[v_pinned] != 0:
         raise PreconditionError(f"pinned vertex {v_pinned} must have weight 0")
-    p = inst.problem
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-
-    if p.uses_terminals or p is Problem.DFVS:
-        best = cheapest_obstacle(inst, nums, below=den)
-        kind = ObstacleKind.DIRECTED_CYCLE if p is Problem.DFVS else ObstacleKind.TERMINAL_PATH
-    elif p is Problem.COGRAPH_DELETION:
-        for quad in all_induced_p4s(g):
-            wt = nums[quad[0]] + nums[quad[1]] + nums[quad[2]] + nums[quad[3]]
-            if best is None or (wt, quad) < best:
-                best = (wt, quad)
-        kind = ObstacleKind.INDUCED_P4
-    elif p is Problem.VERTEX_COVER:
-        for u, v in g.edges:
-            wt = nums[u] + nums[v]
-            if best is None or (wt, (u, v)) < best:
-                best = (wt, (u, v))
-        kind = ObstacleKind.EDGE
-    else:
-        raise AssertionError(p)
-
-    if best is None or best[0] >= den:
+    found = cheapest_obstacle(inst, nums, below=den)
+    if found is None:
         return None
-    return Obstacle(kind, frozenset(best[1]), best[1])
+    return Obstacle(_KINDS[inst.problem], frozenset(found[1]), found[1])

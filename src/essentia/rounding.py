@@ -32,7 +32,7 @@ from fractions import Fraction
 from .errors import InputError, PreconditionError
 from .graphs import Graph, check_weights, min_vertex_separator
 from .lp import FractionalSolution, _check_pin, verify_feasible
-from .problems import Instance, Problem, cheapest_obstacle, is_solution, iter_induced_p4s
+from .problems import Instance, Problem, cheapest_obstacle, is_solution, listed_obstacles
 
 POINT_FOUR = Fraction(2, 5)
 POINT_TWO = Fraction(1, 5)
@@ -162,8 +162,9 @@ def round_cograph(g: Graph, v: int, x: FractionalSolution) -> RoundingCertificat
     removed = frozenset(heavy)
 
     v_star: set[int] = set()
-    for quad in iter_induced_p4s(g, removed):
-        v_star.update(quad)
+    for quad in listed_obstacles(inst):
+        if removed.isdisjoint(quad):
+            v_star.update(quad)
     v_star.discard(v)
     if any(x.weights[u] < POINT_TWO for u in v_star):
         raise AssertionError("light vertex on a residual P4 contradicts feasibility")

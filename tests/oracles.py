@@ -13,7 +13,8 @@ scan, kept to check that pricing in integer numerators changed no answer,
 and it runs on `cheapest_paths`.  So are `shortest_weighted_path` and
 `sequential_cheapest_obstacle`, the library's earlier path and cycle
 obstacle search, one `cheapest_paths` search per source or least vertex,
-kept to check that one heap for every origin changed no answer.
+kept to check that one heap for every origin changed no answer; for vertex
+cover and cograph deletion it scans every vertex pair and quadruple.
 So are `scan_violated` and
 `scan_packing_lb`: exact search's earlier full scans, kept to check that
 per-node surviving obstacles and bounded path searches changed no answer;
@@ -230,6 +231,16 @@ def shortest_weighted_path(g: Graph, w, sources, targets, removed=frozenset(), b
     return None
 
 
+def p4_order(g: Graph, quad) -> tuple:
+    """The witness order a-b-c-d of a 4-set inducing a P4, middle edge b < c:
+    b and c are its two vertices of degree 2 in the induced subgraph."""
+    inner = sorted(u for u in quad if sum(g.has_arc(u, x) for x in quad) == 2)
+    b, c = inner
+    a = next(u for u in quad if u not in inner and g.has_arc(u, b))
+    d = next(u for u in quad if u not in inner and g.has_arc(u, c))
+    return (a, b, c, d)
+
+
 def sequential_cheapest_obstacle(inst: Instance, cost, removed=frozenset(), below=None):
     """Reference for `problems.cheapest_obstacle`: one search per origin.
 
@@ -238,6 +249,9 @@ def sequential_cheapest_obstacle(inst: Instance, cost, removed=frozenset(), belo
     whose least vertex is v, in G[v..n-1] from v's out-neighbours above v.
     A later origin gives a larger order at equal cost, so once an obstacle
     is found each later search is bounded by a strictly cheaper label.
+    Vertex cover and cograph deletion scan every vertex pair and quadruple
+    by brute force: the adjacent pairs, and the 4-sets passing `induces_p4`
+    in their `p4_order`.
     """
     g = inst.graph
     best = None
@@ -263,7 +277,15 @@ def sequential_cheapest_obstacle(inst: Instance, cost, removed=frozenset(), belo
                 best = found
                 limit = (best[0],)
     else:
-        raise PreconditionError(f"{inst.problem.value} has no path or cycle obstacles")
+        if inst.problem is Problem.VERTEX_COVER:
+            listed = [e for e in combinations(range(g.n), 2) if g.has_arc(*e)]
+        else:
+            quads = combinations(range(g.n), 4)
+            listed = [p4_order(g, q) for q in quads if induces_p4(g, q)]
+        priced = [(sum(cost[u] for u in ob), ob) for ob in listed if removed.isdisjoint(ob)]
+        best = min(priced, default=None)
+        if best is not None and limit is not None and best >= limit:
+            best = None
     return best
 
 

@@ -283,6 +283,11 @@ class TestEssentialExact:
         with pytest.raises(SizeCapError):
             essential_vertices_exact(inst, F(2))
 
+    def test_negative_size_cap_is_input_error(self):
+        inst = gen_matching_apex(2).instance
+        with pytest.raises(InputError, match=r"^size_cap must be a nonnegative int, got -1$"):
+            essential_vertices_exact(inst, F(2), size_cap=-1)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_agrees_with_bruteforce_definition(self, seed):
         rng = random.Random(seed)

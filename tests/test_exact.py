@@ -152,6 +152,7 @@ class TestBadBudgets:
             {"forbidden": 5},
             {"node_cap": 2.0},
             {"node_cap": False},
+            {"node_cap": -1},
         ],
     )
     def test_wrong_types_refused_at_construction(self, kwargs):

@@ -349,6 +349,13 @@ class TestMinVertexSeparator:
         assert cut == frozenset({5, 10, 11}) == aux_min_vertex_separator(g, [0], [9], path - {5})
 
 
+    @pytest.mark.parametrize("ids", [([True], [2]), ([0.0], [2]), ([0], ["2"])])
+    def test_vertex_ids_that_are_not_ints(self, ids):
+        g = Graph(3, False, [(0, 1), (1, 2)])
+        with pytest.raises(InputError, match=r"^vertex ids must be ints, got "):
+            min_vertex_separator(g, *ids)
+
+
 class TestDoubleCoverMatching:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_networkx(self, seed):

@@ -62,6 +62,14 @@ class TestTightFamilies:
         with pytest.raises(InputError):
             gen_matching_apex(0)
 
+    def test_star_refuses_a_float_m(self):
+        with pytest.raises(InputError, match=r"^star generator needs an int m >= 2 leaves, got 3\.0$"):
+            gen_star_multicut(3.0)
+
+    def test_matching_refuses_a_float_m(self):
+        with pytest.raises(InputError, match=r"^matching generator needs an int m >= 2 edges, got 3\.0$"):
+            gen_matching_apex(3.0)
+
 
 class TestDfvsGadget:
     def test_triangle_base_padded_structure(self):
@@ -188,11 +196,19 @@ class TestConvert:
         with pytest.raises(InputError):
             convert(triangle_dfvs(), Problem.VERTEX_COVER)
 
+    def test_target_that_is_not_a_problem_rejected(self):
+        with pytest.raises(InputError, match=r"^conversion target must be a Problem, got 'dfvs'$"):
+            convert(triangle_dfvs(), "dfvs")
+
 
 class TestGnp:
     def test_seeded_generation_is_reproducible(self):
         assert gen_gnp(10, 4).graph.edges == gen_gnp(10, 4).graph.edges
         assert gen_gnp(10, 4).graph.edges != gen_gnp(10, 5).graph.edges
+
+    def test_refuses_a_float_n(self):
+        with pytest.raises(InputError, match=r"^random graph generator needs an int n >= 4, got 6\.0$"):
+            gen_gnp(6.0, 0)
 
     def test_p4_frequency_matches_the_four_vertex_census(self):
         # on 4 labeled vertices, 12 of the 64 graphs are a P4

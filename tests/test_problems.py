@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from essentia import problems
-from essentia.errors import InputError, PreconditionError
+from essentia.errors import InputError
 from essentia.graphs import Graph, check_weights
 from essentia.problems import (
     Instance,
@@ -91,6 +91,42 @@ class TestIsSolution:
             if is_solution(inst, x):
                 extra = set(rng.sample(range(7), rng.randint(0, 7)))
                 assert is_solution(inst, x | extra)
+
+
+@st.composite
+def bench_feasibility_inputs(draw):
+    """An instance at the benchmark's solve-exact sizes and a vertex set.
+
+    n is 26-45 with a mean degree about the benchmark's for every family
+    but cograph deletion, which has n 10-16 at edge probability 1/2 (the
+    reference checks every quadruple).  The set takes each vertex with one
+    drawn probability, so both answers come up on every family.
+    """
+    problem = draw(st.sampled_from(list(Problem)))
+    seed = draw(st.integers(0, 10**6))
+    if problem is Problem.COGRAPH_DELETION:
+        n = draw(st.integers(10, 16))
+        g = random_graph(n, seed, False, 0.5)
+    else:
+        n = draw(st.integers(26, 45))
+        degree = draw(st.sampled_from([2.0, 2.4, 2.8]))
+        g = random_graph(n, seed, problem.directed, degree / (n - 1))
+    terminals = ()
+    if problem.uses_terminals:
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        terminals = tuple(random.Random(seed).sample(pairs, draw(st.integers(4, 8))))
+    rng = random.Random(seed + 1)
+    keep = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, 0.97]))
+    x = frozenset(u for u in range(n) if rng.random() < keep)
+    return Instance(problem, g, terminals), x
+
+
+class TestIsSolutionAtBenchSizes:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(bench_feasibility_inputs())
+    def test_matches_naive_checker(self, case):
+        inst, x = case
+        assert is_solution(inst, x) == naive_is_solution(inst, x)
 
 
 class TestSeparationOracle:
@@ -197,14 +233,14 @@ PATH_FAMILIES = (Problem.DFVS, Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_
 
 @st.composite
 def search_inputs(draw):
-    """A path-family instance, integer vertex costs, a removed set and a bound.
+    """An instance of any family, integer vertex costs, a removed set and a bound.
 
     Costs are 0/1, as exact search prices deletable vertices, half the
     time, and LP numerators over one denominator otherwise; zero costs come
     up in both, so equal-cost obstacles tie.  Dense digraphs have 2-cycles.
-    The bound is None or any value up to just past the costliest path.
+    The bound is None or any value up to just past the costliest obstacle.
     """
-    problem = draw(st.sampled_from(PATH_FAMILIES))
+    problem = draw(st.sampled_from(list(Problem)))
     n = draw(st.integers(1, 9))
     p = draw(st.sampled_from([0.15, 0.3, 0.5]))
     g = random_graph(n, draw(st.integers(0, 10**6)), problem.directed, p)
@@ -269,10 +305,18 @@ class TestCheapestObstacle:
         want = sequential_cheapest_obstacle(inst, cost, removed, below)
         assert cheapest_obstacle(inst, cost, removed, below) == want
 
-    def test_enumerated_families_have_no_path_search(self):
-        inst = Instance(Problem.VERTEX_COVER, Graph(2, False, [(0, 1)]))
-        with pytest.raises(PreconditionError):
-            cheapest_obstacle(inst, [1, 1])
+    def test_listed_families_tie_to_the_least_witness(self):
+        # P5: edges and the P4s 0-1-2-3 and 1-2-3-4, all tied under cost 0
+        g = Graph(5, False, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        cover, p4s = Instance(Problem.VERTEX_COVER, g), Instance(Problem.COGRAPH_DELETION, g)
+        assert cheapest_obstacle(cover, [0] * 5) == (0, (0, 1))
+        assert cheapest_obstacle(cover, [1, 1, 0, 0, 1]) == (0, (2, 3))
+        assert cheapest_obstacle(cover, [0] * 5, removed={1, 3}) is None
+        assert cheapest_obstacle(p4s, [0] * 5) == (0, (0, 1, 2, 3))
+        assert cheapest_obstacle(p4s, [1, 0, 0, 0, 0]) == (0, (1, 2, 3, 4))
+        assert cheapest_obstacle(p4s, [1, 0, 0, 0, 0], below=0) is None
+        assert cheapest_obstacle(p4s, [0] * 5, removed={0}) == (0, (1, 2, 3, 4))
+        assert cheapest_obstacle(p4s, [0] * 5, removed={2}) is None
 
 
 class TestIntegerOracleMatchesFractionReference:

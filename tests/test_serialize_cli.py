@@ -211,6 +211,14 @@ class TestCli:
         path = self.write_star(tmp_path, m=8)
         assert run(["solve", "--forbid", "0", "--node-cap", "1", path]) == 2
 
+    def test_negative_node_cap_exits_1(self, tmp_path, capsys):
+        assert run(["solve", "--node-cap", "-1", self.write_star(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: node_cap must be a nonnegative int, got -1\n"
+
+    def test_negative_size_cap_exits_1(self, tmp_path, capsys):
+        assert run(["detect", "--c", "2", "--size-cap", "-1", self.write_star(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: size_cap must be a nonnegative int, got -1\n"
+
     def test_detect_exact_ground_truth_mode(self, tmp_path, capsys):
         path = self.write_star(tmp_path, m=5)
         assert run(["detect", "--c", "3/1", path]) == 0

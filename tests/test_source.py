@@ -64,9 +64,10 @@ def test_bench_tracer_bindings_resolve():
 
 
 def test_only_problems_calls_the_path_search():
-    # the package has one path search: exact search, the separation oracle
-    # and the rounding's heavy sets all go through problems.cheapest_obstacle,
-    # whose heap is the only one; nothing else in the package uses heapq
+    # the package has one path search: is_solution, exact search, the
+    # separation oracle and the rounding's heavy sets all go through
+    # problems.cheapest_obstacle, whose heap is the only one; nothing else
+    # in the package uses heapq
     users, importers = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -81,6 +82,26 @@ def test_only_problems_calls_the_path_search():
                     users.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert users == {"problems.cheapest_obstacle"}
     assert importers == {"problems"}
+
+
+def test_only_problems_names_the_p4_listing():
+    # every other module reads the listed obstacles through
+    # problems.listed_obstacles or asks problems.cheapest_obstacle
+    banned = {"all_induced_p4s", "iter_induced_p4s"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "problems.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            names = set()
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+            found += [f"{path.name}:{node.lineno}: {name}" for name in sorted(names & banned)]
+    assert not found, f"modules besides problems.py name the P4 listing: {found}"
 
 
 def test_every_dataclass_is_frozen():
