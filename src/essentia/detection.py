@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .errors import InputError, SizeCapError
 from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
-from .graphs import _is_int, double_cover_matching
+from .graphs import _is_int, _rational, double_cover_matching
 from .lp import FractionalSolution, solve
 from .problems import Instance, Problem
 
@@ -183,13 +183,13 @@ def essential_vertices_exact(
     Computed from exact optima with each vertex forbidden in turn, so it is
     guarded by a size cap (exhaustive solving only): a size cap that is not
     a nonnegative int is an InputError, a graph above it a SizeCapError.
-    c may be any exact rational, e.g. Fraction(7, 2).
+    c may be any exact rational >= 1 (an int or a `Fraction`), e.g. Fraction(7, 2).
     """
     if not _is_int(size_cap) or size_cap < 0:
         raise InputError(f"size_cap must be a nonnegative int, got {size_cap!r}")
     if inst.n > size_cap:
         raise SizeCapError(f"n={inst.n} exceeds the exact-essentiality cap {size_cap}")
-    c = Fraction(c)
+    c = _rational(c, "essentiality factor")
     if c < 1:
         raise InputError(f"essentiality factor must be >= 1, got {c}")
     opt = opt_value(inst, node_cap)

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
+from typing import Iterable
 
 from .detection import lp_values
 from .exact import DEFAULT_NODE_CAP, SolveBudget, solve_exact
-from .graphs import Graph
+from .graphs import Graph, _vertex_set
 from .problems import Instance
 
 
@@ -40,12 +41,14 @@ class DriverReport:
     iterations: tuple[tuple[int, int, str], ...]  # (k, |S|, outcome)
 
 
-def restrict_instance(inst: Instance, removed: frozenset[int]) -> tuple[Instance, list[int]]:
+def restrict_instance(inst: Instance, removed: Iterable[int]) -> tuple[Instance, list[int]]:
     """Delete a vertex set, dropping the obstacles it already destroys.
 
     Returns the reindexed instance and the new-to-old vertex map.  Terminal
-    pairs with a deleted endpoint are already separated and disappear.
+    pairs with a deleted endpoint are already separated and disappear.  A
+    removed vertex that is not an in-range int is an InputError.
     """
+    removed = _vertex_set(removed, inst.n, "removed")
     keep = [u for u in range(inst.n) if u not in removed]
     old2new = {u: i for i, u in enumerate(keep)}
     g = inst.graph

@@ -8,7 +8,11 @@ deletable set refutes the branch.  Pruning combines a greedy incumbent found
 up front and a lower bound from packing violated obstacles with pairwise
 disjoint deletable sets.  On vertex cover that bound is raised to the LP
 value of the graph left: ν/2, rounded up, for the maximum matching ν of its
-bipartite double cover (`graphs.double_cover_matching`).  The path and cycle
+bipartite double cover (`graphs.double_cover_matching`).  That bound ignores
+blocked vertices and choosing a leaf does not raise it, so vertex cover also
+skips the first leaf of the branch obstacle, a deletable vertex on no other
+surviving obstacle: a solution through it trades it for another deletable
+vertex of that obstacle at no cost.  The path and cycle
 families get their branch obstacles from `problems.cheapest_obstacle`, the
 search the separation oracle uses, with deletable vertices costing 1: its
 answer is the globally least (cost, order) path or cycle.
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InputError, NodeCapError
-from .graphs import _is_int, double_cover_matching
+from .graphs import _is_int, _vertex_set, double_cover_matching
 from .problems import Instance, Problem, cheapest_obstacle, is_solution, listed_obstacles
 
 _INFEASIBLE = 10**9
@@ -70,16 +74,7 @@ class SolveBudget:
     node_cap: int = DEFAULT_NODE_CAP
 
     def __post_init__(self):
-        try:
-            forbidden = tuple(self.forbidden)
-        except TypeError:
-            raise InputError(
-                f"forbidden must be an iterable of vertices, got {self.forbidden!r}"
-            ) from None
-        for u in forbidden:
-            if not _is_int(u):
-                raise InputError(f"forbidden vertex must be an int, got {u!r}")
-        object.__setattr__(self, "forbidden", frozenset(forbidden))
+        object.__setattr__(self, "forbidden", _vertex_set(self.forbidden, None, "forbidden"))
         if self.max_k is not None and not _is_int(self.max_k):
             raise InputError(f"max_k must be an int, got {self.max_k!r}")
         if not _is_int(self.node_cap) or self.node_cap < 0:
@@ -334,11 +329,17 @@ class _Search:
         need = bound - len(chosen) + 1
         if self._packing_lb(removed, blocked, need, alive, vs) >= need:
             return
+        # vertex cover's leaf rule (see the module docstring); a vertex of an
+        # unhit target is on it too, so it is never the leaf of an edge
+        leaf = None
+        if self.inst.problem is Problem.VERTEX_COVER:
+            leaf = next((u for u in allowed if sum(u in ob for _, ob in alive) == 1), None)
         tried: set[int] = set()
         for u in allowed:
-            self._dfs(chosen | {u}, blocked | frozenset(tried), max_k, _avoiding(alive, u))
-            if self.find_first and self.best is not None:
-                return
+            if u != leaf:
+                self._dfs(chosen | {u}, blocked | frozenset(tried), max_k, _avoiding(alive, u))
+                if self.find_first and self.best is not None:
+                    return
             tried.add(u)
 
     def _greedy(self) -> Optional[frozenset[int]]:
@@ -388,9 +389,7 @@ class _Search:
 
 def _check_budget(inst: Instance, budget: SolveBudget) -> None:
     """The ranges of a budget whose types `SolveBudget` has checked."""
-    for u in budget.forbidden:
-        if not 0 <= u < inst.n:
-            raise InputError(f"forbidden vertex {u} out of range (n={inst.n})")
+    _vertex_set(budget.forbidden, inst.n, "forbidden")
     if budget.max_k is not None and not 0 <= budget.max_k <= inst.n:
         raise InputError(f"max_k {budget.max_k} out of range (n={inst.n})")
 

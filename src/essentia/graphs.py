@@ -1,4 +1,6 @@
-"""Exact-arithmetic graph primitives.
+"""Exact-arithmetic graph primitives, and the package's input checks: every
+public entry checks vertex sets with `_vertex_set`, edges and terminal pairs
+with `_vertex_pairs` and exact factors with `_rational`, and keeps its own rule.
 
 Everything downstream is built on the operations defined here: simple graphs
 (directed or not), minimum vertex separators (one augmenting-path loop on
@@ -34,6 +36,51 @@ def _is_int(x: object) -> bool:
     return type(x) is not bool and isinstance(x, int)
 
 
+def _vertex_set(vertices: Iterable[int], n: Optional[int], what: str) -> frozenset[int]:
+    """The vertex set a caller passed, once each member is an int (never a
+    bool, even beside an equal int) in 0..n-1, or any int when n is None;
+    `what` names the set in messages ("forbidden", "pinned", ...)."""
+    try:
+        items = tuple(vertices)
+    except TypeError:
+        raise InputError(f"{what} must be an iterable of vertices, got {vertices!r}") from None
+    for u in items:
+        if not _is_int(u):
+            raise InputError(f"{what} vertex must be an int, got {u!r}")
+        if n is not None and not 0 <= u < n:
+            raise InputError(f"{what} vertex {u} out of range (n={n})")
+    return frozenset(items)
+
+
+def _vertex_pairs(pairs: Iterable[tuple[int, int]], n: int, what: str) -> list[tuple[int, int]]:
+    """The pairs a caller passed as int tuples, once each holds two ints in
+    0..n-1; a message names the failing pair as `what[position]`."""
+    try:
+        pairs = iter(pairs)
+    except TypeError:
+        raise InputError(f"{what} must be an iterable of pairs, got {pairs!r}") from None
+    out = []
+    for pos, pair in enumerate(pairs):
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise InputError(f"{what}[{pos}]: expected a pair of vertices, got {pair!r}") from None
+        if not (_is_int(u) and _is_int(v)):
+            raise InputError(f"{what}[{pos}]: vertex ids must be ints, got {pair!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"{what}[{pos}]: vertex out of range (n={n}): ({u}, {v})")
+        out.append((u, v))
+    return out
+
+
+def _rational(x: object, what: str) -> Fraction:
+    """x as a Fraction, once it is an exact rational: an int or a Fraction,
+    never a float, a string, a bool or None."""
+    if not (_is_int(x) or isinstance(x, Fraction)):
+        raise InputError(f"{what} must be an int or a Fraction, got {x!r}")
+    return Fraction(x)
+
+
 class Graph:
     """A finite simple graph with vertices 0..n-1.
 
@@ -52,24 +99,12 @@ class Graph:
             raise InputError(f"vertex count must be a nonnegative int, got {n!r}")
         if type(directed) is not bool:
             raise InputError(f"directed must be a bool, got {directed!r}")
-        try:
-            edges = iter(edges)
-        except TypeError:
-            raise InputError(f"edges must be an iterable of pairs, got {edges!r}") from None
         self.n = n
         self.directed = directed
         seen = set()
         adj = [[] for _ in range(n)]
         canon = []
-        for pos, edge in enumerate(edges):
-            try:
-                u, v = edge
-            except (TypeError, ValueError):
-                raise InputError(f"edges[{pos}]: expected a pair of vertices, got {edge!r}") from None
-            if not (_is_int(u) and _is_int(v)):
-                raise InputError(f"edges[{pos}]: vertex ids must be ints, got {edge!r}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edges[{pos}]: endpoint out of range (n={n}): ({u}, {v})")
+        for pos, (u, v) in enumerate(_vertex_pairs(edges, n, "edges")):
             if u == v:
                 raise InputError(f"edges[{pos}]: self-loop at vertex {u}")
             key = (u, v) if directed else (min(u, v), max(u, v))
@@ -135,7 +170,7 @@ def min_vertex_separator(
     g: Graph,
     sources: Iterable[int],
     targets: Iterable[int],
-    forbidden: frozenset[int] = frozenset(),
+    forbidden: Iterable[int] = frozenset(),
 ) -> frozenset[int]:
     """Minimum-cardinality vertex set meeting every sources->targets path.
 
@@ -144,7 +179,8 @@ def min_vertex_separator(
     the maximum number of internally vertex-disjoint sources->targets paths.
     Raises InfeasibleSeparatorError when some path consists of forbidden
     vertices only, so that no valid separator exists, and InputError on a
-    source or target that is not an in-range int (a bool included).
+    source, target or forbidden vertex that is not an in-range int (a bool
+    included).
 
     Unit-capacity max-flow on the vertex-split graph: vertex u becomes the
     arc 2u -> 2u+1 of capacity 1, or n + 1 (more than any vertex cut) when u
@@ -155,13 +191,9 @@ def min_vertex_separator(
     minimum cut, the same for every maximum flow: the cut is the vertices
     whose in-node it reaches and whose out-node it does not.
     """
-    sources, targets = tuple(sources), tuple(targets)
-    for u in sources + targets:
-        if not _is_int(u):
-            raise InputError(f"vertex ids must be ints, got {u!r}")
-        if not 0 <= u < g.n:
-            raise InputError(f"vertex {u} out of range (n={g.n})")
-    sources, targets = sorted(set(sources)), sorted(set(targets))
+    sources = sorted(_vertex_set(sources, g.n, "source"))
+    targets = sorted(_vertex_set(targets, g.n, "target"))
+    forbidden = _vertex_set(forbidden, g.n, "forbidden")
     big = g.n + 1
     source_node, sink_node = 2 * g.n, 2 * g.n + 1
     cap: list[dict[int, int]] = [dict() for _ in range(2 * g.n + 2)]

@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError
 from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
-from .graphs import Graph, _is_int
+from .graphs import Graph, _is_int, _rational
 from .lp import solve
 from .problems import Instance, Problem
 
@@ -99,7 +99,7 @@ def _pad_multiplier(n: int, c: Fraction) -> int:
 
 
 def gen_dfvs_gadget(base: Instance, eps: Fraction) -> LabeledInstance:
-    """Cycle-hitting gadget around a base instance, with strength eps in (0, 1].
+    """Cycle-hitting gadget around a base instance, with exact eps in (0, 1].
 
     The base (padded by disjoint copies until (1 - eps/2) * n is integral)
     becomes the group P; two new groups Q_in and Q_out of that size m are
@@ -109,7 +109,7 @@ def gen_dfvs_gadget(base: Instance, eps: Fraction) -> LabeledInstance:
     """
     if base.problem is not Problem.DFVS:
         raise InputError(f"gadget base must be a feedback vertex set instance, got {base.problem.value}")
-    eps = Fraction(eps)
+    eps = _rational(eps, "eps")
     if not 0 < eps <= 1:
         raise InputError(f"eps must lie in (0, 1], got {eps}")
     c = 1 - eps / 2
@@ -136,7 +136,7 @@ def gen_dfvs_gadget(base: Instance, eps: Fraction) -> LabeledInstance:
 
 
 def gen_vc_gadget(base: Instance, eps: Fraction) -> LabeledInstance:
-    """Edge-covering gadget around a base instance, with eps in (0, 1/2].
+    """Edge-covering gadget around a base instance, with exact eps in (0, 1/2].
 
     The padded base becomes P; a fresh independent set Q of size
     (1/2 - eps/2) * |P| is joined completely to P.  P covers every edge, and
@@ -144,7 +144,7 @@ def gen_vc_gadget(base: Instance, eps: Fraction) -> LabeledInstance:
     """
     if base.problem is not Problem.VERTEX_COVER:
         raise InputError(f"gadget base must be a vertex cover instance, got {base.problem.value}")
-    eps = Fraction(eps)
+    eps = _rational(eps, "eps")
     if not 0 < eps <= Fraction(1, 2):
         raise InputError(f"eps must lie in (0, 1/2], got {eps}")
     c = Fraction(1, 2) - eps / 2

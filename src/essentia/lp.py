@@ -24,8 +24,8 @@ from math import gcd
 from typing import Optional
 
 from .errors import InputError, IterationCapError
-from .graphs import VertexWeights, _is_int
-from .problems import Instance, Obstacle, find_violated_obstacle, separate_numerators
+from .graphs import VertexWeights
+from .problems import Instance, Obstacle, _check_pin, find_violated_obstacle, separate_numerators
 from .simplex import PackingSimplex
 
 
@@ -66,15 +66,6 @@ class FractionalSolution:
             raise InputError(f"solution value {self.value} != weight total {total}")
         if bad is not None:
             raise InputError(f"weight of vertex {bad} out of [0, 1]: {self.weights[bad]}")
-
-
-def _check_pin(inst: Instance, pinned: Optional[int]) -> None:
-    if pinned is None:
-        return
-    if not _is_int(pinned):
-        raise InputError(f"pinned vertex must be an int, got {pinned!r}")
-    if not 0 <= pinned < inst.n:
-        raise InputError(f"pinned vertex {pinned} out of range")
 
 
 def _start_engine(inst: Instance, start: FractionalSolution) -> PackingSimplex:

@@ -13,7 +13,9 @@ vertex cover         undirected  edges
 feedback vertex set  directed    vertex sets of directed simple cycles
 ===================  ==========  =======================================
 
-A solution is a vertex set that meets every obstacle, and the package asks
+An `Instance` reads its terminal pairs, and `is_solution` and the oracle
+their vertices, through the input checks of `graphs`.  A solution is a
+vertex set that meets every obstacle, and the package asks
 the families only one question, answered in one place: `cheapest_obstacle`
 returns the least (cost, order) obstacle of G - R under integer vertex
 costs, or None when none is cheaper than a bound.  The listed families
@@ -45,7 +47,7 @@ from functools import lru_cache
 from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError
-from .graphs import Graph, VertexWeights, _is_int, check_weights
+from .graphs import Graph, VertexWeights, _vertex_pairs, _vertex_set, check_weights
 
 
 class Problem(Enum):
@@ -121,31 +123,16 @@ class Instance:
         if self.graph.directed != self.problem.directed:
             kind = "a directed" if self.problem.directed else "an undirected"
             raise InputError(f"{self.problem.value} requires {kind} graph")
-        try:
-            raw = tuple(self.terminals)
-        except TypeError:
-            raise InputError(
-                f"terminals must be an iterable of pairs, got {self.terminals!r}"
-            ) from None
-        if raw and not self.problem.uses_terminals:
+        terms = _vertex_pairs(self.terminals, self.graph.n, "terminals")
+        if terms and not self.problem.uses_terminals:
             raise InputError(f"{self.problem.value} does not take terminal pairs")
-        terms = []
         groups: dict[int, set[int]] = {}
-        for pos, pair in enumerate(raw):
-            try:
-                s, t = pair
-            except (TypeError, ValueError):
-                raise InputError(f"terminals[{pos}]: expected a pair of vertices, got {pair!r}") from None
-            if not (_is_int(s) and _is_int(t)):
-                raise InputError(f"terminals[{pos}]: vertex ids must be ints, got {pair!r}")
-            if not (0 <= s < self.graph.n and 0 <= t < self.graph.n):
-                raise InputError(f"terminals[{pos}]: vertex out of range: ({s}, {t})")
+        for pos, (s, t) in enumerate(terms):
             if s == t:
                 raise InputError(f"terminals[{pos}]: pair endpoints coincide: {s}")
             if t in groups.setdefault(s, set()):
                 raise InputError(f"terminals[{pos}]: duplicate pair ({s}, {t})")
             groups[s].add(t)
-            terms.append((s, t))
         object.__setattr__(self, "terminals", tuple(terms))
         by_source = tuple((s, frozenset(ts)) for s, ts in sorted(groups.items()))
         object.__setattr__(self, "targets_by_source", by_source)
@@ -206,12 +193,7 @@ def is_solution(inst: Instance, x: Iterable[int]) -> bool:
     Raises InputError on a member that is not an in-range int (a bool is
     refused, and so is a float, even an integral one).
     """
-    removed = frozenset(x)
-    for u in removed:
-        if not _is_int(u):
-            raise InputError(f"vertex ids must be ints, got {u!r}")
-        if not 0 <= u < inst.n:
-            raise InputError(f"vertex {u} out of range (n={inst.n})")
+    removed = _vertex_set(x, inst.n, "solution")
     return cheapest_obstacle(inst, [0] * inst.n, removed) is None
 
 
@@ -311,10 +293,18 @@ def find_violated_obstacle(
     least witness (a cycle in its rotation that starts at its least
     vertex).  The weights are validated here, once, and scaled to integer
     numerators over their least common denominator; `separate_numerators`
-    prices every family in those ints.
+    prices every family in those ints.  A pin that is not an in-range int
+    is an InputError.
     """
+    _check_pin(inst, v_pinned)
     den, nums = check_weights(inst.graph, w)
     return separate_numerators(inst, den, nums, v_pinned)
+
+
+def _check_pin(inst: Instance, pinned: Optional[int]) -> None:
+    """Refuse a pin that is neither None nor an in-range int."""
+    if pinned is not None:
+        _vertex_set((pinned,), inst.n, "pinned")
 
 
 def separate_numerators(

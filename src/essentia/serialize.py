@@ -8,8 +8,9 @@ floats appear anywhere.  Instance files are JSON objects
 
 with 0-indexed vertices; undirected edges are written once with u < v.  An
 optional "labels" object (vertex groups named by the generators) is emitted
-by `generate` and ignored on input.  Parse errors carry the offending
-position.
+by `generate` and ignored on input.  The reader checks the JSON shape
+only; `Graph` and `Instance` check the pairs, their vertex ids and the
+`directed` flag, and their errors carry the offending position.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 from .detection import DetectionResult
 from .driver import DriverReport
 from .errors import InputError
-from .graphs import Graph, _is_int
+from .graphs import Graph, _is_int, _vertex_set
 from .lab import GapReport
 from .problems import Instance, Problem
 from .rounding import RoundingCertificate
@@ -83,29 +84,17 @@ def _expect(d: dict, key: str, kind, where: str):
     return val
 
 
-def _pair_list(raw: list, what: str) -> list:
-    """`raw`, once each item is a JSON list of two; `Graph` and `Instance` check the ids."""
-    for pos, item in enumerate(raw):
-        if not isinstance(item, list) or len(item) != 2:
-            raise InputError(f"{what}[{pos}]: expected a pair of integers, got {item!r}")
-    return raw
-
-
 def instance_from_dict(d: dict) -> Instance:
     if not isinstance(d, dict):
         raise InputError(f"instance: expected a JSON object, got {type(d).__name__}")
     problem = Problem.from_tag(_expect(d, "problem", str, "instance"))
     directed = _expect(d, "directed", bool, "instance")
     n = _expect(d, "n", int, "instance")
-    if directed != problem.directed:
-        raise InputError(
-            f"instance: directed={directed} contradicts problem {problem.value!r}"
-        )
-    edges = _pair_list(_expect(d, "edges", list, "instance"), "edges")
+    edges = _expect(d, "edges", list, "instance")
     terminals = []  # an absent or null "terminals" means no pairs
     if d.get("terminals") is not None:
-        terminals = _pair_list(_expect(d, "terminals", list, "instance"), "terminals")
-    return Instance(problem, Graph(n, directed, edges), tuple(terminals))
+        terminals = _expect(d, "terminals", list, "instance")
+    return Instance(problem, Graph(n, directed, edges), terminals)
 
 
 def dumps_instance(inst: Instance, labels: Optional[dict] = None) -> str:
@@ -179,16 +168,9 @@ def detection_result_from_dict(d: dict, n: int) -> DetectionResult:
         if str(v) not in raw:
             raise InputError(f"detection result: missing lp value for vertex {v}")
         values.append(parse_rat(raw[str(v)]))
-    selected = frozenset(_int_list(_expect(d, "selected", list, "detection result"), "selected"))
+    selected = _vertex_set(_expect(d, "selected", list, "detection result"), n, "selected")
     threshold = parse_rat(d.get("threshold", "0/1"))
     return DetectionResult(selected=selected, lp_values=tuple(values), threshold_used=threshold)
-
-
-def _int_list(raw: list, what: str) -> list[int]:
-    for pos, x in enumerate(raw):
-        if not _is_int(x):
-            raise InputError(f"{what}[{pos}]: expected an integer, got {x!r}")
-    return list(raw)
 
 
 def rounding_certificate_to_dict(cert: RoundingCertificate) -> dict:
@@ -208,9 +190,7 @@ def rounding_certificate_fields(
     return (
         parse_rat(_expect(d, "factor_bound", str, "certificate")),
         parse_rat(_expect(d, "fractional_value", str, "certificate")),
-        frozenset(
-            _int_list(_expect(d, "integral_set", list, "certificate"), "integral_set")
-        ),
+        _vertex_set(_expect(d, "integral_set", list, "certificate"), None, "integral_set"),
         _expect(d, "pinned_vertex", int, "certificate"),
     )
 

@@ -288,6 +288,13 @@ class TestEssentialExact:
         with pytest.raises(InputError, match=r"^size_cap must be a nonnegative int, got -1$"):
             essential_vertices_exact(inst, F(2), size_cap=-1)
 
+    @pytest.mark.parametrize("c", ["x", None, 2.5, True])
+    def test_factor_that_is_not_an_exact_rational(self, c):
+        inst = gen_star_multicut(3).instance
+        msg = rf"^essentiality factor must be an int or a Fraction, got {re.escape(repr(c))}$"
+        with pytest.raises(InputError, match=msg):
+            essential_vertices_exact(inst, c)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_agrees_with_bruteforce_definition(self, seed):
         rng = random.Random(seed)

@@ -1,10 +1,13 @@
+import logging
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from essentia.detection import DETECTION_THRESHOLDS, essential_vertices_exact, lp_values
 from essentia.driver import restrict_instance, solve_with_detection
+from essentia.errors import InputError
 from essentia.exact import opt_value
 from essentia.graphs import Graph
 from essentia.lab import gen_dfvs_gadget, gen_matching_apex, gen_star_multicut, gen_vc_gadget
@@ -25,6 +28,18 @@ class TestRestrictInstance:
         inst = gen_star_multicut(5).instance
         sub, _ = restrict_instance(inst, frozenset({0}))
         assert naive_opt(sub) == 0
+
+    @pytest.mark.parametrize(
+        "removed, match",
+        [
+            ({True}, r"^removed vertex must be an int, got True$"),
+            ({99}, r"^removed vertex 99 out of range \(n=4\)$"),
+            ({"a"}, r"^removed vertex must be an int, got 'a'$"),
+        ],
+    )
+    def test_removed_vertices_are_checked(self, removed, match):
+        with pytest.raises(InputError, match=match):
+            restrict_instance(gen_star_multicut(3).instance, removed)
 
 
 class TestSolveWithDetection:
@@ -117,3 +132,24 @@ def test_sweep_matches_dovetail_reference(inst):
     # the sweep calls the exact solver once for each distinct k the dovetail tries
     swept = [k for k, _, outcome in rep.iterations if outcome != "detected-exceeds-k"]
     assert swept == sorted(set(tried))
+
+
+def test_deep_vertex_cover_residual_keeps_a_small_search(caplog):
+    # the last corpus instance ends at residual budget 24; branching on leaves
+    # of the remaining graph once took its exact calls to 186,623 minimum-pass
+    # and 74,645 lexicographic-pass nodes, and the search that took the
+    # degree-one vertex's neighbour at most 892 and 868
+    cover = random_instance(Problem.VERTEX_COVER, 5, 605)
+    inst = gen_vc_gadget(cover, F(1, 4)).instance
+    with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
+        rep = solve_with_detection(inst)
+    assert (rep.opt, rep.residual_budget) == (39, 24)
+    pattern = re.compile(r"^solve_exact: (\d+) minimum-pass nodes, (\d+) lexicographic-pass nodes")
+    counts = [
+        tuple(map(int, pattern.match(r.getMessage()).groups()))
+        for r in caplog.records
+        if r.name == "essentia.exact"
+    ]
+    assert len(counts) == 4
+    assert max(m for m, _ in counts) <= 892
+    assert max(lex for _, lex in counts) <= 868

@@ -349,11 +349,32 @@ class TestMinVertexSeparator:
         assert cut == frozenset({5, 10, 11}) == aux_min_vertex_separator(g, [0], [9], path - {5})
 
 
-    @pytest.mark.parametrize("ids", [([True], [2]), ([0.0], [2]), ([0], ["2"])])
-    def test_vertex_ids_that_are_not_ints(self, ids):
+    @pytest.mark.parametrize(
+        "ids, match",
+        [
+            (([True], [2]), r"^source vertex must be an int, got True$"),
+            (([0.0], [2]), r"^source vertex must be an int, got 0\.0$"),
+            (([0], ["2"]), r"^target vertex must be an int, got '2'$"),
+        ],
+        ids=["ids0", "ids1", "ids2"],
+    )
+    def test_vertex_ids_that_are_not_ints(self, ids, match):
         g = Graph(3, False, [(0, 1), (1, 2)])
-        with pytest.raises(InputError, match=r"^vertex ids must be ints, got "):
+        with pytest.raises(InputError, match=match):
             min_vertex_separator(g, *ids)
+
+    @pytest.mark.parametrize(
+        "forbidden, match",
+        [
+            ({0, 2, True}, r"^forbidden vertex must be an int, got True$"),
+            ({0, 2, 9}, r"^forbidden vertex 9 out of range \(n=3\)$"),
+            (None, r"^forbidden must be an iterable of vertices, got None$"),
+        ],
+    )
+    def test_forbidden_vertices_are_checked(self, forbidden, match):
+        g = Graph(3, False, [(0, 1), (1, 2)])
+        with pytest.raises(InputError, match=match):
+            min_vertex_separator(g, [0], [2], forbidden)
 
 
 class TestDoubleCoverMatching:

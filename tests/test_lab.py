@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -136,6 +137,17 @@ class TestVcGadget:
         base = Instance(Problem.VERTEX_COVER, Graph(2, False, [(0, 1)]))
         with pytest.raises(InputError):
             gen_vc_gadget(base, F(3, 4))
+
+
+@pytest.mark.parametrize("eps", [None, True, 0.25, "1/4"])
+@pytest.mark.parametrize("gadget", ["dfvs", "vc"])
+def test_gadget_eps_must_be_an_exact_rational(gadget, eps):
+    if gadget == "dfvs":
+        build, base = gen_dfvs_gadget, triangle_dfvs()
+    else:
+        build, base = gen_vc_gadget, Instance(Problem.VERTEX_COVER, Graph(2, False, [(0, 1)]))
+    with pytest.raises(InputError, match=rf"^eps must be an int or a Fraction, got {re.escape(repr(eps))}$"):
+        build(base, eps)
 
 
 class TestPadMultiplier:

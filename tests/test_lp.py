@@ -175,9 +175,9 @@ class TestVerifyFeasible:
     def test_pin_out_of_range_raises(self, pin):
         inst = gen_star_multicut(3).instance
         sol = FractionalSolution((F(1),) * 4, F(4))
-        with pytest.raises(InputError, match=rf"^pinned vertex {pin} out of range$"):
+        with pytest.raises(InputError, match=rf"^pinned vertex {pin} out of range \(n=4\)$"):
             verify_feasible(inst, sol, pin)
-        with pytest.raises(InputError, match=rf"^pinned vertex {pin} out of range$"):
+        with pytest.raises(InputError, match=rf"^pinned vertex {pin} out of range \(n=4\)$"):
             solve(inst, pin)
 
     @pytest.mark.parametrize("pin", [1.5, "1", True, F(1)])

@@ -61,16 +61,20 @@ class TestIsSolution:
 
     def test_float_vertex_id_is_input_error(self):
         # 0.0 == 0, but a float is not a vertex id
-        with pytest.raises(InputError, match=r"^vertex ids must be ints, got 0\.0$"):
+        with pytest.raises(InputError, match=r"^solution vertex must be an int, got 0\.0$"):
             is_solution(gen_star_multicut(3).instance, {0.0})
 
     def test_string_vertex_id_is_input_error(self):
-        with pytest.raises(InputError, match=r"^vertex ids must be ints, got '0'$"):
+        with pytest.raises(InputError, match=r"^solution vertex must be an int, got '0'$"):
             is_solution(gen_star_multicut(3).instance, {"0"})
 
     def test_bool_vertex_id_is_input_error(self):
-        with pytest.raises(InputError, match=r"^vertex ids must be ints, got True$"):
+        with pytest.raises(InputError, match=r"^solution vertex must be an int, got True$"):
             is_solution(gen_star_multicut(3).instance, {True})
+
+    def test_none_is_input_error(self):
+        with pytest.raises(InputError, match=r"^solution must be an iterable of vertices, got None$"):
+            is_solution(gen_star_multicut(3).instance, None)
 
     @pytest.mark.parametrize("problem", list(Problem))
     @pytest.mark.parametrize("seed", range(8))
@@ -183,6 +187,18 @@ class TestSeparationOracle:
         w = tuple([F(1, 2)] * 4)
         with pytest.raises(PreconditionError):
             find_violated_obstacle(inst, w, v_pinned=0)
+
+    @pytest.mark.parametrize(
+        "pin, match",
+        [
+            (True, r"^pinned vertex must be an int, got True$"),
+            (9, r"^pinned vertex 9 out of range \(n=4\)$"),
+        ],
+    )
+    def test_pin_is_checked(self, pin, match):
+        inst = gen_star_multicut(3).instance
+        with pytest.raises(InputError, match=match):
+            find_violated_obstacle(inst, (F(0),) * 4, v_pinned=pin)
 
 
 @st.composite

@@ -51,7 +51,7 @@ class TestCertificateInvariants:
 
 
 class TestVertexIds:
-    # v is checked with the LP's pin rule, so the rounders and `lp.solve`
+    # v is checked with the oracle's pin rule, so the rounders and `lp.solve`
     # refuse the same vertex ids with the same error
     def test_float_vertex_is_input_error(self):
         inst = gen_star_multicut(4).instance
@@ -74,7 +74,7 @@ class TestVertexIds:
             lambda: round_directed_multicut(directed, v, x),
             lambda: round_cograph(Graph(5, False, [(0, 1), (1, 2), (2, 3)]), v, x),
         ):
-            with pytest.raises(InputError, match=rf"^pinned vertex {v} out of range$"):
+            with pytest.raises(InputError, match=rf"^pinned vertex {v} out of range \(n=5\)$"):
                 call()
 
 

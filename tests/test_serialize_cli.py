@@ -69,7 +69,7 @@ class TestInstanceJson:
         [
             ("edges", [0, True], r"^edges\[1\]: vertex ids must be ints"),
             ("edges", [0, 1.5], r"^edges\[1\]: vertex ids must be ints"),
-            ("edges", [0, 1, 2], r"^edges\[1\]: expected a pair of integers"),
+            ("edges", [0, 1, 2], r"^edges\[1\]: expected a pair of vertices, got \[0, 1, 2\]$"),
             ("terminals", [1, "2"], r"^terminals\[1\]: vertex ids must be ints"),
             ("terminals", [1, 9], r"^terminals\[1\]: vertex out of range"),
         ],
@@ -87,7 +87,7 @@ class TestInstanceJson:
             )
 
     def test_directed_flag_must_match(self):
-        with pytest.raises(InputError, match="contradicts"):
+        with pytest.raises(InputError, match=r"^dfvs requires a directed graph$"):
             serialize.instance_from_dict(
                 {"problem": "dfvs", "directed": False, "n": 2, "edges": [], "terminals": []}
             )
@@ -308,7 +308,7 @@ class TestCli:
 
     def test_gap_pin_out_of_range_is_an_input_error(self, tmp_path, capsys):
         assert run(["gap", "--pin", "99", self.write_star(tmp_path, m=3)]) == 1
-        assert capsys.readouterr().err == "error: pinned vertex 99 out of range\n"
+        assert capsys.readouterr().err == "error: pinned vertex 99 out of range (n=4)\n"
 
     def test_size_cap_default_is_the_library_default(self):
         args = _build_parser().parse_args(["detect", "g.json", "--c", "2"])

@@ -12,7 +12,8 @@ import essentia
 from essentia import lp, problems
 
 PACKAGE = Path(essentia.__file__).parent
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def test_no_assert_statements_in_package():
@@ -61,6 +62,25 @@ def test_bench_tracer_bindings_resolve():
     assert not missing, f"tracer bindings that do not resolve: {missing}"
     assert (lp, "find_violated_obstacle") in [(o, a) for o, a, _ in bindings]
     assert lp.find_violated_obstacle is problems.find_violated_obstacle
+
+
+def test_bench_imports_resolve():
+    # the benchmark imports these names from src/ by name, and its traced run
+    # clears the P4 cache between the plain and the traced call of each op
+    names = []
+    for script in ("run.py", "workloads.py"):
+        path = BENCH / script
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("essentia"):
+                names += [(node.module, alias.name) for alias in node.names]
+    assert ("essentia.problems", "all_induced_p4s") in names
+    missing = [
+        f"{module}.{name}"
+        for module, name in names
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, f"names the benchmark imports that do not resolve: {missing}"
+    assert callable(problems.all_induced_p4s.cache_clear)
 
 
 def test_only_problems_calls_the_path_search():
