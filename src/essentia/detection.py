@@ -93,26 +93,27 @@ class DetectionResult:
 
 def _pinned_values(
     payload: tuple[Instance, FractionalSolution, list[int]],
-) -> tuple[dict[int, Fraction], int]:
-    """f_v for the listed vertices, each pinned LP started from `top`, and the LP solves it took.
+) -> tuple[dict[int, Fraction], int, int]:
+    """f_v for the listed vertices, each pinned LP started from `top`, and the LP solves and pivots it took.
 
     A pinned optimum of value LP* = `top.value` settles its listed zeros too.
     """
     inst, top, todo = payload
     star = top.value
     values: dict[int, Fraction] = {}
-    solves = 0
+    solves = pivots = 0
     for v in todo:
         if v in values:
             continue
         sol = solve(inst, v, start=top)
         solves += 1
+        pivots += sol.tableau.pivots
         values[v] = sol.value
         if sol.value == star:
             for u in todo:
                 if u not in values and sol.weights[u] == 0:
                     values[u] = star
-    return values, solves
+    return values, solves, pivots
 
 
 def lp_values(inst: Instance, jobs: int = 1) -> tuple[Fraction, ...]:
@@ -124,10 +125,13 @@ def lp_values(inst: Instance, jobs: int = 1) -> tuple[Fraction, ...]:
     pinned optimum of value LP*) with f_v = LP*, and starts each pinned LP
     left from the unpinned LP's optimal tableau.  jobs > 1 splits those LPs
     over at most min(jobs, CPU count, LPs left) processes, each sent the
-    unpinned solution.  One DEBUG record on the
-    "essentia.detection" logger gives the LP solves and the vertices
-    settled by the zero rule.
+    unpinned solution; jobs that is not an int >= 1 (a bool included) is
+    an InputError.  One DEBUG record on the "essentia.detection" logger
+    gives the LP solves, the simplex pivots they made (workers' included)
+    and the vertices settled by the zero rule.
     """
+    if not _is_int(jobs) or jobs < 1:
+        raise InputError(f"jobs must be an int >= 1, got {jobs!r}")
     n = inst.n
     if inst.problem is Problem.VERTEX_COVER:
         nbrs = inst.graph.neighbors
@@ -135,11 +139,11 @@ def lp_values(inst: Instance, jobs: int = 1) -> tuple[Fraction, ...]:
             len(nbrs(v)) + Fraction(double_cover_matching(inst.graph, nbrs(v) | {v}), 2)
             for v in range(n)
         )
-        solves = settled = 0
+        solves = pivots = settled = 0
     else:
         top = solve(inst)
         todo = [v for v, x in enumerate(top.weights) if x != 0]
-        workers = min(jobs, os.cpu_count() or 1, len(todo))
+        workers = min(jobs, os.cpu_count() or 1, len(todo)) if jobs > 1 else 1
         if workers <= 1:
             results = [_pinned_values((inst, top, todo))]
         else:
@@ -151,15 +155,19 @@ def lp_values(inst: Instance, jobs: int = 1) -> tuple[Fraction, ...]:
             with ProcessPoolExecutor(max_workers=workers) as executor:
                 results = list(executor.map(_pinned_values, payloads))
         values = [top.value] * n
-        pinned = 0
-        for got, count in results:
+        pinned, pivots = 0, top.tableau.pivots
+        for got, count, made in results:
             for v, f in got.items():
                 values[v] = f
             pinned += count
+            pivots += made
         values, solves, settled = tuple(values), pinned + 1, n - pinned
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
-            "lp_values: %d LP solves, %d vertices settled by the zero rule", solves, settled
+            "lp_values: %d LP solves, %d pivots, %d vertices settled by the zero rule",
+            solves,
+            pivots,
+            settled,
         )
     return values
 

@@ -73,10 +73,15 @@ def _vertex_pairs(pairs: Iterable[tuple[int, int]], n: int, what: str) -> list[t
     return out
 
 
+def _is_rational(x: object) -> bool:
+    """The exact-rational test of the package: a Fraction or an int, never a bool."""
+    return isinstance(x, Fraction) or _is_int(x)
+
+
 def _rational(x: object, what: str) -> Fraction:
     """x as a Fraction, once it is an exact rational: an int or a Fraction,
     never a float, a string, a bool or None."""
-    if not (_is_int(x) or isinstance(x, Fraction)):
+    if not _is_rational(x):
         raise InputError(f"{what} must be an int or a Fraction, got {x!r}")
     return Fraction(x)
 
@@ -146,18 +151,18 @@ def check_weights(g: Graph, w: VertexWeights) -> tuple[int, list[int]]:
     """Validate a weight vector and put it over its least common denominator.
 
     The vector must have length n and hold exact rationals (`Fraction`s or
-    ints) in [0, 1].  Returns (den, nums) with nums[u] == w[u] * den.  One
-    positive den keeps the order of every sum of weights, so callers may
-    compare sums of the integer numerators instead of `Fraction` sums.
+    ints, never bools) in [0, 1].  Returns (den, nums) with nums[u] ==
+    w[u] * den.  One positive den keeps the order of every sum of weights,
+    so callers may compare sums of the integer numerators instead of
+    `Fraction` sums.
     """
     if len(w) != g.n:
         raise InputError(f"weight vector has length {len(w)}, expected {g.n}")
     den = 1
     for u, x in enumerate(w):
-        try:
-            p, q = x.numerator, x.denominator
-        except AttributeError:
-            raise InputError(f"weight of vertex {u} is not an exact rational: {x!r}") from None
+        if not _is_rational(x):
+            raise InputError(f"weight of vertex {u} is not an exact rational: {x!r}")
+        p, q = x.numerator, x.denominator
         # a rational's denominator is positive, so 0 <= x <= 1 is 0 <= p <= q
         if p < 0 or p > q:
             raise InputError(f"weight of vertex {u} out of [0, 1]: {x}")

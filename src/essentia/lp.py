@@ -24,7 +24,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import InputError, IterationCapError
-from .graphs import VertexWeights
+from .graphs import VertexWeights, _is_rational
 from .problems import Instance, Obstacle, _check_pin, find_violated_obstacle, separate_numerators
 from .simplex import PackingSimplex
 
@@ -33,6 +33,8 @@ from .simplex import PackingSimplex
 class FractionalSolution:
     """Exact per-vertex LP values and their total.
 
+    Each weight is an exact rational (a `Fraction` or an int, never a bool)
+    in [0, 1], and the value is their total; anything else is an InputError.
     A solution from `solve` also carries the cuts it added, the instance it
     solved and its final tableau, which a pinned LP of the same instance
     can start from; none of them takes part in `==`, `hash` or `repr`.
@@ -50,10 +52,9 @@ class FractionalSolution:
         # the range, so the first out-of-range vertex is only remembered.
         num, den, bad = 0, 1, None
         for u, x in enumerate(self.weights):
-            try:
-                p, q = x.numerator, x.denominator
-            except AttributeError:
-                raise InputError(f"weight of vertex {u} is not an exact rational: {x!r}") from None
+            if not _is_rational(x):
+                raise InputError(f"weight of vertex {u} is not an exact rational: {x!r}")
+            p, q = x.numerator, x.denominator
             if bad is None and (p < 0 or p > q):
                 bad = u
             if den % q:

@@ -127,29 +127,40 @@ def random_singleton_instance(problem, n, seed):
 
 
 def engine_snapshot(engine):
-    """A `PackingSimplex`'s whole state, copied: its int values first, then its layout."""
+    """A `PackingSimplex`'s whole state, copied: its int values first, then its layout.
+
+    The layout names column ids: the id at each nonbasic position, each
+    row's basic id, and the slack ids of the vertices.
+    """
     values = [engine.obj_den, engine.value_num, *engine.obj, *engine.den, *engine.rhs]
     values += [a for row in engine.tab for a in row]
-    layout = ([len(row) for row in engine.tab], list(engine.basis), dict(engine.slack_col))
+    layout = (
+        [len(row) for row in engine.tab],
+        list(engine.cols),
+        list(engine.basis),
+        dict(engine.slack_col),
+        dict(engine.slack_vertex),
+    )
     return values, layout, engine.pinned, engine.ncols
 
 
 def record_pivots(monkeypatch):
     """Log every `PackingSimplex` pivot from here on; returns the log.
 
-    Each entry is (D, d, p, dens): the determinant before the pivot, the
-    pivot row's denominator (a lift when d != D), the pivot entry p (the
-    new determinant) and the denominators of the other rows it rewrites
-    (the divisors of those rows).
+    Each entry is (enter, leave, D, d, p, dens): the entering column id,
+    the leaving row, the determinant before the pivot, the pivot row's
+    denominator (a lift when d != D), the pivot entry p (the new
+    determinant) and the denominators of the other rows it rewrites (the
+    divisors of those rows).
     """
     log = []
     pivot = PackingSimplex._pivot
 
     def logged(engine, i, j):
         dens = [engine.den[k] for k, row in enumerate(engine.tab) if row[j] and k != i]
-        det, d = engine.obj_den, engine.den[i]
+        enter, det, d = engine.cols[j], engine.obj_den, engine.den[i]
         pivot(engine, i, j)
-        log.append((det, d, engine.obj_den, dens))
+        log.append((enter, i, det, d, engine.obj_den, dens))
 
     monkeypatch.setattr(PackingSimplex, "_pivot", logged)
     return log

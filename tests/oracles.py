@@ -533,21 +533,53 @@ class DenseFractionSimplex:
         self.value += f * prhs
         self.basis[i] = j
 
+    def _leaving_row(self, enter):
+        leave, best = None, None
+        for i, row in enumerate(self.tab):
+            a = row[enter]
+            if a > 0:
+                key = (self.rhs[i] / a, self.basis[i])
+                if best is None or key < best:
+                    best, leave = key, i
+        if leave is None:
+            raise AssertionError("packing LP reported unbounded")
+        return leave
+
     def optimize(self):
         while True:
             enter = next((j for j, r in enumerate(self.obj) if r > 0), None)
             if enter is None:
                 return
-            leave, best = None, None
-            for i, row in enumerate(self.tab):
-                a = row[enter]
-                if a > 0:
-                    key = (self.rhs[i] / a, self.basis[i])
-                    if best is None or key < best:
-                        best, leave = key, i
-            if leave is None:
-                raise AssertionError("packing LP reported unbounded")
-            self._pivot(leave, enter)
+            self._pivot(self._leaving_row(enter), enter)
+
+    def with_pin(self, v):
+        """A copy with x_v = 0 added, by the kernel's rule; `self` is left as it was.
+
+        v's row goes; a nonbasic slack of v is first negated and entered by
+        the ratio test, and the row it became basic in goes.  Its column
+        stays behind, all zero with reduced cost 0, so it never enters again.
+        """
+        new = DenseFractionSimplex(v)
+        new.slack_col = dict(self.slack_col)
+        new.tab = [row[:] for row in self.tab]
+        new.rhs = list(self.rhs)
+        new.obj = list(self.obj)
+        new.basis = list(self.basis)
+        new.value = self.value
+        new.ncols = self.ncols
+        col = new.slack_col.pop(v, None)
+        if col is None:
+            return new
+        if col in new.basis:
+            i = new.basis.index(col)
+        else:
+            for row in new.tab:
+                row[col] = -row[col]
+            new.obj[col] = -new.obj[col]
+            i = new._leaving_row(col)
+            new._pivot(i, col)
+        del new.tab[i], new.rhs[i], new.basis[i]
+        return new
 
     def covering_solution(self, n):
         x = [Fraction(0)] * n

@@ -16,14 +16,16 @@ from essentia.detection import (
     essential_vertices_exact,
     lp_values,
 )
+from essentia.driver import solve_with_detection
 from essentia.errors import InputError, SizeCapError
 from essentia.exact import opt_value
 from essentia.graphs import Graph
 from essentia.lab import gen_dfvs_gadget, gen_gnp, gen_matching_apex, gen_star_multicut, gen_vc_gadget
 from essentia.lp import solve
 from essentia.problems import Instance, Problem
+from essentia.simplex import PackingSimplex
 
-from conftest import engine_snapshot, random_graph, random_instance
+from conftest import engine_snapshot, random_graph, random_instance, record_pivots
 from oracles import (
     fraction_cutting_planes,
     naive_all_obstacle_sets,
@@ -136,8 +138,29 @@ class TestDetect:
         seen.clear()
         monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: None)
         assert lp_values(inst, jobs=8) == want
-        assert lp_values(inst, jobs=0) == want
         assert seen == []  # an unknown CPU count means one worker
+
+    @pytest.mark.parametrize("jobs", [0, -3, True, False, 2.5, "2", None])
+    def test_jobs_not_an_int_of_at_least_one_is_refused(self, monkeypatch, jobs):
+        # refused before any work, vertex cover included, and by every entry that passes jobs on
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
+        message = rf"^jobs must be an int >= 1, got {re.escape(repr(jobs))}$"
+        star = gen_star_multicut(4).instance
+        for inst in (star, FIVE_CYCLE):
+            with pytest.raises(InputError, match=message):
+                lp_values(inst, jobs=jobs)
+        with pytest.raises(InputError, match=message):
+            detect(DetectionRequest(star, 1), jobs=jobs)
+        with pytest.raises(InputError, match=message):
+            solve_with_detection(star, jobs=jobs)
+
+    def test_one_job_never_asks_the_cpu_count(self, monkeypatch):
+        def cpu_count():
+            raise AssertionError("os.cpu_count() called for jobs=1")
+
+        monkeypatch.setattr("essentia.detection.os.cpu_count", cpu_count)
+        inst = random_instance(Problem.COGRAPH_DELETION, 9, 4)
+        assert lp_values(inst) == lp_values(inst, jobs=1) == per_vertex_lp_values(inst)
 
     def test_vertex_cover_starts_no_worker(self, monkeypatch):
         # f_v comes from matchings, so there is nothing to split
@@ -415,40 +438,87 @@ class TestLpValuesAtBenchSize:
             assert lp_values(inst) == want
 
 
-def _detection_record(caplog, inst):
-    """The DEBUG record's args and each LP solve's (pinned, start, result)."""
+def _detection_record(caplog, monkeypatch, inst, jobs=1):
+    """The DEBUG record's args, each LP solve's (pinned, start, result) and the pivot log."""
     calls = []
+    log = record_pivots(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="essentia.detection"):
         with mock.patch.object(detection, "solve", _recording_solve(calls)):
-            lp_values(inst)
+            lp_values(inst, jobs=jobs)
     [record] = [r for r in caplog.records if r.name == "essentia.detection"]
-    return record.args, calls
+    return record.args, calls, log
 
 
 class TestLogging:
-    def test_star_settles_every_leaf(self, caplog):
+    def test_star_settles_every_leaf(self, caplog, monkeypatch):
         inst = gen_star_multicut(5).instance
-        (solves, settled), calls = _detection_record(caplog, inst)
+        (solves, pivots, settled), calls, log = _detection_record(caplog, monkeypatch, inst)
         assert solves == len(calls)
+        assert pivots == len(log) == sum(sol.tableau.pivots for _, _, sol in calls)
         zeros = [v for v, x in enumerate(solve(inst).weights) if x == 0]
         assert zeros == [1, 2, 3, 4, 5]
         assert settled == len(zeros) == inst.n + 1 - solves
-        assert (solves, settled) == (2, 5)
+        assert (solves, pivots, settled) == (2, 6, 5)
 
-    def test_dfvs_gadget(self, caplog):
+    def test_dfvs_gadget(self, caplog, monkeypatch):
         base = Instance(Problem.DFVS, Graph(4, True, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)]))
         inst = gen_dfvs_gadget(base, F(1)).instance  # n = 8
-        (solves, settled), calls = _detection_record(caplog, inst)
+        (solves, pivots, settled), calls, log = _detection_record(caplog, monkeypatch, inst)
         assert solves == len(calls) and settled == inst.n + 1 - solves
+        assert pivots == len(log) == sum(sol.tableau.pivots for _, _, sol in calls)
         zeros = [v for v, x in enumerate(calls[0][2].weights) if x == 0]
         assert zeros == [6, 7]  # so two more were settled by a pinned optimum
         assert (solves, settled) == (5, 4)
 
-    def test_vertex_cover_solves_no_lp(self, caplog):
-        (solves, settled), calls = _detection_record(caplog, FIVE_CYCLE)
-        assert (solves, settled) == (0, 0) and calls == []
+    def test_vertex_cover_solves_no_lp(self, caplog, monkeypatch):
+        (solves, pivots, settled), calls, log = _detection_record(caplog, monkeypatch, FIVE_CYCLE)
+        assert (solves, pivots, settled) == (0, 0, 0) and calls == log == []
+
+    def test_pivot_total_counts_the_workers(self, caplog, monkeypatch):
+        # two real worker processes: their pinned LPs' pivots come back with
+        # their values, so the total is the one-process run's
+        monkeypatch.setattr("essentia.detection.os.cpu_count", lambda: 2)
+        inst = random_instance(Problem.COGRAPH_DELETION, 9, 4)
+        (solves, pivots, settled), _, log = _detection_record(caplog, monkeypatch, inst)
+        assert pivots == len(log) > 0
+        caplog.clear()
+        assert _detection_record(caplog, monkeypatch, inst, jobs=2)[0] == (solves, pivots, settled)
 
     def test_silent_above_debug(self, caplog):
         with caplog.at_level(logging.INFO, logger="essentia.detection"):
             lp_values(gen_star_multicut(5).instance)
         assert not [r for r in caplog.records if r.name == "essentia.detection"]
+
+
+# (family, key, (LP solves, cuts, pivots)) of `lp_values` per instance, as
+# the kernel made them when these numbers were taken.  The covering x each
+# LP returns follows from its pivot sequence, so a kernel change that moves
+# these counts may change x, the rounding certificates built on it and
+# the cuts later LPs add, and has to say so.
+_LP_COUNTS = [
+    ("cograph", 1, (13, 114, 265)),
+    ("cograph", 2, (13, 81, 218)),
+    ("cograph", 3, (13, 110, 272)),
+    ("matching-apex", 6, (2, 10, 14)),
+    ("matching-apex", 9, (2, 14, 19)),
+    ("matching-apex", 12, (2, 13, 16)),
+    ("multicut", 1, (7, 31, 79)),
+    ("multicut", 2, (3, 41, 123)),
+    ("multicut", 3, (3, 16, 30)),
+]
+
+
+@pytest.mark.parametrize("family, key, want", _LP_COUNTS)
+def test_lp_values_makes_a_fixed_number_of_solves_cuts_and_pivots(caplog, monkeypatch, family, key, want):
+    if family == "cograph":
+        inst = random_instance(Problem.COGRAPH_DELETION, 12, key)
+    elif family == "matching-apex":
+        inst = _relabel(gen_matching_apex(key).instance, random.Random(key))
+    else:
+        inst = random_instance(Problem.VERTEX_MULTICUT, 14, key)
+    cuts = []
+    add = PackingSimplex.add_constraint
+    monkeypatch.setattr(PackingSimplex, "add_constraint", lambda engine, vs: cuts.append(vs) or add(engine, vs))
+    (solves, pivots, _), _, log = _detection_record(caplog, monkeypatch, inst)
+    assert pivots == len(log)
+    assert (solves, len(cuts), pivots) == want

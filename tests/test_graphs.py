@@ -11,6 +11,7 @@ from essentia.graphs import (
     double_cover_matching,
     min_vertex_separator,
 )
+from essentia.lab import gen_star_multicut
 from essentia.problems import Instance, Problem, find_violated_obstacle
 
 from conftest import random_graph
@@ -198,6 +199,16 @@ class TestCheckWeights:
         inst = Instance(Problem.VERTEX_COVER, Graph(3, False, [(0, 1), (1, 2)]))
         assert find_violated_obstacle(inst, (F(1, 2), 1, F(1, 2))) is None
         assert find_violated_obstacle(inst, (1, 0, 0)).vertices == {1, 2}
+
+    def test_bool_entries_are_refused(self):
+        # True passed as 1 once; the weight test refuses bools as the vertex-id test does
+        with pytest.raises(InputError, match=r"^weight of vertex 0 is not an exact rational: True$"):
+            check_weights(Graph(2, False, []), (True, 0))
+        inst = gen_star_multicut(3).instance
+        with pytest.raises(InputError, match=r"^weight of vertex 0 is not an exact rational: True$"):
+            find_violated_obstacle(inst, (True, False, False, False))
+        with pytest.raises(InputError, match=r"^weight of vertex 2 is not an exact rational: False$"):
+            find_violated_obstacle(inst, (1, 0, False, 0))
 
     @pytest.mark.parametrize(
         "bad",

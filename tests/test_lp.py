@@ -298,7 +298,7 @@ class TestFractionalSolutionInvariants:
             pass
 
         FractionalSolution((1, 0, F(1, 2)), F(3, 2))
-        FractionalSolution((Sub(1, 3), Sub(2, 3), 1, True), 3)
+        FractionalSolution((Sub(1, 3), Sub(2, 3), 1, 1), 3)
         with pytest.raises(InputError, match=r"^solution value 2 != weight total 1$"):
             FractionalSolution((Sub(1, 3), Sub(2, 3), 0), F(2))
         with pytest.raises(InputError, match=r"^weight of vertex 1 out of \[0, 1\]: 2$"):
@@ -317,6 +317,13 @@ class TestFractionalSolutionInvariants:
     def test_float_entry_is_not_an_exact_rational(self):
         with pytest.raises(InputError, match=r"^weight of vertex 1 is not an exact rational: 0.5$"):
             FractionalSolution((F(1, 2), 0.5), F(1))
+
+    def test_bool_entry_is_not_an_exact_rational(self):
+        # the package's "never a bool" rule: True is not the weight 1
+        with pytest.raises(InputError, match=r"^weight of vertex 0 is not an exact rational: True$"):
+            FractionalSolution((True, False, False, False), 1)
+        with pytest.raises(InputError, match=r"^weight of vertex 1 is not an exact rational: False$"):
+            FractionalSolution((F(1), False), F(1))
 
     def test_gap_experiment_quarters(self):
         # gnp_gap_experiment builds the all-quarters solution itself

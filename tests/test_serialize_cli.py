@@ -387,8 +387,8 @@ class TestCli:
         if command == "detect-cograph":
             # the kernel's integer-preserving pivots really run: pivot rows
             # are lifted, and rows are divided by a determinant other than p
-            assert any(d != D for D, d, p, dens in log)
-            assert any(1 < e != p for D, d, p, dens in log for e in dens)
+            assert any(d != D for _, _, D, d, p, dens in log)
+            assert any(1 < e != p for _, _, D, d, p, dens in log for e in dens)
         if command == "solve-vertex-cover":
             assert any(pruned)
         src = Path(essentia.__file__).resolve().parent.parent

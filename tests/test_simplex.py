@@ -37,14 +37,43 @@ def basis_determinant(engine, packing):
     return abs(det)
 
 
+def expand(engine):
+    """A compact engine's full tableau: (rows, obj), one numerator per column id.
+
+    The basic column of row k is den[k] in row k and 0 elsewhere; an id
+    the engine no longer holds (a slack that `with_pin` dropped) is 0
+    everywhere, as the reference's left-behind column is.
+    """
+    at = {c: j for j, c in enumerate(engine.cols)}
+    rows = []
+    for k, row in enumerate(engine.tab):
+        full = [row[at[c]] if c in at else 0 for c in range(engine.ncols)]
+        full[engine.basis[k]] = engine.den[k]
+        rows.append(full)
+    return rows, [engine.obj[at[c]] if c in at else 0 for c in range(engine.ncols)]
+
+
+def assert_compact_layout(engine, dropped=None):
+    """Positions and basis split the live column ids (all but `dropped`), and every row spans the positions."""
+    cols, basis = engine.cols, engine.basis
+    assert len(set(cols)) == len(cols) and len(set(basis)) == len(basis)
+    assert not set(cols) & set(basis)
+    assert set(cols) | set(basis) == set(range(engine.ncols)) - {dropped}
+    assert len(engine.obj) == len(cols)
+    assert all(len(row) == len(cols) for row in engine.tab)
+    assert engine.slack_vertex == {c: u for u, c in engine.slack_col.items()}
+
+
 def assert_same_tableau(fast, ref):
-    """Every row entry, rhs and reduced cost of `fast` equals the reference's."""
+    """Every entry, rhs and reduced cost of `fast`'s full tableau equals the reference's."""
     assert len(fast.tab) == len(ref.tab) == len(fast.den) == len(fast.rhs)
-    for row, den, rhs, ref_row, ref_rhs in zip(fast.tab, fast.den, fast.rhs, ref.tab, ref.rhs):
+    assert fast.ncols == ref.ncols
+    rows, obj = expand(fast)
+    for row, den, rhs, ref_row, ref_rhs in zip(rows, fast.den, fast.rhs, ref.tab, ref.rhs):
         assert den > 0 and all(type(a) is int for a in row)
         assert [F(a, den) for a in row] == ref_row
         assert F(rhs, den) == ref_rhs
-    assert [F(a, fast.obj_den) for a in fast.obj] == ref.obj
+    assert [F(a, fast.obj_den) for a in obj] == ref.obj
     assert F(fast.value_num, fast.obj_den) == ref.value
 
 
@@ -80,6 +109,7 @@ def run_both(n, pinned, batches):
             assert F(a, den) == want[u]
         assert fast.objective() == ref.objective()
         assert fast.basis == ref.basis
+        assert_compact_layout(fast)
         assert_same_tableau(fast, ref)
         assert fast.obj_den == basis_determinant(fast, packing)
     return fast
@@ -136,9 +166,9 @@ class TestAgainstDenseReference:
         log = record_pivots(monkeypatch)
         for pin in [None, *range(n)]:
             run_both(n, pin, split(pool, rng, most=len(pool) // 3))
-        assert any(d != D for D, d, p, dens in log)
-        assert any(1 < e != p for D, d, p, dens in log for e in dens)
-        assert max(p for D, d, p, dens in log) > 6
+        assert any(d != D for _, _, D, d, p, dens in log)
+        assert any(1 < e != p for _, _, D, d, p, dens in log for e in dens)
+        assert max(p for _, _, D, d, p, dens in log) > 6
 
     def test_pin_only_constraint_leaves_state_intact(self):
         batches = [[[0, 1], [1]], [[1, 2], [0, 2]]]
@@ -176,6 +206,7 @@ class TestWithPin:
         pinned = top.with_pin(v)
         assert engine_snapshot(top) == before  # a new engine; the source is only read
         assert pinned.pinned == v and v not in pinned.slack_col
+        assert_compact_layout(pinned, dropped=top.slack_col.get(v))
         pinned.optimize()
         ref = DenseFractionSimplex(v)
         for members in pool:
@@ -193,6 +224,7 @@ class TestWithPin:
         pinned.add_constraint([v, *range(n)])
         pinned.optimize()
         assert engine_snapshot(top) == before
+        assert_compact_layout(pinned, dropped=top.slack_col.get(v))
         return basic
 
     @pytest.mark.parametrize("seed", range(40))
@@ -237,3 +269,69 @@ class TestWithPin:
         engine = optimum([[0, 1], [1, 2]], pinned=1)
         with pytest.raises(PreconditionError, match=r"^engine is already pinned to vertex 1$"):
             engine.with_pin(0)
+
+
+def record_reference_pivots(monkeypatch):
+    """Log every `DenseFractionSimplex` pivot from here on as (entering column, leaving row)."""
+    log = []
+    pivot = DenseFractionSimplex._pivot
+
+    def logged(engine, i, j):
+        pivot(engine, i, j)
+        log.append((j, i))
+
+    monkeypatch.setattr(DenseFractionSimplex, "_pivot", logged)
+    return log
+
+
+class TestPivotsMatchReference:
+    """The compact kernel makes the reference's pivots, in its order, and counts them."""
+
+    @staticmethod
+    def assert_same_pivots(log, ref_log, engine):
+        assert [(enter, leave) for enter, leave, *_ in log] == ref_log
+        assert engine.pivots == len(log)
+        log.clear()
+        ref_log.clear()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_pools_and_every_pin(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        n = rng.randint(4, 10)
+        pool = [rng.sample(range(n - 1), rng.randint(2, min(5, n - 1))) for _ in range(rng.randint(1, 16))]
+        log, ref_log = record_pivots(monkeypatch), record_reference_pivots(monkeypatch)
+        fast, ref = PackingSimplex(), DenseFractionSimplex()
+        for batch in split(pool, rng):
+            for members in batch:
+                fast.add_constraint(members)
+                ref.add_constraint(members)
+            fast.optimize()
+            ref.optimize()
+        made = fast.pivots
+        self.assert_same_pivots(log, ref_log, fast)
+        for v in range(n):
+            pinned, ref_pinned = fast.with_pin(v), ref.with_pin(v)
+            pinned.optimize()
+            ref_pinned.optimize()
+            self.assert_same_pivots(log, ref_log, pinned)
+            assert_compact_layout(pinned, dropped=fast.slack_col.get(v))
+            assert_same_tableau(pinned, ref_pinned)
+            assert pinned.covering_solution(n) == ref_pinned.covering_solution(n)
+        assert fast.pivots == made
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_matching_apex_pins(self, monkeypatch, m):
+        inst = gen_matching_apex(m).instance
+        pool = sorted(sorted(vs) for vs in naive_all_obstacle_sets(inst))
+        log, ref_log = record_pivots(monkeypatch), record_reference_pivots(monkeypatch)
+        fast, ref = optimum(pool), DenseFractionSimplex()
+        for members in pool:
+            ref.add_constraint(members)
+        ref.optimize()
+        self.assert_same_pivots(log, ref_log, fast)
+        for v in range(inst.n):
+            pinned, ref_pinned = fast.with_pin(v), ref.with_pin(v)
+            pinned.optimize()
+            ref_pinned.optimize()
+            self.assert_same_pivots(log, ref_log, pinned)
+            assert_same_tableau(pinned, ref_pinned)
