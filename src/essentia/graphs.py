@@ -97,7 +97,7 @@ class Graph:
     InputError.
     """
 
-    __slots__ = ("n", "directed", "adj", "_adj_sets", "edges")
+    __slots__ = ("n", "directed", "adj", "_adj_sets", "edges", "_hash", "_in_adj")
 
     def __init__(self, n: int, directed: bool, edges: Iterable[tuple[int, int]]):
         if not _is_int(n) or n < 0:
@@ -123,6 +123,8 @@ class Graph:
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self._adj_sets = tuple(frozenset(a) for a in self.adj)
         self.edges = tuple(sorted(canon))
+        self._hash: Optional[int] = None
+        self._in_adj: Optional[tuple[tuple[int, ...], ...]] = None
 
     def has_arc(self, u: int, v: int) -> bool:
         """True if the arc (edge) u->v exists."""
@@ -130,6 +132,19 @@ class Graph:
 
     def neighbors(self, u: int) -> frozenset[int]:
         return self._adj_sets[u]
+
+    def in_adj(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's in-neighbours, ascending (`adj` when undirected),
+        built on first use."""
+        if self._in_adj is None:
+            if self.directed:
+                lists: list[list[int]] = [[] for _ in range(self.n)]
+                for u, v in self.edges:
+                    lists[v].append(u)
+                self._in_adj = tuple(map(tuple, lists))
+            else:
+                self._in_adj = self.adj
+        return self._in_adj
 
     def __eq__(self, other) -> bool:
         return (
@@ -140,7 +155,10 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.directed, self.edges))
+        # computed once: the P4 cache looks a graph up on every oracle call
+        if self._hash is None:
+            self._hash = hash((self.n, self.directed, self.edges))
+        return self._hash
 
     def __repr__(self) -> str:
         kind = "digraph" if self.directed else "graph"

@@ -25,26 +25,27 @@ are searched for, endpoints included, with one heap for the searches from
 every source or least vertex, the package's only weighted path search.
 Its callers: `is_solution` (all costs 0: is any obstacle left?), the
 separation oracle (its cuts), exact search (its branch obstacles, costing
-the deletable vertices 1) and the rounding's heavy sets (one single-pair
-multicut instance per vertex).  The oracle is the workhorse of the
-cutting-plane solver: given rational vertex weights it either certifies
-that every obstacle weighs at least 1 (the right-hand side of every
-covering constraint) or produces a minimum-weight obstacle lighter than
-that.  It prices obstacles in integer numerators over one common
-denominator.  The public `find_violated_obstacle` validates `Fraction`
-weights once and puts them over their least common denominator;
-`separate_numerators` is the same oracle on numerators the caller
-vouches for, such as the cutting-plane loop's, read straight off the
-simplex kernel.
+the deletable vertices 1, steered on the multicuts by `target_potential`)
+and the rounding's heavy sets (one single-pair multicut instance per
+vertex).  The oracle is the workhorse of the cutting-plane solver: given
+rational vertex weights it either certifies that every obstacle weighs at
+least 1 (the right-hand side of every covering constraint) or produces a
+minimum-weight obstacle lighter than that.  It prices obstacles in integer
+numerators over one common denominator.  The public
+`find_violated_obstacle` validates `Fraction` weights once and puts them
+over their least common denominator; `separate_numerators` is the same
+oracle on numerators the caller vouches for, such as the cutting-plane
+loop's, read straight off the simplex kernel.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, VertexWeights, _vertex_pairs, _vertex_set, check_weights
@@ -201,11 +202,46 @@ def is_solution(inst: Instance, x: Iterable[int]) -> bool:
 # cheapest obstacle
 
 
+# The potential of a vertex that reaches none of its source's targets; every
+# other potential is an int below it.
+NO_POTENTIAL = 255
+
+
+def target_potential(g: Graph, cost: Sequence[int], targets: Iterable[int]) -> bytes:
+    """Per vertex u, the least cost of the vertices after u on a path from u
+    to one of `targets`, by a 0-1 BFS over the reversed arcs: a consistent
+    potential for `cheapest_obstacle` under any costs at least `cost`, in
+    any G - removed.  Capping values below `NO_POTENTIAL` keeps them
+    consistent: min(h(u), c) <= cost[x] + min(h(x), c).
+    """
+    n, radj = g.n, g.in_adj()
+    unreached = max(n, NO_POTENTIAL)  # no path has n vertices after its first
+    h = [unreached] * n
+    queue = deque(targets)
+    for t in queue:
+        h[t] = 0
+    while queue:
+        x = queue.popleft()
+        step = cost[x]
+        d = h[x] + step
+        for u in radj[x]:
+            if d < h[u]:
+                h[u] = d
+                if step:
+                    queue.append(u)
+                else:
+                    queue.appendleft(u)
+    if unreached > NO_POTENTIAL:
+        h = [NO_POTENTIAL if d == unreached else min(d, NO_POTENTIAL - 1) for d in h]
+    return bytes(h)
+
+
 def cheapest_obstacle(
     inst: Instance,
     cost: Sequence[int],
     removed: AbstractSet[int] = frozenset(),
     below: Optional[int] = None,
+    potential: Optional[Mapping[int, Sequence[int]]] = None,
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """Least (cost, order) obstacle of G - removed, on every family.
 
@@ -222,6 +258,14 @@ def cheapest_obstacle(
     closes an obstacle is the answer.  A DFVS search never enters a vertex
     below its origin, so the arc back to v that closes a cycle leaves it in
     its canonical rotation.
+
+    A multicut search may be steered (A*) by `potential[s]` for each source
+    s with a surviving target: 0 at its targets, `NO_POTENTIAL` only where
+    none is reached in G - removed, and consistent, h(u) <= cost[x] + h(x)
+    on every arc u->x (see `target_potential`).  Labels then pop by
+    (cost + potential, path) and a vertex without one is never entered; a
+    state's labels share its potential and a target's is 0, so the answer,
+    and every None under `below`, are those of the unsteered search.
     """
     listed = listed_obstacles(inst)
     if listed is not None:
@@ -249,9 +293,34 @@ def cheapest_obstacle(
             for s, ts in inst.targets_by_source
             if s not in removed and not ts <= removed
         ]
-    heapq.heapify(heap)
     settled: set[int] = set()  # origin * n + vertex
     push, pop = heapq.heappush, heapq.heappop
+    if potential is not None and targets is not None:
+        # a label is (key, path), its cost the key less the potential of its
+        # last vertex; a target's potential is 0, so a closing label is
+        # (cost, path) as in the unsteered loop below
+        heap = [(c + potential[s][s], (s,)) for c, (s,) in heap if potential[s][s] != NO_POTENTIAL]
+        heapq.heapify(heap)
+        while heap:
+            label = pop(heap)
+            key, path = label
+            if below is not None and key >= below:
+                return None
+            origin, u = path[0], path[-1]
+            base = origin * n
+            if base + u in settled:
+                continue
+            settled.add(base + u)
+            if u in targets[origin]:
+                return label
+            h = potential[origin]
+            dist = key - h[u]
+            for x in adj[u]:
+                hx = h[x]
+                if hx != NO_POTENTIAL and x not in removed and base + x not in settled:
+                    push(heap, (dist + cost[x] + hx, path + (x,)))
+        return None
+    heapq.heapify(heap)
     # Extending a path adds a nonnegative cost and lengthens the tuple, so a
     # state's first pop is its least label, and labels pop in nondecreasing
     # (cost, path) order across all origins.

@@ -323,6 +323,43 @@ print(json.dumps({"debug": __debug__, "solution": sorted(got), "counts": list(re
 """
 
 
+def bench_multicut(problem, seed):
+    """A multicut instance shaped like the benchmark's solve-exact ones:
+    n = 40 with 7 pairs, or, directed, n = 45 with 8 pairs."""
+    n, p, k = (45, 0.06, 8) if problem.directed else (40, 0.07, 7)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    terminals = tuple(random.Random(seed).sample(pairs, k))
+    return Instance(problem, random_graph(n, seed, problem.directed, p), terminals)
+
+
+class TestSteeredSearches:
+    """Steering the multicut searches with potentials changes no answer."""
+
+    @pytest.mark.parametrize("problem", [Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT])
+    def test_every_question_gets_the_unsteered_answer(self, problem):
+        cheapest = _Search._cheapest
+        built = 0
+
+        def checked(search, removed, blocked, below):
+            got = cheapest(search, removed, blocked, below)
+            cost = [0 if u in blocked else 1 for u in range(search.g.n)]
+            assert got == cheapest_obstacle(search.inst, cost, removed, below)
+            return got
+
+        for seed in range(12):
+            inst = bench_multicut(problem, seed)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_Search, "_cheapest", checked)
+                want = solve_counting_nodes(inst, frozenset())
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_Search, "_potentials", lambda *args: None)
+                assert solve_counting_nodes(inst, frozenset()) == want
+            search = _Search(inst, frozenset(), 10**6)
+            search.minimum(None)
+            built += search.potentials_built
+        assert built > 0
+
+
 class TestCaps:
     def test_node_cap_raises(self):
         inst = random_instance(Problem.VERTEX_MULTICUT, 8, 5)
@@ -437,7 +474,7 @@ class TestLogging:
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             got = solve_exact(inst)
         [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        minimum_nodes, lex_nodes, refuted, searches, memo_hits = record.args
+        minimum_nodes, lex_nodes, refuted, searches, memo_hits, potentials = record.args
         search = _Search(inst, frozenset(), 10**6)
         search.minimum(None)
         assert minimum_nodes == search.nodes
@@ -445,7 +482,7 @@ class TestLogging:
         assert refuted <= len(got)
         assert (minimum_nodes, lex_nodes, refuted) == (1, 4, 2)
         # vertex cover scans its edges and runs no path search
-        assert (searches, memo_hits) == (0, 0)
+        assert (searches, memo_hits, potentials) == (0, 0, 0)
 
     def test_no_solution_logs_an_empty_second_pass(self, caplog):
         inst = gen_star_multicut(5).instance
@@ -465,9 +502,31 @@ class TestLogging:
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             solve_exact(inst)
         [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        searches, memo_hits = record.args[3:]
+        searches, memo_hits = record.args[3:5]
         assert searches == len(calls) and searches + memo_hits == len(queries)
         assert memo_hits > 0
+
+    @pytest.mark.parametrize(
+        "inst, steered",
+        [
+            (bench_multicut(Problem.DIRECTED_VERTEX_MULTICUT, 10), True),
+            (bench_multicut(Problem.VERTEX_MULTICUT, 0), True),
+            (random_instance(Problem.DFVS, 10, 3), False),
+            (random_instance(Problem.COGRAPH_DELETION, 12, 1), False),
+        ],
+        ids=["directed-multicut", "multicut", "dfvs", "cograph"],
+    )
+    def test_long_multicut_solves_build_potentials(self, caplog, inst, steered):
+        # a multicut solve past n searches steers the rest with potentials;
+        # the cycle and listed families never do
+        with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
+            solve_exact(inst)
+        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
+        searches, potentials = record.args[3], record.args[5]
+        if steered:
+            assert searches > inst.n and potentials > 0
+        else:
+            assert potentials == 0
 
     def test_silent_above_debug(self, caplog):
         inst = random_instance(Problem.VERTEX_COVER, 12, 6012)

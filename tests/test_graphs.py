@@ -417,6 +417,19 @@ class TestDoubleCoverMatching:
         assert double_cover_matching(g) == n
 
 
+class TestGraphDerivedViews:
+    def test_in_adj_lists_each_vertex_in_neighbours(self):
+        g = Graph(4, True, [(2, 1), (0, 1), (1, 3), (3, 0)])
+        assert g.in_adj() == ((3,), (0, 2), (), (1,))
+        assert g.in_adj() is g.in_adj()
+        undirected = random_graph(9, 4)
+        assert undirected.in_adj() is undirected.adj
+
+    def test_hash_is_that_of_equal_graphs(self):
+        g, h = Graph(3, True, [(0, 1), (1, 2)]), Graph(3, True, [(1, 2), (0, 1)])
+        assert g == h and hash(g) == hash(h) == hash(g)
+
+
 class TestGraphValidation:
     def test_rejects_self_loops(self):
         with pytest.raises(InputError, match="self-loop"):

@@ -11,6 +11,7 @@ from essentia import problems
 from essentia.errors import InputError
 from essentia.graphs import Graph, check_weights
 from essentia.problems import (
+    NO_POTENTIAL,
     Instance,
     ObstacleKind,
     Problem,
@@ -18,6 +19,7 @@ from essentia.problems import (
     cheapest_obstacle,
     find_violated_obstacle,
     is_solution,
+    target_potential,
 )
 from essentia.lab import gen_matching_apex, gen_star_multicut
 
@@ -333,6 +335,92 @@ class TestCheapestObstacle:
         assert cheapest_obstacle(p4s, [1, 0, 0, 0, 0], below=0) is None
         assert cheapest_obstacle(p4s, [0] * 5, removed={0}) == (0, (1, 2, 3, 4))
         assert cheapest_obstacle(p4s, [0] * 5, removed={2}) is None
+
+
+@st.composite
+def steered_search_inputs(draw):
+    """A multicut query with 0/1 costs, and potentials for its sources.
+
+    The query costs 0 on a zero set Z and 1 elsewhere, removes R and has a
+    bound.  The potentials come from `target_potential`, the least costs
+    to each source's targets, computed under a zero set containing Z and
+    in G minus a subset of R: the two reuses exact search makes of one
+    vector (one blocked set, any removed set).
+    """
+    problem = draw(st.sampled_from([Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT]))
+    n = draw(st.integers(2, 12))
+    p = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    g = random_graph(n, draw(st.integers(0, 10**6)), problem.directed, p)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    terminals = tuple(draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5, unique=True)))
+    inst = Instance(problem, g, terminals)
+    vertices = st.integers(0, n - 1)
+    zero = draw(st.frozensets(vertices, max_size=n // 2))
+    removed = draw(st.frozensets(vertices, max_size=n // 3))
+    cost = [0 if u in zero else 1 for u in range(n)]
+    wider = zero | draw(st.frozensets(vertices, max_size=n // 3))
+    earlier = draw(st.frozensets(st.sampled_from(sorted(removed)))) if removed else removed
+    kept = Graph(n, g.directed, [e for e in g.edges if earlier.isdisjoint(e)])
+    wide_cost = [0 if u in wider else 1 for u in range(n)]
+    potential = {s: target_potential(kept, wide_cost, ts) for s, ts in inst.targets_by_source}
+    below = draw(st.one_of(st.none(), st.integers(0, n + 1)))
+    return inst, cost, removed, below, potential
+
+
+class TestSteeredSearch:
+    """`cheapest_obstacle` steered by potentials (A*) answers as unsteered."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(steered_search_inputs())
+    def test_matches_the_search_per_origin(self, case):
+        inst, cost, removed, below, potential = case
+        pushed, heappush = [], heapq.heappush
+
+        def recording_push(heap, label):
+            pushed.append(label)
+            heappush(heap, label)
+
+        with mock.patch.object(problems.heapq, "heappush", recording_push):
+            got = cheapest_obstacle(inst, cost, removed, below, potential)
+        assert got == sequential_cheapest_obstacle(inst, cost, removed, below)
+        # a vertex without a potential is never entered
+        assert all(potential[path[0]][path[-1]] != NO_POTENTIAL for _, path in pushed)
+
+    @pytest.mark.parametrize("problem", [Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_potentials_are_the_least_costs_to_the_targets(self, problem, seed):
+        # against a search from every vertex: the cheapest path from u to a
+        # target costs u's own cost plus u's potential
+        g = random_graph(16, seed, problem.directed, 0.12)
+        rng = random.Random(seed)
+        pairs = [(a, b) for a in range(16) for b in range(16) if a != b]
+        inst = Instance(problem, g, tuple(rng.sample(pairs, 5)))
+        cost = [rng.randrange(2) for _ in range(g.n)]
+        for _, targets in inst.targets_by_source:
+            h = target_potential(g, cost, targets)
+            for u in range(g.n):
+                if u in targets:
+                    assert h[u] == 0
+                    continue
+                found = cheapest_obstacle(Instance(problem, g, [(u, t) for t in targets]), cost)
+                assert h[u] == (NO_POTENTIAL if found is None else found[0] - cost[u])
+
+    def test_a_vertex_that_reaches_no_target_is_never_entered(self):
+        # 0 -> 1 -> 2 with a dead end 0 -> 3 -> 4; the source is 0, the target 2
+        g = Graph(5, True, [(0, 1), (1, 2), (0, 3), (3, 4)])
+        inst = Instance(Problem.DIRECTED_VERTEX_MULTICUT, g, ((0, 2),))
+        potential = {0: target_potential(g, [1, 1, 1, 0, 0], {2})}
+        assert list(potential[0]) == [2, 1, 0, NO_POTENTIAL, NO_POTENTIAL]
+        pops, heappop = [], heapq.heappop
+
+        def recording_pop(heap):
+            pops.append(heappop(heap))
+            return pops[-1]
+
+        with mock.patch.object(problems.heapq, "heappop", recording_pop):
+            got = cheapest_obstacle(inst, [1, 1, 1, 0, 0], potential=potential)
+        assert got == (3, (0, 1, 2)) == cheapest_obstacle(inst, [1, 1, 1, 0, 0])
+        assert pops == [(3, (0,)), (3, (0, 1)), (3, (0, 1, 2))]
 
 
 class TestIntegerOracleMatchesFractionReference:
