@@ -43,14 +43,7 @@ from .lab import (
     measure_gap,
 )
 from .lp import FractionalSolution, solve, verify_feasible
-from .problems import (
-    Instance,
-    Obstacle,
-    ObstacleKind,
-    Problem,
-    find_violated_obstacle,
-    is_solution,
-)
+from .problems import Instance, Problem, find_violated_obstacle, is_solution
 from .rounding import (
     RoundingCertificate,
     round_cograph,
@@ -72,8 +65,7 @@ __all__ = [
     "gen_dfvs_gadget", "gen_gnp", "gen_matching_apex", "gen_star_multicut",
     "gen_vc_gadget", "measure_gap",
     "FractionalSolution", "solve", "verify_feasible",
-    "Instance", "Obstacle", "ObstacleKind", "Problem", "find_violated_obstacle",
-    "is_solution",
+    "Instance", "Problem", "find_violated_obstacle", "is_solution",
     "RoundingCertificate", "round_cograph", "round_directed_multicut",
     "round_multicut",
 ]

@@ -78,6 +78,14 @@ def _is_rational(x: object) -> bool:
     return isinstance(x, Fraction) or _is_int(x)
 
 
+def _weight_tuple(w: object) -> tuple:
+    """A weight vector read once, as a tuple; a non-iterable is an InputError."""
+    try:
+        return tuple(w)
+    except TypeError:
+        raise InputError(f"weight vector must be an iterable, got {w!r}") from None
+
+
 def _rational(x: object, what: str) -> Fraction:
     """x as a Fraction, once it is an exact rational: an int or a Fraction,
     never a float, a string, a bool or None."""
@@ -168,12 +176,13 @@ class Graph:
 def check_weights(g: Graph, w: VertexWeights) -> tuple[int, list[int]]:
     """Validate a weight vector and put it over its least common denominator.
 
-    The vector must have length n and hold exact rationals (`Fraction`s or
-    ints, never bools) in [0, 1].  Returns (den, nums) with nums[u] ==
-    w[u] * den.  One positive den keeps the order of every sum of weights,
-    so callers may compare sums of the integer numerators instead of
-    `Fraction` sums.
+    The vector, read once as a tuple, must have length n and hold exact
+    rationals (`Fraction`s or ints, never bools) in [0, 1].  Returns (den,
+    nums) with nums[u] == w[u] * den.  One positive den keeps the order of
+    every sum of weights, so callers may compare sums of the integer
+    numerators instead of `Fraction` sums.
     """
+    w = _weight_tuple(w)
     if len(w) != g.n:
         raise InputError(f"weight vector has length {len(w)}, expected {g.n}")
     den = 1

@@ -30,12 +30,12 @@ and the rounding's heavy sets (one single-pair multicut instance per
 vertex).  The oracle is the workhorse of the cutting-plane solver: given
 rational vertex weights it either certifies that every obstacle weighs at
 least 1 (the right-hand side of every covering constraint) or produces a
-minimum-weight obstacle lighter than that.  It prices obstacles in integer
-numerators over one common denominator.  The public
-`find_violated_obstacle` validates `Fraction` weights once and puts them
-over their least common denominator; `separate_numerators` is the same
-oracle on numerators the caller vouches for, such as the cutting-plane
-loop's, read straight off the simplex kernel.
+minimum-weight obstacle lighter than that, as its witness tuple.  It
+prices obstacles in integer numerators over one common denominator: the
+public `find_violated_obstacle` validates `Fraction` weights once and puts
+them over their least common denominator, and the cutting-plane loop asks
+`cheapest_obstacle` itself with the numerators it reads off the simplex
+kernel.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .graphs import Graph, VertexWeights, _vertex_pairs, _vertex_set, check_weights
 
 
@@ -72,36 +72,6 @@ class Problem(Enum):
             if p.value == tag:
                 return p
         raise InputError(f"unknown problem tag {tag!r}")
-
-
-class ObstacleKind(Enum):
-    TERMINAL_PATH = "terminal-path"
-    INDUCED_P4 = "induced-p4"
-    EDGE = "edge"
-    DIRECTED_CYCLE = "directed-cycle"
-
-
-_KINDS = {
-    Problem.VERTEX_MULTICUT: ObstacleKind.TERMINAL_PATH,
-    Problem.DIRECTED_VERTEX_MULTICUT: ObstacleKind.TERMINAL_PATH,
-    Problem.COGRAPH_DELETION: ObstacleKind.INDUCED_P4,
-    Problem.VERTEX_COVER: ObstacleKind.EDGE,
-    Problem.DFVS: ObstacleKind.DIRECTED_CYCLE,
-}
-
-
-@dataclass(frozen=True)
-class Obstacle:
-    """A vertex set that every solution must intersect.
-
-    `order` records the witnessing structure (path order, cycle order, the
-    a-b-c-d order of an induced P4, or a sorted edge); `vertices` is what the
-    hitting constraint ranges over.
-    """
-
-    kind: ObstacleKind
-    vertices: frozenset[int]
-    order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -351,45 +321,16 @@ def cheapest_obstacle(
 # weighted separation oracle
 
 
-def find_violated_obstacle(
-    inst: Instance, w: VertexWeights, v_pinned: Optional[int] = None
-) -> Optional[Obstacle]:
-    """Minimum-weight obstacle of weight < 1, or None if none exists.
+def find_violated_obstacle(inst: Instance, w: VertexWeights) -> Optional[tuple[int, ...]]:
+    """Witness of a minimum-weight obstacle of weight < 1, or None if none exists.
 
-    `cheapest_obstacle` finds a minimum-weight obstacle of the whole family
-    (every edge or listed P4 is priced, every path or cycle searched for),
-    so a None answer certifies that all obstacles weigh at least 1.  Ties break toward the lexicographically
-    least witness (a cycle in its rotation that starts at its least
-    vertex).  The weights are validated here, once, and scaled to integer
-    numerators over their least common denominator; `separate_numerators`
-    prices every family in those ints.  A pin that is not an in-range int
-    is an InputError.
+    The weights are validated here, once, and put over their least common
+    denominator by `check_weights`; `cheapest_obstacle` then prices the
+    whole family (every edge or listed P4, every path or cycle searched
+    for) in those integer numerators, so a None answer certifies that all
+    obstacles weigh at least 1.  Ties break toward the lexicographically
+    least witness (a cycle in its rotation that starts at its least vertex).
     """
-    _check_pin(inst, v_pinned)
     den, nums = check_weights(inst.graph, w)
-    return separate_numerators(inst, den, nums, v_pinned)
-
-
-def _check_pin(inst: Instance, pinned: Optional[int]) -> None:
-    """Refuse a pin that is neither None nor an in-range int."""
-    if pinned is not None:
-        _vertex_set((pinned,), inst.n, "pinned")
-
-
-def separate_numerators(
-    inst: Instance, den: int, nums: list[int], v_pinned: Optional[int] = None
-) -> Optional[Obstacle]:
-    """`find_violated_obstacle` on trusted weights nums[u] / den.
-
-    The caller vouches that den > 0 and 0 <= nums[u] <= den for all n
-    vertices; nothing but the pin is checked.  Any positive common
-    denominator gives the same answer, since scaling every weight by one
-    positive factor keeps the order of every sum.  An obstacle is violated
-    when its numerator sum is below den.
-    """
-    if v_pinned is not None and nums[v_pinned] != 0:
-        raise PreconditionError(f"pinned vertex {v_pinned} must have weight 0")
     found = cheapest_obstacle(inst, nums, below=den)
-    if found is None:
-        return None
-    return Obstacle(_KINDS[inst.problem], frozenset(found[1]), found[1])
+    return None if found is None else found[1]

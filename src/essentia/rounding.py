@@ -31,8 +31,8 @@ from fractions import Fraction
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, check_weights, min_vertex_separator
-from .lp import FractionalSolution, verify_feasible
-from .problems import Instance, Problem, _check_pin, cheapest_obstacle, is_solution, listed_obstacles
+from .lp import FractionalSolution, _check_pin, verify_feasible
+from .problems import Instance, Problem, cheapest_obstacle, is_solution, listed_obstacles
 
 POINT_FOUR = Fraction(2, 5)
 POINT_TWO = Fraction(1, 5)

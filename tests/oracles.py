@@ -64,8 +64,6 @@ from essentia.graphs import Graph
 from essentia.lp import FractionalSolution, solve
 from essentia.problems import (
     Instance,
-    Obstacle,
-    ObstacleKind,
     Problem,
     all_induced_p4s,
     find_violated_obstacle,
@@ -629,15 +627,15 @@ def solve_restricted(pool, n, pinned=None):
 
     The enumerated-LP reference: fed every obstacle, it gives the LP optimum
     that `essentia.lp.solve` must reach by cutting planes.  Pool entries are
-    `Obstacle`s or plain vertex iterables.  It runs the library's simplex
-    kernel, so it checks the cutting-plane loop, not the kernel.  The
-    all-ones vector is feasible unless some pooled constraint equals the
-    pinned vertex alone; that case raises PinInfeasibleError.
+    vertex iterables, such as the witnesses in a solution's `added`.  It
+    runs the library's simplex kernel, so it checks the cutting-plane loop,
+    not the kernel.  The all-ones vector is feasible unless some pooled
+    constraint equals the pinned vertex alone; that case raises
+    PinInfeasibleError.
     """
     engine = PackingSimplex(pinned)
     for ob in pool:
-        vertices = ob.vertices if isinstance(ob, Obstacle) else ob
-        members = set(vertices)
+        members = set(ob)
         for u in members:
             if not 0 <= u < n:
                 raise InputError(f"pooled constraint vertex {u} out of range (n={n})")
@@ -654,7 +652,8 @@ def fraction_cutting_planes(inst: Instance, pinned=None):
     public `find_violated_obstacle` (which validates it and takes its least
     common denominator again), and add the cut it returns.  It runs on
     `DenseFractionSimplex` from no constraint at all and returns the cuts
-    it adds, in order, as the solution's `added`.
+    it adds, in order, as the solution's `added`: the witnesses the oracle
+    returns.
     """
     n = inst.n
     max_cuts = 10 * n * n
@@ -662,26 +661,26 @@ def fraction_cutting_planes(inst: Instance, pinned=None):
     added = []
     while True:
         x = engine.covering_solution(n)
-        violated = find_violated_obstacle(inst, x, v_pinned=pinned)
+        violated = find_violated_obstacle(inst, x)
         if violated is None:
             return FractionalSolution(x, engine.objective(), tuple(added))
         if len(added) >= max_cuts:
             raise IterationCapError(f"no convergence within {max_cuts} cuts (n={n})")
         added.append(violated)
-        engine.add_constraint(violated.vertices)
+        engine.add_constraint(violated)
         engine.optimize()
 
 
-def fraction_violated_obstacle(inst: Instance, w, v_pinned=None):
+def fraction_violated_obstacle(inst: Instance, w):
     """Reference separation oracle that prices obstacles in `Fraction` sums.
 
     The scan `essentia.problems.find_violated_obstacle` made before it moved
     to integer numerators over one denominator: same families, same
-    (weight, witness) tie-break, weights compared with 1 directly.  It does
-    not validate `w`.
+    (weight, witness) tie-break, weights compared with 1 directly, and the
+    witness of the lightest obstacle as the answer.  It does not validate
+    `w`.
     """
     g = inst.graph
-    assert v_pinned is None or w[v_pinned] == 0
     p = inst.problem
     best = None
     if p in (Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT):
@@ -692,19 +691,16 @@ def fraction_violated_obstacle(inst: Instance, w, v_pinned=None):
             found = shortest_weighted_path(g, w, (s,), by_source[s])
             if found is not None and (best is None or found < best):
                 best = found
-        kind = ObstacleKind.TERMINAL_PATH
     elif p is Problem.COGRAPH_DELETION:
         for quad in all_induced_p4s(g):
             wt = w[quad[0]] + w[quad[1]] + w[quad[2]] + w[quad[3]]
             if best is None or (wt, quad) < best:
                 best = (wt, quad)
-        kind = ObstacleKind.INDUCED_P4
     elif p is Problem.VERTEX_COVER:
         for u, v in g.edges:
             wt = w[u] + w[v]
             if best is None or (wt, (u, v)) < best:
                 best = (wt, (u, v))
-        kind = ObstacleKind.EDGE
     elif p is Problem.DFVS:
         for v in range(g.n):
             found = min_weight_cycle_through(g, w, v)
@@ -713,12 +709,11 @@ def fraction_violated_obstacle(inst: Instance, w, v_pinned=None):
             cand = (found[0], canonical_cycle(found[1]))
             if best is None or cand < best:
                 best = cand
-        kind = ObstacleKind.DIRECTED_CYCLE
     else:
         raise AssertionError(p)
     if best is None or best[0] >= 1:
         return None
-    return Obstacle(kind, frozenset(best[1]), best[1])
+    return best[1]
 
 
 def scan_violated(search, removed, blocked):

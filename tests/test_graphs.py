@@ -198,7 +198,23 @@ class TestCheckWeights:
         assert check_weights(Graph(3, False, []), (0, F(1, 2), 1)) == (2, [0, 1, 2])
         inst = Instance(Problem.VERTEX_COVER, Graph(3, False, [(0, 1), (1, 2)]))
         assert find_violated_obstacle(inst, (F(1, 2), 1, F(1, 2))) is None
-        assert find_violated_obstacle(inst, (1, 0, 0)).vertices == {1, 2}
+        assert find_violated_obstacle(inst, (1, 0, 0)) == (1, 2)
+
+    @pytest.mark.parametrize("w", [None, 5], ids=["None", "int"])
+    def test_non_iterable_vector_is_an_input_error(self, w):
+        inst = gen_star_multicut(3).instance
+        message = rf"^weight vector must be an iterable, got {w!r}$"
+        with pytest.raises(InputError, match=message):
+            check_weights(inst.graph, w)
+        with pytest.raises(InputError, match=message):
+            find_violated_obstacle(inst, w)
+
+    def test_an_iterator_is_read_once(self):
+        # the vector is read once, as a tuple, so its length is never asked
+        inst = gen_star_multicut(3).instance
+        w = (F(0), F(1, 4), F(1, 4), F(1, 4))
+        assert check_weights(inst.graph, iter(w)) == (4, [0, 1, 1, 1])
+        assert find_violated_obstacle(inst, iter(w)) == find_violated_obstacle(inst, w) == (1, 0, 2)
 
     def test_bool_entries_are_refused(self):
         # True passed as 1 once; the weight test refuses bools as the vertex-id test does

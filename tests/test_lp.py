@@ -5,13 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from essentia.errors import InputError, IterationCapError, PinInfeasibleError
+from essentia.errors import InputError, IterationCapError, PinInfeasibleError, PreconditionError
 from essentia.exact import opt_value
 from essentia import lp
 from essentia.graphs import Graph
 from essentia.lab import gen_gnp, gen_matching_apex, gen_star_multicut
 from essentia.lp import FractionalSolution, solve, verify_feasible
-from essentia.problems import Instance, Obstacle, ObstacleKind, Problem
+from essentia.problems import Instance, Problem
+from essentia.simplex import PackingSimplex
 
 from conftest import engine_snapshot, gnp_gap_experiment, random_instance
 from oracles import (
@@ -23,20 +24,16 @@ from oracles import (
 )
 
 
-def edge_obstacle(u, v):
-    return Obstacle(ObstacleKind.EDGE, frozenset({u, v}), (u, v))
-
-
 class TestSolveRestricted:
     def test_single_pair_needs_unit_mass(self):
-        assert solve_restricted([edge_obstacle(0, 1)], 2).value == 1
+        assert solve_restricted([(0, 1)], 2).value == 1
 
     def test_pin_forces_the_other_endpoint(self):
-        sol = solve_restricted([edge_obstacle(0, 1)], 2, pinned=0)
+        sol = solve_restricted([(0, 1)], 2, pinned=0)
         assert sol.weights == (F(0), F(1)) and sol.value == 1
 
     def test_triangle_is_half_integral(self):
-        pool = [edge_obstacle(0, 1), edge_obstacle(1, 2), edge_obstacle(0, 2)]
+        pool = [(0, 1), (1, 2), (0, 2)]
         sol = solve_restricted(pool, 3)
         assert sol.value == F(3, 2)
 
@@ -123,14 +120,23 @@ class TestSolve:
         inst = gen_star_multicut(2).instance
         calls = []
 
-        def stuck_oracle(inst, den, nums, v_pinned):
-            calls.append(den)
-            return edge_obstacle(1, 2)
+        def stuck_oracle(inst, cost, below):
+            calls.append(below)
+            return 0, (1, 2)
 
-        monkeypatch.setattr(lp, "separate_numerators", stuck_oracle)
+        monkeypatch.setattr(lp, "cheapest_obstacle", stuck_oracle)
         with pytest.raises(IterationCapError, match=r"^no convergence within 90 cuts \(n=3\)$"):
             solve(inst)
         assert len(calls) == 10 * inst.n**2 + 1
+
+    def test_pinned_weight_invariant_raises(self, monkeypatch):
+        # the kernel never gives the pin a row, so its numerator is 0; a
+        # kernel that broke that would stop the loop before the oracle runs
+        inst = gen_star_multicut(3).instance
+        monkeypatch.setattr(PackingSimplex, "covering_numerators", lambda self, n: (2, [1] * n))
+        monkeypatch.setattr(lp, "cheapest_obstacle", None)
+        with pytest.raises(PreconditionError, match=r"^pinned vertex 0 must have weight 0$"):
+            solve(inst, 0)
 
     def test_cograph_all_quarters_always_feasible(self):
         for seed in range(5):
@@ -218,15 +224,15 @@ class TestPoolIsOnlyRead:
             assert warm.tableau.pinned == v and warm.tableau is not top.tableau
 
     def test_added_holds_only_oracle_cuts(self, monkeypatch):
-        # every added obstacle is one oracle call's cut, in call order,
+        # every added witness is one oracle call's cut, in call order,
         # whatever the LP starts from: solve adds no seeds of its own
-        oracle, answers = lp.separate_numerators, []
+        oracle, answers = lp.cheapest_obstacle, []
 
-        def recording_oracle(*args):
-            answers.append(oracle(*args))
+        def recording_oracle(*args, **kwargs):
+            answers.append(oracle(*args, **kwargs))
             return answers[-1]
 
-        monkeypatch.setattr(lp, "separate_numerators", recording_oracle)
+        monkeypatch.setattr(lp, "cheapest_obstacle", recording_oracle)
         for problem in Problem:
             inst = random_instance(problem, 7, 43)
             top = solve(inst)
@@ -235,7 +241,7 @@ class TestPoolIsOnlyRead:
                     answers.clear()
                     sol = solve(inst, v, start=start)
                     assert answers[-1] is None  # the last call certified the optimum
-                    assert sol.added == tuple(answers[:-1])
+                    assert sol.added == tuple(found[1] for found in answers[:-1])
                     assert sol.value == fraction_cutting_planes(inst, v).value
 
     def test_added_takes_no_part_in_eq_or_repr(self):
@@ -292,6 +298,25 @@ class TestFractionalSolutionInvariants:
         assert sol.value == F(12, 7)
         with pytest.raises(InputError, match=r"^solution value 5/3 != weight total 12/7$"):
             FractionalSolution((F(1, 2), F(1, 3), F(1, 6), F(0), F(5, 7)), F(5, 3))
+
+    def test_weights_are_stored_as_a_tuple(self):
+        w = (F(1, 2), F(1, 2), 0)
+        assert FractionalSolution(w, 1).weights is w
+        assert FractionalSolution(iter(w), 1).weights == w
+        assert FractionalSolution(list(w), 1).weights == w
+
+    @pytest.mark.parametrize("weights", [None, 5], ids=["None", "int"])
+    def test_non_iterable_weights_are_refused(self, weights):
+        with pytest.raises(InputError, match=rf"^weight vector must be an iterable, got {weights!r}$"):
+            FractionalSolution(weights, 0)
+
+    @pytest.mark.parametrize(
+        "weights, value", [((1, 1, 0), 2.0), ((1, 0, 0), True)], ids=["float", "bool"]
+    )
+    def test_value_must_be_an_exact_rational(self, weights, value):
+        # the total would compare equal to either, but neither is stored
+        with pytest.raises(InputError, match=rf"^solution value is not an exact rational: {value!r}$"):
+            FractionalSolution(weights, value)
 
     def test_int_and_fraction_subclass_entries_pass(self):
         class Sub(F):

@@ -13,7 +13,6 @@ from essentia.graphs import Graph, check_weights
 from essentia.problems import (
     NO_POTENTIAL,
     Instance,
-    ObstacleKind,
     Problem,
     all_induced_p4s,
     cheapest_obstacle,
@@ -43,7 +42,7 @@ def small_weights(n, rng):
 
 
 def weight(ob, w):
-    return sum((w[u] for u in ob.vertices), F(0))
+    return sum((w[u] for u in ob), F(0))
 
 
 class TestIsSolution:
@@ -138,9 +137,7 @@ class TestIsSolutionAtBenchSizes:
 class TestSeparationOracle:
     def test_star_zero_weights_returns_leaf_center_leaf(self):
         inst = gen_star_multicut(4).instance
-        ob = find_violated_obstacle(inst, (F(0),) * 5)
-        assert ob is not None and ob.kind is ObstacleKind.TERMINAL_PATH
-        assert ob.order == (1, 0, 2)
+        assert find_violated_obstacle(inst, (F(0),) * 5) == (1, 0, 2)
 
     def test_matching_apex_half_weights_feasible(self):
         # apex neighbors at 1/2: every induced P4 carries two of them
@@ -148,7 +145,7 @@ class TestSeparationOracle:
         w = [F(0)] * inst.n
         for i in range(1, 6):
             w[2 * i - 1] = F(1, 2)
-        assert find_violated_obstacle(inst, tuple(w), v_pinned=0) is None
+        assert find_violated_obstacle(inst, tuple(w)) is None
 
     @pytest.mark.parametrize("seed", range(10))
     def test_vertex_cover_matches_edge_scan(self, seed):
@@ -160,7 +157,7 @@ class TestSeparationOracle:
         if ob is None:
             assert not light
         else:
-            assert tuple(sorted(ob.vertices)) in [tuple(sorted(e)) for e in light]
+            assert ob in light  # edges are witnessed in sorted order
             assert weight(ob, w) == min(w[a] + w[b] for a, b in inst.graph.edges)
 
     @pytest.mark.parametrize("problem", list(Problem))
@@ -175,43 +172,24 @@ class TestSeparationOracle:
         if ob is None:
             assert not violated  # completeness
         else:
-            assert ob.vertices in obstacles  # genuine
+            assert frozenset(ob) in obstacles  # genuine
             assert weight(ob, w) < 1  # sound
             # the oracle returns a minimum-weight obstacle
             assert weight(ob, w) == min(
                 sum((w[u] for u in s), F(0)) for s in obstacles
             )
 
-    def test_pinned_weight_must_be_zero(self):
-        from essentia.errors import PreconditionError
-
-        inst = gen_star_multicut(3).instance
-        w = tuple([F(1, 2)] * 4)
-        with pytest.raises(PreconditionError):
-            find_violated_obstacle(inst, w, v_pinned=0)
-
-    @pytest.mark.parametrize(
-        "pin, match",
-        [
-            (True, r"^pinned vertex must be an int, got True$"),
-            (9, r"^pinned vertex 9 out of range \(n=4\)$"),
-        ],
-    )
-    def test_pin_is_checked(self, pin, match):
-        inst = gen_star_multicut(3).instance
-        with pytest.raises(InputError, match=match):
-            find_violated_obstacle(inst, (F(0),) * 4, v_pinned=pin)
-
 
 @st.composite
 def oracle_inputs(draw, families=tuple(Problem), sizes=(5, 7)):
-    """An instance, weights and maybe a pinned vertex, in one of four regimes.
+    """An instance and its weights, in one of four regimes.
 
     mixed: denominators 1-12 drawn per vertex; equal: every weight 1/3, 1/4
     or 1/5, so many obstacles tie (some at exactly 1); exact: an
     inclusion-minimal obstacle shares weight 1 and every other vertex weighs
     1, so the lightest obstacle weighs exactly 1 (mixed when the instance
-    has no obstacle); pinned: mixed weights with one vertex pinned to 0.
+    has no obstacle); pinned: mixed weights with one vertex at 0, as a
+    pinned LP's.
     Above n = 7 enumerating the obstacles costs too much, so the exact
     regime takes the reference oracle's lightest obstacle under positive
     weights below 1/n, which contains no other obstacle.
@@ -220,15 +198,13 @@ def oracle_inputs(draw, families=tuple(Problem), sizes=(5, 7)):
     n = draw(st.integers(*sizes))
     inst = random_instance(problem, n, draw(st.integers(0, 10**6)))
     regime = draw(st.sampled_from(["mixed", "equal", "exact", "pinned"]))
-    pinned = None
     obstacle = None
     if regime == "exact" and n <= 7:
         if naive_minimal_obstacle_sets(inst):
             obstacle = draw(st.sampled_from(sorted(naive_minimal_obstacle_sets(inst), key=sorted)))
     elif regime == "exact":
         light = [F(draw(st.integers(1, 4)), 4 * (n + 1)) for _ in range(n)]
-        found = fraction_violated_obstacle(inst, tuple(light))
-        obstacle = None if found is None else found.vertices
+        obstacle = fraction_violated_obstacle(inst, tuple(light))
     if regime == "equal":
         w = [draw(st.sampled_from([F(1, 3), F(1, 4), F(1, 5)]))] * n
     elif obstacle is not None:
@@ -243,7 +219,7 @@ def oracle_inputs(draw, families=tuple(Problem), sizes=(5, 7)):
         if regime == "pinned":
             pinned = draw(st.integers(0, n - 1))
             w[pinned] = F(0)
-    return inst, tuple(w), pinned
+    return inst, tuple(w)
 
 
 PATH_FAMILIES = (Problem.DFVS, Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT)
@@ -427,26 +403,18 @@ class TestIntegerOracleMatchesFractionReference:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(oracle_inputs())
     def test_same_obstacle_or_both_none(self, case):
-        inst, w, pinned = case
-        got = find_violated_obstacle(inst, w, v_pinned=pinned)
-        want = fraction_violated_obstacle(inst, w, v_pinned=pinned)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert (got.kind, got.vertices, got.order) == (want.kind, want.vertices, want.order)
+        inst, w = case
+        assert find_violated_obstacle(inst, w) == fraction_violated_obstacle(inst, w)
 
     def test_obstacle_of_weight_exactly_one_is_not_violated(self):
         triangle = Instance(Problem.DFVS, Graph(3, True, [(0, 1), (1, 2), (2, 0)]))
         assert find_violated_obstacle(triangle, (F(1, 3),) * 3) is None
-        ob = find_violated_obstacle(triangle, (F(1, 3), F(1, 3), F(1, 4)))
-        assert ob is not None and ob.order == (0, 1, 2)
+        assert find_violated_obstacle(triangle, (F(1, 3), F(1, 3), F(1, 4))) == (0, 1, 2)
 
     def test_equal_weights_tie_to_least_witness(self):
         # P5 has the induced P4s 0-1-2-3 and 1-2-3-4, both of weight 4/5
         inst = Instance(Problem.COGRAPH_DELETION, Graph(5, False, [(0, 1), (1, 2), (2, 3), (3, 4)]))
-        ob = find_violated_obstacle(inst, (F(1, 5),) * 5)
-        assert ob is not None and ob.order == (0, 1, 2, 3)
+        assert find_violated_obstacle(inst, (F(1, 5),) * 5) == (0, 1, 2, 3)
 
 
 class TestPathOraclesAtBenchSizes:
@@ -464,7 +432,7 @@ class TestPathOraclesAtBenchSizes:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(oracle_inputs(families=PATH_FAMILIES, sizes=(10, 14)))
     def test_same_witness_and_bounded_searches(self, case):
-        inst, w, pinned = case
+        inst, w = case
         g = inst.graph
         pops, heappop = [], heapq.heappop
 
@@ -474,13 +442,8 @@ class TestPathOraclesAtBenchSizes:
             return label
 
         with mock.patch.object(problems.heapq, "heappop", recording_pop):
-            got = find_violated_obstacle(inst, w, v_pinned=pinned)
-        want = fraction_violated_obstacle(inst, w, v_pinned=pinned)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert (got.kind, got.vertices, got.order) == (want.kind, want.vertices, want.order)
+            got = find_violated_obstacle(inst, w)
+        assert got == fraction_violated_obstacle(inst, w)
 
         den, nums = check_weights(g, w)
         found = cheapest_obstacle(inst, nums, below=den)

@@ -127,6 +127,10 @@ def _no_floats(value):
     return True
 
 
+# not UTF-8: the byte 0x80 cannot start a character
+NOT_UTF8 = b'{"problem": ' + bytes(range(0x80, 0x100))
+
+
 class TestCli:
     def write_star(self, tmp_path, m=6):
         path = tmp_path / "star.json"
@@ -206,6 +210,20 @@ class TestCli:
         assert run(["solve", str(bad)]) == 1
         assert run(["solve", str(tmp_path / "missing.json")]) == 1
         assert run(["detect", self.write_star(tmp_path)]) == 1  # neither --k nor --c
+
+    def test_non_utf8_file_is_an_input_error(self, tmp_path, capsys):
+        # an instance or a certificate file that is not UTF-8 text
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(NOT_UTF8)
+        assert run(["solve", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+        assert run(["verify", "--kind", "rounding", self.write_star(tmp_path, m=3), str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+
+    def test_non_utf8_stdin_is_an_input_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+        assert run(["solve", "-"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read -: ")
 
     def test_resource_cap_exit_code(self, tmp_path):
         path = self.write_star(tmp_path, m=8)
