@@ -10,7 +10,6 @@ that turns detection into search-space reduction for exact solving.
 
 from .detection import (
     DETECTION_THRESHOLDS,
-    DetectionRequest,
     DetectionResult,
     detect,
     essential_vertices_exact,
@@ -28,7 +27,7 @@ from .errors import (
     ResourceCapError,
     SizeCapError,
 )
-from .exact import SolveBudget, opt_value, opt_value_avoiding, solve_exact
+from .exact import SolveBudget, opt_value, solve_exact
 from .graphs import Graph, VertexWeights, min_vertex_separator
 from .lab import (
     GapReport,
@@ -53,13 +52,13 @@ from .rounding import (
 
 # One group per submodule, in import order.
 __all__ = [
-    "DETECTION_THRESHOLDS", "DetectionRequest", "DetectionResult", "detect",
+    "DETECTION_THRESHOLDS", "DetectionResult", "detect",
     "essential_vertices_exact", "lp_values",
     "DriverReport", "restrict_instance", "solve_with_detection",
     "EssentiaError", "InfeasibleSeparatorError", "InputError", "IterationCapError",
     "NodeCapError", "PinInfeasibleError", "PreconditionError", "ResourceCapError",
     "SizeCapError",
-    "SolveBudget", "opt_value", "opt_value_avoiding", "solve_exact",
+    "SolveBudget", "opt_value", "solve_exact",
     "Graph", "VertexWeights", "min_vertex_separator",
     "GapReport", "LabeledInstance", "convert", "gap_csv_rows",
     "gen_dfvs_gadget", "gen_gnp", "gen_matching_apex", "gen_star_multicut",

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import lab, serialize
-from .detection import DEFAULT_SIZE_CAP, DetectionRequest, detect, essential_vertices_exact
+from .detection import DEFAULT_SIZE_CAP, DetectionResult, detect, essential_vertices_exact
 from .driver import solve_with_detection
 from .errors import EssentiaError, InputError, ResourceCapError
 from .exact import DEFAULT_NODE_CAP, SolveBudget, solve_exact
@@ -82,7 +82,7 @@ def _cmd_detect(args) -> int:
     if (args.k is None) == (args.c is None):
         raise InputError("pass exactly one of --k (LP detection) or --c (exact ground truth)")
     if args.k is not None:
-        result = detect(DetectionRequest(inst, args.k), jobs=args.jobs)
+        result = detect(inst, args.k, jobs=args.jobs)
         _emit(serialize.detection_result_to_dict(result))
     else:
         essential = essential_vertices_exact(
@@ -160,10 +160,10 @@ def _cmd_verify(args) -> int:
         if args.k is None:
             raise InputError("verify --kind detection requires --k")
         claimed = serialize.detection_result_from_dict(cert_data, inst.n)
-        recomputed = detect(DetectionRequest(inst, args.k), jobs=args.jobs)
+        recomputed = detect(inst, args.k, jobs=args.jobs)
         checks["lp_values_match"] = claimed.lp_values == recomputed.lp_values
-        checks["selected_matches_threshold"] = claimed.selected == frozenset(
-            v for v, f in enumerate(claimed.lp_values) if f > Fraction(args.k)
+        checks["selected_matches_threshold"] = (
+            claimed.selected == DetectionResult(claimed.lp_values, Fraction(args.k)).selected
         )
         checks["selected_matches_recomputation"] = claimed.selected == recomputed.selected
     else:

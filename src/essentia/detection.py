@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, SizeCapError
-from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
+from .exact import DEFAULT_NODE_CAP, opt_value
 from .graphs import _is_int, _rational, double_cover_matching
 from .lp import FractionalSolution, solve
 from .problems import Instance, Problem
@@ -64,31 +64,16 @@ _log = logging.getLogger("essentia.detection")
 
 
 @dataclass(frozen=True)
-class DetectionRequest:
-    """An instance plus the guess k for its optimum solution size."""
-
-    instance: Instance
-    k: int
-
-    def __post_init__(self):
-        if not _is_int(self.k):
-            raise InputError(f"k must be an int, got {self.k!r}")
-        if not 0 <= self.k <= self.instance.n:
-            raise InputError(f"k={self.k} out of range (n={self.instance.n})")
-
-
-@dataclass(frozen=True)
 class DetectionResult:
-    selected: frozenset[int]
+    """The f_v vector, the threshold, and `selected` = {v : f_v > threshold}, derived from them."""
+
+    selected: frozenset[int] = field(init=False)
     lp_values: tuple[Fraction, ...]
     threshold_used: Fraction
 
     def __post_init__(self):
-        expect = frozenset(
-            v for v, f in enumerate(self.lp_values) if f > self.threshold_used
-        )
-        if expect != self.selected:
-            raise InputError("selected set does not match the value threshold")
+        selected = frozenset(v for v, f in enumerate(self.lp_values) if f > self.threshold_used)
+        object.__setattr__(self, "selected", selected)
 
 
 def _pinned_values(
@@ -172,12 +157,17 @@ def lp_values(inst: Instance, jobs: int = 1) -> tuple[Fraction, ...]:
     return values
 
 
-def detect(req: DetectionRequest, jobs: int = 1) -> DetectionResult:
-    """Select every vertex whose pinned LP value exceeds k (exact compare)."""
-    values = lp_values(req.instance, jobs=jobs)
-    threshold = Fraction(req.k)
-    selected = frozenset(v for v, f in enumerate(values) if f > threshold)
-    return DetectionResult(selected=selected, lp_values=values, threshold_used=threshold)
+def detect(inst: Instance, k: int, jobs: int = 1) -> DetectionResult:
+    """Select every vertex whose pinned LP value exceeds k (exact compare).
+
+    k is the guess for the optimum size; one that is not an int in 0..n
+    (a bool or a float included) is an InputError.
+    """
+    if not _is_int(k):
+        raise InputError(f"k must be an int, got {k!r}")
+    if not 0 <= k <= inst.n:
+        raise InputError(f"k={k} out of range (n={inst.n})")
+    return DetectionResult(lp_values(inst, jobs=jobs), Fraction(k))
 
 
 def essential_vertices_exact(
@@ -203,7 +193,7 @@ def essential_vertices_exact(
     opt = opt_value(inst, node_cap)
     out = set()
     for v in range(inst.n):
-        avoiding = opt_value_avoiding(inst, frozenset({v}), node_cap)
+        avoiding = opt_value(inst, node_cap, {v})
         if avoiding is None or avoiding > c * opt:
             out.add(v)
     return frozenset(out)

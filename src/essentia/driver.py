@@ -20,7 +20,7 @@ not depend on k, only the selection threshold does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil
 from typing import Iterable
 
@@ -70,6 +70,7 @@ def solve_with_detection(
     inst: Instance, jobs: int = 1, node_cap: int = DEFAULT_NODE_CAP
 ) -> DriverReport:
     """Optimal solution via staged detection plus budgeted exact solving."""
+    budget = SolveBudget(node_cap=node_cap)  # refuses a bad cap before any LP
     # for an integer k, f_v > k holds exactly when ceil(f_v) > k
     ceilings = [ceil(f) for f in lp_values(inst, jobs=jobs)]
     iterations: list[tuple[int, int, str]] = []
@@ -80,7 +81,7 @@ def solve_with_detection(
             iterations.append((k, len(s_set), "detected-exceeds-k"))
             continue
         sub, back = restrict_instance(inst, s_set)
-        y = solve_exact(sub, SolveBudget(max_k=residual_budget, node_cap=node_cap))
+        y = solve_exact(sub, replace(budget, max_k=residual_budget))
         if y is None:
             iterations.append((k, len(s_set), "residual-unsolved"))
             continue

@@ -495,20 +495,17 @@ def solve_exact(
     return result
 
 
-def opt_value(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> int:
-    """Size of an optimal solution (no forbidden vertices, no size budget)."""
-    best = opt_value_avoiding(inst, (), node_cap)
-    if best is None:
-        raise AssertionError("deleting all vertices always hits every obstacle")
-    return best
-
-
-def opt_value_avoiding(
-    inst: Instance, forbidden: Iterable[int], node_cap: int = DEFAULT_NODE_CAP
+def opt_value(
+    inst: Instance, node_cap: int = DEFAULT_NODE_CAP, forbidden: Iterable[int] = ()
 ) -> Optional[int]:
-    """Minimum solution size among solutions disjoint from `forbidden`."""
+    """Minimum solution size among solutions disjoint from `forbidden`.
+
+    None only when the forbidden vertices leave no solution; with none
+    forbidden, deleting every vertex is always one.
+    """
     budget = SolveBudget(forbidden=forbidden, node_cap=node_cap)
     _check_budget(inst, budget)
-    search = _Search(inst, budget.forbidden, budget.node_cap)
-    best = search.minimum(None)
+    best = _Search(inst, budget.forbidden, budget.node_cap).minimum(None)
+    if best is None and not budget.forbidden:
+        raise AssertionError("deleting all vertices always hits every obstacle")
     return None if best is None else len(best)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import InputError
-from .exact import DEFAULT_NODE_CAP, opt_value, opt_value_avoiding
+from .exact import DEFAULT_NODE_CAP, SolveBudget, opt_value
 from .graphs import Graph, _is_int, _rational
 from .lp import solve
 from .problems import Instance, Problem
@@ -202,11 +202,9 @@ def measure_gap(
     With a pinned vertex the fractional side pins it to 0 and the integral
     side forbids it; ratio is absent when the fractional optimum is 0.
     """
+    SolveBudget(node_cap=node_cap)  # refuses a bad cap before the LP runs
     fractional = solve(inst, pinned).value
-    if pinned is None:
-        integral: Optional[int] = opt_value(inst, node_cap)
-    else:
-        integral = opt_value_avoiding(inst, frozenset({pinned}), node_cap)
+    integral = opt_value(inst, node_cap, () if pinned is None else {pinned})
     ratio = None
     if integral is not None and fractional > 0:
         ratio = Fraction(integral) / fractional

@@ -115,10 +115,7 @@ def solve(
     10*n^2 cuts; the cap signals a diagnostics failure, never a wrong answer.
     """
     _check_pin(inst, pinned)
-    if start is None:
-        engine = PackingSimplex(pinned)
-    else:
-        engine = _start_engine(inst, start).with_pin(pinned)
+    engine = (PackingSimplex() if start is None else _start_engine(inst, start)).with_pin(pinned)
     n = inst.n
     max_cuts = 10 * n * n
     engine.optimize()

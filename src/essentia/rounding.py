@@ -60,7 +60,9 @@ class RoundingCertificate:
             )
 
 
-def _check_inputs(inst: Instance, v: int, x: FractionalSolution) -> None:
+def _check_inputs(inst: Instance, problem: Problem, v: int, x: FractionalSolution) -> None:
+    if inst.problem is not problem:
+        raise PreconditionError(f"expected a {problem.value} instance, got {inst.problem.value}")
     _check_pin(inst, v)
     if not is_solution(inst, {v}):
         raise PreconditionError(f"{{{v}}} does not hit every obstacle; nothing to certify")
@@ -68,17 +70,16 @@ def _check_inputs(inst: Instance, v: int, x: FractionalSolution) -> None:
         raise PreconditionError(f"fractional solution is not feasible with vertex {v} pinned to 0")
 
 
-def _heavy_set(g: Graph, x: FractionalSolution, v: int, to_v: bool = False) -> frozenset[int]:
+def _heavy_set(g: Graph, den: int, nums: list[int], v: int, to_v: bool = False) -> frozenset[int]:
     """Vertices u whose every path from v (to v, with `to_v`) weighs at least 1/2.
 
     u is heavy exactly when the multicut instance with the single pair
     (v, u), or (u, v) with `to_v`, has no terminal path lighter than 1/2.
-    With the weights as numerators over den, and every cost doubled, that is
-    `cheapest_obstacle` finding nothing below den.  Vertices that v cannot
-    reach (that cannot reach v) qualify vacuously; v itself never does,
-    since x_v = 0.  `_check_inputs` has validated the weights.
+    With the weights as numerators `nums` over den (`check_weights`, once
+    per rounding), and every cost doubled, that is `cheapest_obstacle`
+    finding nothing below den.  Vertices that v cannot reach (that cannot
+    reach v) qualify vacuously; v itself never does, since x_v = 0.
     """
-    den, nums = check_weights(g, x.weights)
     cost = [2 * a for a in nums]
     problem = Problem.DIRECTED_VERTEX_MULTICUT if g.directed else Problem.VERTEX_MULTICUT
     heavy = set()
@@ -97,11 +98,9 @@ def round_multicut(inst: Instance, v: int, x: FractionalSolution) -> RoundingCer
     separator avoiding v is a multicut.  The separator is cut in the
     instance's own graph and may contain members of D.
     """
-    if inst.problem is not Problem.VERTEX_MULTICUT:
-        raise PreconditionError(f"expected a vertex multicut instance, got {inst.problem.value}")
-    _check_inputs(inst, v, x)
+    _check_inputs(inst, Problem.VERTEX_MULTICUT, v, x)
     g = inst.graph
-    d_set = _heavy_set(g, x, v)
+    d_set = _heavy_set(g, *check_weights(g, x.weights), v)
     cut = min_vertex_separator(g, (v,), d_set, frozenset({v}))
     return RoundingCertificate(
         factor_bound=Fraction(2),
@@ -120,12 +119,11 @@ def round_directed_multicut(inst: Instance, v: int, x: FractionalSolution) -> Ro
     target in T.  A minimum (S, v) separator plus a minimum (v, T) separator
     therefore cuts every terminal path, and each half is at most 2z.
     """
-    if inst.problem is not Problem.DIRECTED_VERTEX_MULTICUT:
-        raise PreconditionError(f"expected a directed multicut instance, got {inst.problem.value}")
-    _check_inputs(inst, v, x)
+    _check_inputs(inst, Problem.DIRECTED_VERTEX_MULTICUT, v, x)
     g = inst.graph
-    s_set = _heavy_set(g, x, v, to_v=True)
-    t_set = _heavy_set(g, x, v)
+    den, nums = check_weights(g, x.weights)
+    s_set = _heavy_set(g, den, nums, v, to_v=True)
+    t_set = _heavy_set(g, den, nums, v)
     cut_s = min_vertex_separator(g, s_set, (v,), frozenset({v}))
     cut_t = min_vertex_separator(g, (v,), t_set, frozenset({v}))
     return RoundingCertificate(
@@ -142,7 +140,7 @@ def round_directed_multicut(inst: Instance, v: int, x: FractionalSolution) -> Ro
     )
 
 
-def round_cograph(g: Graph, v: int, x: FractionalSolution) -> RoundingCertificate:
+def round_cograph(inst: Instance, v: int, x: FractionalSolution) -> RoundingCertificate:
     """Factor-5/2 rounding for P4 hitting when the graph minus v is P4-free.
 
     Moves every vertex of weight >= 2/5 into the solution at once and
@@ -155,8 +153,8 @@ def round_cograph(g: Graph, v: int, x: FractionalSolution) -> RoundingCertificat
     that split (ties to the non-neighbors) finishes the job at cost at most
     half the residual support, i.e. 5/2 of the residual value.
     """
-    inst = Instance(Problem.COGRAPH_DELETION, g)
-    _check_inputs(inst, v, x)
+    _check_inputs(inst, Problem.COGRAPH_DELETION, v, x)
+    g = inst.graph
 
     heavy = tuple(u for u in range(g.n) if x.weights[u] >= POINT_FOUR)
     removed = frozenset(heavy)

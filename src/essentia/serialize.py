@@ -169,8 +169,11 @@ def detection_result_from_dict(d: dict, n: int) -> DetectionResult:
             raise InputError(f"detection result: missing lp value for vertex {v}")
         values.append(parse_rat(raw[str(v)]))
     selected = _vertex_set(_expect(d, "selected", list, "detection result"), n, "selected")
-    threshold = parse_rat(d.get("threshold", "0/1"))
-    return DetectionResult(selected=selected, lp_values=tuple(values), threshold_used=threshold)
+    threshold = parse_rat(_expect(d, "threshold", object, "detection result"))
+    result = DetectionResult(tuple(values), threshold)
+    if result.selected != selected:
+        raise InputError("selected set does not match the value threshold")
+    return result
 
 
 def rounding_certificate_to_dict(cert: RoundingCertificate) -> dict:

@@ -71,8 +71,8 @@ class PackingSimplex:
     `pivots` counts the pivots this engine has made.
     """
 
-    def __init__(self, pinned: Optional[int] = None):
-        self.pinned = pinned
+    def __init__(self):
+        self.pinned: Optional[int] = None
         self.slack_col: dict[int, int] = {}  # vertex -> id of its slack column
         self.slack_vertex: dict[int, int] = {}  # the inverse map
         self.tab: list[list[int]] = []
@@ -220,7 +220,8 @@ class PackingSimplex:
         """
         if self.pinned is not None:
             raise PreconditionError(f"engine is already pinned to vertex {self.pinned}")
-        new = PackingSimplex(v)
+        new = PackingSimplex()
+        new.pinned = v
         new.slack_col = dict(self.slack_col)
         new.slack_vertex = dict(self.slack_vertex)
         new.tab = [row[:] for row in self.tab]

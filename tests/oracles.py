@@ -34,8 +34,8 @@ explicit pool, runs the library's simplex kernel: with every obstacle
 enumerated it is the reference optimum for the cutting-plane loop.
 `lex_least_by_restriction` is exact search's earlier lexicographic pass,
 one vertex at a time, rebuilt from the driver's `restrict_instance` and
-`opt_value_avoiding`: it checks the range-refuting pass at sizes subset
-enumeration cannot reach, through the minimum pass only.
+`opt_value` with forbidden vertices: it checks the range-refuting pass at
+sizes subset enumeration cannot reach, through the minimum pass only.
 `aux_min_vertex_separator` is the rounders' earlier separator: an
 auxiliary graph with a super-source and a super-sink, cut by bottleneck
 augmentations and a separate reach search, kept to check that the
@@ -59,7 +59,7 @@ from essentia.errors import (
     PinInfeasibleError,
     PreconditionError,
 )
-from essentia.exact import SolveBudget, opt_value_avoiding, solve_exact
+from essentia.exact import SolveBudget, opt_value, solve_exact
 from essentia.graphs import Graph
 from essentia.lp import FractionalSolution, solve
 from essentia.problems import (
@@ -633,7 +633,7 @@ def solve_restricted(pool, n, pinned=None):
     constraint equals the pinned vertex alone; that case raises
     PinInfeasibleError.
     """
-    engine = PackingSimplex(pinned)
+    engine = PackingSimplex().with_pin(pinned)
     for ob in pool:
         members = set(ob)
         for u in members:
@@ -845,10 +845,10 @@ def lex_least_by_restriction(inst: Instance, forbidden=frozenset(), max_k=None):
     None when none fits in `max_k`.  Vertex v joins the prefix when deleting
     the prefix and v leaves a residual instance that its remaining share of
     the minimum size solves, avoiding `forbidden`; every size comes from
-    `opt_value_avoiding` on an instance from `restrict_instance`.
+    `opt_value` on an instance from `restrict_instance`.
     """
     forbidden = frozenset(forbidden)
-    size = opt_value_avoiding(inst, forbidden)
+    size = opt_value(inst, forbidden=forbidden)
     if size is None or (max_k is not None and size > max_k):
         return None
     prefix = set()
@@ -859,7 +859,7 @@ def lex_least_by_restriction(inst: Instance, forbidden=frozenset(), max_k=None):
             continue
         sub, keep = restrict_instance(inst, frozenset(prefix | {v}))
         new = {u: i for i, u in enumerate(keep)}
-        rest = opt_value_avoiding(sub, frozenset(new[u] for u in forbidden))
+        rest = opt_value(sub, forbidden=frozenset(new[u] for u in forbidden))
         if rest is not None and rest <= size - len(prefix) - 1:
             prefix.add(v)
     return frozenset(prefix)

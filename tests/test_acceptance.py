@@ -135,17 +135,9 @@ def test_criterion_2_matching_apex_tight_family():
 def test_criterion_3_rounding_factor_certification():
     start = time.perf_counter()
     plans = [
-        (Problem.VERTEX_MULTICUT, F(2), lambda inst, v, x: round_multicut(inst, v, x)),
-        (
-            Problem.DIRECTED_VERTEX_MULTICUT,
-            F(4),
-            lambda inst, v, x: round_directed_multicut(inst, v, x),
-        ),
-        (
-            Problem.COGRAPH_DELETION,
-            F(5, 2),
-            lambda inst, v, x: round_cograph(inst.graph, v, x),
-        ),
+        (Problem.VERTEX_MULTICUT, F(2), round_multicut),
+        (Problem.DIRECTED_VERTEX_MULTICUT, F(4), round_directed_multicut),
+        (Problem.COGRAPH_DELETION, F(5, 2), round_cograph),
     ]
     violations = []
     per_problem = 500

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from essentia import detection
 from essentia.detection import (
     DETECTION_THRESHOLDS,
-    DetectionRequest,
     detect,
     essential_vertices_exact,
     lp_values,
@@ -45,7 +44,7 @@ FIVE_CYCLE = Instance(
 class TestDetect:
     def test_star_k1_selects_the_center_only(self):
         inst = gen_star_multicut(6).instance
-        res = detect(DetectionRequest(inst, 1))
+        res = detect(inst, 1)
         assert res.selected == frozenset({0})
         assert res.lp_values[0] == F(3)
         assert all(res.lp_values[v] == F(1) for v in range(1, 7))
@@ -60,11 +59,19 @@ class TestDetect:
     def test_k_that_is_not_an_int_is_input_error(self, k):
         inst = gen_star_multicut(3).instance
         with pytest.raises(InputError, match=rf"^k must be an int, got {re.escape(repr(k))}$"):
-            DetectionRequest(inst, k)
+            detect(inst, k)
+
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_k_outside_zero_to_n_is_input_error(self, monkeypatch, k):
+        # refused before any LP runs
+        monkeypatch.setattr(detection, "lp_values", None)
+        inst = gen_star_multicut(3).instance
+        with pytest.raises(InputError, match=rf"^k={k} out of range \(n=4\)$"):
+            detect(inst, k)
 
     def test_obstacle_free_selects_nothing(self):
         inst = Instance(Problem.VERTEX_COVER, Graph(5, False, []))
-        res = detect(DetectionRequest(inst, 0))
+        res = detect(inst, 0)
         assert res.selected == frozenset()
         assert set(res.lp_values) == {F(0)}
 
@@ -150,7 +157,7 @@ class TestDetect:
             with pytest.raises(InputError, match=message):
                 lp_values(inst, jobs=jobs)
         with pytest.raises(InputError, match=message):
-            detect(DetectionRequest(star, 1), jobs=jobs)
+            detect(star, 1, jobs=jobs)
         with pytest.raises(InputError, match=message):
             solve_with_detection(star, jobs=jobs)
 
@@ -181,7 +188,7 @@ class TestDetect:
     def test_guarantees_at_k_equals_opt(self, problem, seed):
         inst = random_instance(problem, 7, 550 + seed)
         k = opt_value(inst)
-        res = detect(DetectionRequest(inst, k))
+        res = detect(inst, k)
         threshold = DETECTION_THRESHOLDS[problem]
         essential = essential_vertices_exact(inst, threshold)
         assert essential <= res.selected  # all highly essential vertices found

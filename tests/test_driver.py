@@ -49,6 +49,15 @@ class TestSolveWithDetection:
         assert rep.solution == frozenset() and rep.opt == 0
         assert rep.iterations == ((0, 0, "solved"),)
 
+    @pytest.mark.parametrize("node_cap", [-1, 2.0, True])
+    def test_bad_node_cap_refused_before_any_lp(self, monkeypatch, node_cap):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("lp_values ran before the node cap was checked")
+
+        monkeypatch.setattr("essentia.driver.lp_values", no_lp)
+        with pytest.raises(InputError, match=r"^node_cap must be a nonnegative int, got "):
+            solve_with_detection(gen_star_multicut(4).instance, node_cap=node_cap)
+
     def test_star_trace_detects_the_center(self):
         rep = solve_with_detection(gen_star_multicut(6).instance)
         assert rep.solution == frozenset({0})

@@ -17,7 +17,6 @@ from essentia.exact import (
     SolveBudget,
     _Search,
     opt_value,
-    opt_value_avoiding,
     solve_exact,
 )
 from essentia.graphs import Graph
@@ -130,8 +129,8 @@ class TestAgainstBruteForce:
         inst = random_instance(problem, 7, 4000 + seed)
         small = frozenset(rng.sample(range(7), 1))
         large = small | frozenset(rng.sample(range(7), 2))
-        v_small = opt_value_avoiding(inst, small)
-        v_large = opt_value_avoiding(inst, large)
+        v_small = opt_value(inst, forbidden=small)
+        v_large = opt_value(inst, forbidden=large)
         if v_large is not None:
             assert v_small is not None and v_small <= v_large
 
@@ -177,7 +176,7 @@ class TestBadBudgets:
     )
     def test_opt_value_avoiding_refuses_bad_vertices(self, forbidden):
         with pytest.raises(InputError):
-            opt_value_avoiding(self.INST, forbidden)
+            opt_value(self.INST, forbidden=forbidden)
 
     @pytest.mark.parametrize("node_cap", ["5", 1.0, True])
     def test_opt_value_refuses_a_non_int_node_cap(self, node_cap):
@@ -189,7 +188,7 @@ class TestBadBudgets:
         assert budget.forbidden == frozenset({0, 2})
         assert solve_exact(self.INST, budget) == frozenset({1})
         assert solve_exact(self.INST, SolveBudget(forbidden=iter([0, 1]))) == frozenset({2})
-        assert opt_value_avoiding(self.INST, [0, 1, 2]) is None
+        assert opt_value(self.INST, forbidden=[0, 1, 2]) is None
 
 
 @st.composite

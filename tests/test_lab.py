@@ -258,6 +258,16 @@ class TestMeasureGap:
         report = measure_gap(inst)
         assert report.fractional == 0 and report.integral == 0 and report.ratio is None
 
+    @pytest.mark.parametrize("pinned", [None, 0])
+    @pytest.mark.parametrize("node_cap", [-1, 2.0, True])
+    def test_bad_node_cap_refused_before_the_lp(self, monkeypatch, pinned, node_cap):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the LP ran before the node cap was checked")
+
+        monkeypatch.setattr("essentia.lab.solve", no_lp)
+        with pytest.raises(InputError, match=r"^node_cap must be a nonnegative int, got "):
+            measure_gap(gen_star_multicut(4).instance, pinned=pinned, node_cap=node_cap)
+
     def test_csv_rows_are_exact(self):
         report = measure_gap(gen_star_multicut(6).instance, pinned=0, label="star6")
         text = gap_csv_rows([report])

@@ -12,8 +12,8 @@ import pytest
 import essentia
 from essentia import serialize
 from essentia.errors import InputError, PreconditionError
-from essentia.exact import SolveBudget, opt_value_avoiding, solve_exact
-from essentia.graphs import Graph
+from essentia.exact import SolveBudget, opt_value, solve_exact
+from essentia.graphs import Graph, check_weights
 from essentia.lab import gen_matching_apex, gen_star_multicut
 from essentia.lp import FractionalSolution, solve
 from essentia.problems import Instance, Problem, is_solution
@@ -69,10 +69,11 @@ class TestVertexIds:
         directed = Instance(
             Problem.DIRECTED_VERTEX_MULTICUT, Graph(5, True, [(1, 0), (0, 2)]), ((1, 2),)
         )
+        path = Instance(Problem.COGRAPH_DELETION, Graph(5, False, [(0, 1), (1, 2), (2, 3)]))
         for call in (
             lambda: round_multicut(gen_star_multicut(4).instance, v, x),
             lambda: round_directed_multicut(directed, v, x),
-            lambda: round_cograph(Graph(5, False, [(0, 1), (1, 2), (2, 3)]), v, x),
+            lambda: round_cograph(path, v, x),
         ):
             with pytest.raises(InputError, match=rf"^pinned vertex {v} out of range \(n=5\)$"):
                 call()
@@ -96,7 +97,7 @@ class TestHeavySet:
             g = random_graph(n, seed, directed=directed)
             v = rng.randrange(n)
             w = [F(0) if u == v else rng.choice(self.WEIGHTS) for u in range(n)]
-            x = FractionalSolution(tuple(w), sum(w, F(0)))
+            den, nums = check_weights(g, w)
             # D (graphs) or T (digraphs) from g; S from the reversed digraph
             sides = [(g, False)]
             if directed:
@@ -104,7 +105,7 @@ class TestHeavySet:
             for searched, to_v in sides:
                 dist = {path[-1]: d for d, path in cheapest_paths(searched, w, (v,))}
                 want = {u for u in range(n) if u != v and (u not in dist or dist[u] >= HALF)}
-                assert _heavy_set(g, x, v, to_v) == want, (seed, to_v)
+                assert _heavy_set(g, den, nums, v, to_v) == want, (seed, to_v)
                 tight += sum(d == HALF for d in dist.values())
         # the sweep reaches the boundary, where a strict and a weak
         # comparison disagree
@@ -193,36 +194,34 @@ class TestRoundCograph:
         labeled = gen_matching_apex(4)
         inst = labeled.instance
         x = pinned_optimum(inst, 0)
-        cert = round_cograph(inst.graph, 0, x)
+        cert = round_cograph(inst, 0, x)
         assert x.value == F(2)
         assert len(cert.integral_set) <= F(5, 2) * x.value
         assert is_solution(inst, cert.integral_set)
         # integral optimum avoiding the apex is m - 1 = 3
-        assert opt_value_avoiding(inst, frozenset({0})) == 3
+        assert opt_value(inst, forbidden={0}) == 3
 
     def test_integral_solution_passes_through(self):
         inst = gen_matching_apex(3).instance
         sol = solve_exact(inst, SolveBudget(forbidden=frozenset({0})))
         weights = tuple(F(1) if u in sol else F(0) for u in range(inst.n))
         x = FractionalSolution(weights, F(len(sol)))
-        cert = round_cograph(inst.graph, 0, x)
+        cert = round_cograph(inst, 0, x)
         assert cert.integral_set == sol
         assert cert.witness_sets["picked"] == ()
 
     def test_cograph_input_yields_empty_set(self):
-        g = Graph(4, False, [(0, 1), (2, 3)])
-        cert = round_cograph(g, 0, FractionalSolution((F(0),) * 4, F(0)))
+        inst = Instance(Problem.COGRAPH_DELETION, Graph(4, False, [(0, 1), (2, 3)]))
+        cert = round_cograph(inst, 0, FractionalSolution((F(0),) * 4, F(0)))
         assert cert.integral_set == frozenset()
 
     def test_light_feasible_solution_exercises_the_split(self):
         # all weights 1/3 < 2/5: the split of the P4-covered vertices decides
         labeled = gen_matching_apex(5)
-        g = labeled.instance.graph
-        w = [F(0)] * g.n
-        for u in range(1, g.n):
-            w[u] = F(1, 3)
+        n = labeled.instance.n
+        w = [F(0)] + [F(1, 3)] * (n - 1)
         x = FractionalSolution(tuple(w), F(10, 3))
-        cert = round_cograph(g, 0, x)
+        cert = round_cograph(labeled.instance, 0, x)
         assert cert.witness_sets["heavy_rounds"] == ()
         assert set(cert.witness_sets["V_star"]) == set(range(1, 11))
         # ties break toward the non-neighbors of the pinned vertex
@@ -234,7 +233,7 @@ class TestRoundCograph:
     def test_random_singleton_instances(self, seed):
         inst, v = random_singleton_instance(Problem.COGRAPH_DELETION, 8, seed)
         x = pinned_optimum(inst, v)
-        cert = round_cograph(inst.graph, v, x)
+        cert = round_cograph(inst, v, x)
         assert v not in cert.integral_set
         assert len(cert.integral_set) <= F(5, 2) * x.value
         assert is_solution(inst, cert.integral_set)
@@ -242,7 +241,17 @@ class TestRoundCograph:
     def test_rejects_residual_p4(self):
         g = Graph(5, False, [(0, 1), (1, 2), (2, 3), (3, 4)])  # P5: no singleton fix
         with pytest.raises(PreconditionError):
-            round_cograph(g, 0, FractionalSolution((F(0),) * 5, F(0)))
+            round_cograph(
+                Instance(Problem.COGRAPH_DELETION, g), 0, FractionalSolution((F(0),) * 5, F(0))
+            )
+
+    def test_rejects_another_problem(self):
+        # {0} covers every edge of the star, so only the problem is wrong
+        inst = Instance(Problem.VERTEX_COVER, Graph(4, False, [(0, 1), (0, 2), (0, 3)]))
+        with pytest.raises(
+            PreconditionError, match=r"^expected a cograph-deletion instance, got vertex-cover$"
+        ):
+            round_cograph(inst, 0, FractionalSolution((F(0),) * 4, F(0)))
 
 
 # reads an instance file and a pinned vertex, prints the multicut rounding's certificate

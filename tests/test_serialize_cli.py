@@ -45,6 +45,13 @@ class TestRationals:
         with pytest.raises(InputError, match=r"^expected a rational string, got "):
             serialize.detection_result_from_dict(data, 1)
 
+    def test_missing_threshold_is_a_shape_error(self):
+        # the writer always emits the key, so a certificate without it is
+        # malformed, never read as threshold 0
+        data = {"lp_values": {"0": "1/2"}, "selected": [0]}
+        with pytest.raises(InputError, match=r"^detection result: missing key 'threshold'$"):
+            serialize.detection_result_from_dict(data, 1)
+
 
 class TestInstanceJson:
     def test_round_trip_preserves_structure(self):
@@ -261,12 +268,12 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["ok"] is False
 
     def test_verify_detection_result(self, tmp_path, capsys):
-        from essentia.detection import DetectionRequest, detect
+        from essentia.detection import detect
 
         inst = gen_star_multicut(5).instance
         path = tmp_path / "star.json"
         path.write_text(serialize.dumps_instance(inst))
-        result = detect(DetectionRequest(inst, 1))
+        result = detect(inst, 1)
         cert_path = tmp_path / "det.json"
         cert_path.write_text(json.dumps(serialize.detection_result_to_dict(result)))
         assert run(["verify", "--kind", "detection", "--k", "1", str(path), str(cert_path)]) == 0
@@ -276,6 +283,37 @@ class TestCli:
         tampered["selected"] = []
         cert_path.write_text(json.dumps(tampered))
         assert run(["verify", "--kind", "detection", "--k", "1", str(path), str(cert_path)]) == 1
+
+    def test_verify_detection_refuses_a_selection_its_threshold_contradicts(self, tmp_path, capsys):
+        from essentia.detection import detect
+
+        path = self.write_star(tmp_path, m=5)
+        claimed = serialize.detection_result_to_dict(detect(gen_star_multicut(5).instance, 1))
+        claimed["selected"] = [0, 1]  # f_1 = 1 does not exceed the threshold 1
+        cert_path = tmp_path / "det.json"
+        cert_path.write_text(json.dumps(claimed))
+        assert run(["verify", "--kind", "detection", "--k", "1", path, str(cert_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: selected set does not match the value threshold\n"
+
+    def test_verify_detection_checks_the_selection_against_k(self, tmp_path, capsys):
+        from essentia.detection import detect
+
+        path = self.write_star(tmp_path, m=4)
+        cert_path = tmp_path / "det.json"
+        # f_0 = 2: consistent with its own threshold 2, but k = 1 selects the center
+        result = detect(gen_star_multicut(4).instance, 2)
+        assert result.selected == frozenset()
+        cert_path.write_text(json.dumps(serialize.detection_result_to_dict(result)))
+        assert run(["verify", "--kind", "detection", "--k", "1", path, str(cert_path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False
+        assert report["checks"] == {
+            "lp_values_match": True,
+            "selected_matches_threshold": False,
+            "selected_matches_recomputation": False,
+        }
 
     @pytest.mark.parametrize(
         "kind, certificate",

@@ -85,7 +85,7 @@ def run_both(n, pinned, batches):
     tableaux must agree, and the kernel's objective denominator must be the
     basis determinant.  Returns the kernel.
     """
-    fast, ref = PackingSimplex(pinned), DenseFractionSimplex(pinned)
+    fast, ref = PackingSimplex().with_pin(pinned), DenseFractionSimplex(pinned)
     packing = []
     for batch in batches:
         for members in batch:
@@ -187,7 +187,7 @@ def test_kernel_builds_no_fraction_inside():
 
 
 def optimum(pool, pinned=None):
-    engine = PackingSimplex(pinned)
+    engine = PackingSimplex().with_pin(pinned)
     for members in pool:
         engine.add_constraint(members)
     engine.optimize()

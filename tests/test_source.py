@@ -165,10 +165,10 @@ def test_lp_names_no_problem():
 
 def test_detection_ties_no_start_rule_to_a_problem():
     # every pinned LP starts from the unpinned LP's optimal tableau, so
-    # detection builds no obstacle of its own and enumerates none
+    # detection neither lists obstacles nor searches for one
     path = PACKAGE / "detection.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    banned = {"all_induced_p4s", "Obstacle", "ObstacleKind"}
+    banned = {"all_induced_p4s", "listed_obstacles", "cheapest_obstacle"}
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id in banned:
