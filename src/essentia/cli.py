@@ -2,7 +2,7 @@
 
 Reports go to stdout as JSON with exact "p/q" rationals.  Exit codes: 0 on
 success, 1 on input errors, 2 when a resource cap (cut budget, search nodes,
-size cap, a --jobs worker count below 1) is hit.
+size cap, a --jobs worker count below 1, memory) is hit.
 """
 
 from __future__ import annotations
@@ -254,6 +254,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("resource cap exceeded: out of memory", file=sys.stderr)
         return 2
     except EssentiaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,13 +65,15 @@ _log = logging.getLogger("essentia.detection")
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """The f_v vector, the threshold, and `selected` = {v : f_v > threshold}, derived from them."""
+    """The f_v vector, stored as a tuple, the threshold, and `selected` =
+    {v : f_v > threshold}, derived from them."""
 
     selected: frozenset[int] = field(init=False)
     lp_values: tuple[Fraction, ...]
     threshold_used: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "lp_values", tuple(self.lp_values))
         selected = frozenset(v for v, f in enumerate(self.lp_values) if f > self.threshold_used)
         object.__setattr__(self, "selected", selected)
 

@@ -168,9 +168,12 @@ def detection_result_from_dict(d: dict, n: int) -> DetectionResult:
         if str(v) not in raw:
             raise InputError(f"detection result: missing lp value for vertex {v}")
         values.append(parse_rat(raw[str(v)]))
+    if len(raw) > n:
+        extra = min(set(raw) - set(map(str, range(n))))
+        raise InputError(f"detection result: lp value for {extra!r}, not a vertex (n={n})")
     selected = _vertex_set(_expect(d, "selected", list, "detection result"), n, "selected")
     threshold = parse_rat(_expect(d, "threshold", object, "detection result"))
-    result = DetectionResult(tuple(values), threshold)
+    result = DetectionResult(values, threshold)
     if result.selected != selected:
         raise InputError("selected set does not match the value threshold")
     return result

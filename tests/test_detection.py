@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from essentia import detection
 from essentia.detection import (
     DETECTION_THRESHOLDS,
+    DetectionResult,
     detect,
     essential_vertices_exact,
     lp_values,
@@ -54,6 +55,12 @@ class TestDetect:
         for v in range(inst.n):
             pool = sorted((s - {v} for s in obstacles), key=sorted)
             assert res.lp_values[v] == solve_restricted(pool, inst.n).value
+
+    def test_result_built_from_a_list_equals_the_tuple_built_one(self):
+        from_tuple = DetectionResult((F(2), F(0)), F(1))
+        from_list = DetectionResult([F(2), F(0)], F(1))
+        assert from_list.lp_values == (F(2), F(0)) and from_list.selected == frozenset({0})
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
 
     @pytest.mark.parametrize("k", [1.5, True, 1.0, "1"])
     def test_k_that_is_not_an_int_is_input_error(self, k):

@@ -516,8 +516,7 @@ class TestLogging:
         ids=["directed-multicut", "multicut", "dfvs", "cograph"],
     )
     def test_long_multicut_solves_build_potentials(self, caplog, inst, steered):
-        # a multicut solve past n searches steers the rest with potentials;
-        # the cycle and listed families never do
+        # the cycle and listed families are never steered
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             solve_exact(inst)
         [record] = [r for r in caplog.records if r.name == "essentia.exact"]
@@ -526,6 +525,15 @@ class TestLogging:
             assert searches > inst.n and potentials > 0
         else:
             assert potentials == 0
+
+    def test_multicut_steers_from_its_first_search(self, caplog):
+        # 2 searches on 6 vertices, both steered: the first builds one
+        # vector per source (1-4) under the empty blocked set, the second reuses them
+        with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
+            assert solve_exact(gen_star_multicut(5).instance) == frozenset({0})
+        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
+        searches, memo_hits, potentials = record.args[3:]
+        assert (searches, memo_hits, potentials) == (2, 1, 4)
 
     def test_silent_above_debug(self, caplog):
         inst = random_instance(Problem.VERTEX_COVER, 12, 6012)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import essentia
-from essentia import exact, serialize
+from essentia import cli, exact, serialize
 from essentia.cli import _build_parser, _check_jobs, run
 from essentia.detection import DEFAULT_SIZE_CAP
 from essentia.errors import InputError, ResourceCapError
@@ -51,6 +51,16 @@ class TestRationals:
         data = {"lp_values": {"0": "1/2"}, "selected": [0]}
         with pytest.raises(InputError, match=r"^detection result: missing key 'threshold'$"):
             serialize.detection_result_from_dict(data, 1)
+
+    @pytest.mark.parametrize("key", ["2", "-1", "01", "x"])
+    def test_lp_value_for_no_vertex_is_refused(self, key):
+        # a certificate for a larger instance must not pass for this one
+        data = {"lp_values": {"0": "1/2", "1": "0/1"}, "selected": [], "threshold": "1/1"}
+        assert serialize.detection_result_from_dict(data, 2).lp_values == (F(1, 2), F(0))
+        data["lp_values"][key] = "1/1"
+        message = f"^detection result: lp value for '{key}', not a vertex \\(n=2\\)$"
+        with pytest.raises(InputError, match=message):
+            serialize.detection_result_from_dict(data, 2)
 
 
 class TestInstanceJson:
@@ -374,6 +384,18 @@ class TestCli:
         path = self.write_star(tmp_path, m=4)
         assert run(["detect", "--k", "1", "--jobs", "2", path]) == 0
         assert json.loads(capsys.readouterr().out)["selected"] == [0]
+
+    def test_out_of_memory_is_the_resource_cap_exit(self, tmp_path, capsys, monkeypatch):
+        # a huge "n" raises MemoryError while the graph is built; simulated
+        # here, so nothing large is allocated
+        def out_of_memory(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_cmd_solve", out_of_memory)
+        assert run(["solve", self.write_star(tmp_path, m=4)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "resource cap exceeded: out of memory\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_refused(self, tmp_path, capsys, jobs):
