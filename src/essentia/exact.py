@@ -8,7 +8,10 @@ deletable set refutes the branch.  Pruning combines a greedy incumbent found
 up front and a lower bound from packing violated obstacles with pairwise
 disjoint deletable sets.  On vertex cover that bound is raised to the LP
 value of the graph left: ν/2, rounded up, for the maximum matching ν of its
-bipartite double cover (`graphs.double_cover_matching`).  That bound ignores
+bipartite double cover (`graphs.double_cover_matching`).  A node's removed
+set contains its ancestors', so its matching starts from the nearest
+ancestor's, handed down the search: the pairs that touch removed vertices
+go and only the free vertices are augmented from.  That bound ignores
 blocked vertices and choosing a leaf does not raise it, so vertex cover also
 skips the first leaf of the branch obstacle, a deletable vertex on no other
 surviving obstacle: a solution through it trades it for another deletable
@@ -40,9 +43,13 @@ or under none if b was none.  Search trees, node counts and solutions are
 those without the memo.
 
 Every multicut search is steered with potentials (A*, see
-`cheapest_obstacle`), built per blocked set and source on first use and
+`cheapest_obstacle`), made per blocked set and source on first use and
 kept beside the memo; they ignore `removed`, which only lengthens paths.
-Steering changes no answer; DFVS and the listed families search unsteered.
+A child's blocked set contains its parent's, so its costs only fall: a
+vector is lowered from the latest kept one of a blocked set inside the new
+one (`target_potential`'s warm start) and built cold only when there is
+none.  Steering changes no answer; DFVS and the listed families search
+unsteered.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InputError, NodeCapError
-from .graphs import _is_int, _vertex_set, double_cover_matching
+from .graphs import _double_cover_mates, _is_int, _vertex_set
 from .problems import (
     Instance,
     Problem,
@@ -109,9 +116,10 @@ _MemoEntry = tuple[int, int, Optional[tuple[int, tuple[int, ...]]], Optional[int
 _MEMO_CAP = 4096
 
 
-# Blocked sets whose potentials a solve keeps.  It seldom returns to an
-# earlier one: on solve-exact seed 21, ops 0-299, the multicut solves built
-# 37,886 vectors under this cap and 36,693 with none, which peaked 0.4 MB higher.
+# Blocked sets whose potentials a solve keeps.  A clear also drops the sets
+# a new one lowers its vectors from: on solve-exact seed 21, ops 0-299, the
+# solves lowered 33,159 vectors and built 4,727 cold under this cap, and
+# lowered 33,393 and built 3,300 with none, which peaked 0.5 MB higher.
 _POTENTIAL_CAP = 64
 
 
@@ -152,9 +160,16 @@ class _Search:
         self.memo_hits = 0
         self.memo: dict[int, list[_MemoEntry]] = {}
         self.memo_size = 0
-        # blocked mask -> source -> potential
+        # blocked mask -> source -> potential, and the vectors built cold
+        # or lowered from another blocked set's
         self.potentials: dict[int, dict[int, bytes]] = {}
         self.potentials_built = 0
+        self.potentials_lowered = 0
+        # vertex cover: the last matching `_packing_lb` found (see `_dfs`),
+        # and the matchings started from an ancestor's or from none
+        self.matched: Optional[list[Optional[int]]] = None
+        self.matchings_warm = 0
+        self.matchings_built = 0
         # the range a second-pass search must also hit, as one more obstacle
         self.target: Optional[frozenset[int]] = None
         listed = listed_obstacles(inst)
@@ -231,7 +246,7 @@ class _Search:
         cost = [0 if u in blocked else 1 for u in range(self.g.n)]
         potential = None
         if self.inst.problem.uses_terminals:
-            potential = self._potentials(key, cost, removed)
+            potential = self._potentials(key, blocked, cost, removed)
         self.searches += 1
         found = cheapest_obstacle(self.inst, cost, removed, below, potential)
         if self.memo_size >= _MEMO_CAP:
@@ -244,17 +259,35 @@ class _Search:
         return found
 
     def _potentials(
-        self, key: int, cost: list[int], removed: frozenset[int]
+        self, key: int, blocked: frozenset[int], cost: list[int], removed: frozenset[int]
     ) -> dict[int, bytes]:
-        """The potentials under the blocked set `key`, whose costs are
-        `cost`, of every source with a surviving target."""
-        pots = self.potentials.get(key)
+        """The potentials under `blocked`, whose mask is `key` and costs
+        `cost`, of every source with a surviving target.  A missing vector
+        is lowered from that of the latest stored blocked set inside this
+        one, under which only the vertices between the two cost more, or
+        built cold when that set has none."""
+        stored = self.potentials
+        pots = stored.get(key)
+        missing = [
+            (s, ts)
+            for s, ts in self.inst.targets_by_source
+            if (pots is None or s not in pots) and s not in removed and not ts <= removed
+        ]
+        base, fell = {}, []
+        if missing:
+            older = next((k for k in reversed(stored) if k != key and not k & ~key), None)
+            if older is not None:
+                base = stored[older]
+                fell = [u for u in blocked if not older >> u & 1]
         if pots is None:
-            if len(self.potentials) >= _POTENTIAL_CAP:
-                self.potentials.clear()
-            pots = self.potentials[key] = {}
-        for s, ts in self.inst.targets_by_source:
-            if s not in pots and s not in removed and not ts <= removed:
+            if len(stored) >= _POTENTIAL_CAP:
+                stored.clear()
+            pots = stored[key] = {}
+        for s, ts in missing:
+            if s in base:
+                pots[s] = target_potential(self.g, cost, ts, (base[s], fell))
+                self.potentials_lowered += 1
+            else:
                 pots[s] = target_potential(self.g, cost, ts)
                 self.potentials_built += 1
         return pots
@@ -280,7 +313,8 @@ class _Search:
         cover a count short of `need` is raised to ceil(ν/2), the LP value of
         G - removed, which every completion covers; with blocked vertices the
         greedy count can be the larger (a star whose centre is blocked packs
-        every leaf's edge), so the bound is the larger of the two.
+        every leaf's edge), so the bound is the larger of the two.  Its
+        matching starts from `matched`, an ancestor's, and replaces it.
         """
         if alive is not None:
             # `used` never meets `blocked`, so it meets vs - blocked iff vs
@@ -297,7 +331,11 @@ class _Search:
                 if count >= need:
                     return count
             if self.inst.problem is Problem.VERTEX_COVER:
-                return max(count, (double_cover_matching(self.g, removed) + 1) // 2)
+                start = self.matched
+                self.matched = _double_cover_mates(self.g, removed, start)
+                self.matchings_warm += start is not None
+                self.matchings_built += start is None
+                return max(count, (self.g.n - self.matched.count(None) + 1) // 2)
             return count
         if need > self.g.n - len(removed | blocked):
             return 0  # each packed obstacle needs a deletable vertex of its own
@@ -341,7 +379,11 @@ class _Search:
         blocked: frozenset[int],
         max_k: Optional[int],
         alive: Optional[list[_Enumerated]],
+        matched: Optional[list[Optional[int]]] = None,
     ) -> None:
+        """Search below the node.  `matched`, the vertex-cover matching of
+        the nearest ancestor that found one, reaches `_packing_lb` through
+        `self.matched`; the children get the node's own if it found one."""
         if self.find_first and self.best is not None:
             return
         self.nodes += 1
@@ -368,8 +410,10 @@ class _Search:
                 continue
             break
         need = bound - len(chosen) + 1
+        self.matched = matched
         if self._packing_lb(removed, blocked, need, alive, vs) >= need:
             return
+        matched = self.matched
         # vertex cover's leaf rule (see the module docstring); a vertex of an
         # unhit target is on it too, so it is never the leaf of an edge
         leaf = None
@@ -378,7 +422,9 @@ class _Search:
         tried: set[int] = set()
         for u in allowed:
             if u != leaf:
-                self._dfs(chosen | {u}, blocked | frozenset(tried), max_k, _avoiding(alive, u))
+                self._dfs(
+                    chosen | {u}, blocked | frozenset(tried), max_k, _avoiding(alive, u), matched
+                )
                 if self.find_first and self.best is not None:
                     return
             tried.add(u)
@@ -446,9 +492,11 @@ def solve_exact(
     range of candidates per kept vertex instead of one candidate per search.
     Raises NodeCapError when the search budget runs out and InputError on a
     budget out of range.  One DEBUG record on the "essentia.exact" logger
-    gives the nodes of each pass, the ranges the second pass refuted, and
-    the path or cycle searches the solve ran and the answers its memo
-    served (both 0 on the enumerated families).
+    gives the nodes of each pass, the ranges the second pass refuted, the
+    path or cycle searches the solve ran and the answers its memo served
+    (both 0 on the enumerated families), the potential vectors it lowered
+    and built cold, and the vertex-cover matchings it warm-started and
+    built cold.
     """
     _check_budget(inst, budget)
     search = _Search(inst, budget.forbidden, budget.node_cap)
@@ -482,13 +530,17 @@ def solve_exact(
         _log.debug(
             "solve_exact: %d minimum-pass nodes, %d lexicographic-pass nodes, "
             "%d refuted ranges, %d obstacle searches, %d memo answers, "
-            "%d potential vectors",
+            "%d potential vectors lowered, %d built cold, "
+            "%d matchings warm-started, %d built cold",
             minimum_nodes,
             search.nodes - minimum_nodes,
             refuted,
             search.searches,
             search.memo_hits,
+            search.potentials_lowered,
             search.potentials_built,
+            search.matchings_warm,
+            search.matchings_built,
         )
     return result
 

@@ -277,14 +277,33 @@ def double_cover_matching(g: Graph, removed: AbstractSet[int] = frozenset()) -> 
     The cover joins a left copy of u to a right copy of v for every arc
     u->v (both ways for an undirected edge), for u, v outside `removed`.
     Its maximum matching is twice the vertex-cover LP value of g - removed
-    (Nemhauser-Trotter).  One breadth-first augmenting-path search per
-    left vertex, with no recursion however long the paths grow.
+    (Nemhauser-Trotter); `_double_cover_mates` finds one.
+    """
+    return g.n - _double_cover_mates(g, removed).count(None)
+
+
+def _double_cover_mates(
+    g: Graph, removed: AbstractSet[int] = frozenset(), start: Optional[list] = None
+) -> list[Optional[int]]:
+    """A maximum matching of the double cover of g - removed, as each left
+    vertex's right mate (None when unmatched).
+
+    One breadth-first augmenting-path search per free left vertex, with no
+    recursion however long the paths grow.  `start`, a matching of the
+    double cover of g in the same form (an ancestor's, in exact search),
+    warm-starts it: its pairs that touch `removed` are dropped and only the
+    left vertices it leaves free are searched from.  A root whose search
+    fails has no augmenting path after later augmentations either (Berge),
+    so the matching is maximum from any start.
     """
     adj = g.adj
     left_mate: list[Optional[int]] = [None] * g.n
     right_mate: list[Optional[int]] = [None] * g.n
+    for u, v in enumerate(start or ()):
+        if v is not None and u not in removed and v not in removed:
+            left_mate[u], right_mate[v] = v, u
     for root in range(g.n):
-        if root in removed:
+        if root in removed or left_mate[root] is not None:
             continue
         parent: dict[int, int] = {}  # right vertex -> the left vertex that reached it
         lefts, free = [root], None
@@ -303,4 +322,4 @@ def double_cover_matching(g: Graph, removed: AbstractSet[int] = frozenset()) -> 
             after = left_mate[u]  # the next right vertex back towards root
             left_mate[u], right_mate[free] = free, u
             free = after
-    return sum(m is not None for m in left_mate)
+    return left_mate

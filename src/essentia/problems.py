@@ -177,19 +177,37 @@ def is_solution(inst: Instance, x: Iterable[int]) -> bool:
 NO_POTENTIAL = 255
 
 
-def target_potential(g: Graph, cost: Sequence[int], targets: Iterable[int]) -> bytes:
+def target_potential(
+    g: Graph,
+    cost: Sequence[int],
+    targets: Iterable[int],
+    warm: Optional[tuple[bytes, Iterable[int]]] = None,
+) -> bytes:
     """Per vertex u, the least cost of the vertices after u on a path from u
     to one of `targets`, by a 0-1 BFS over the reversed arcs: a consistent
     potential for `cheapest_obstacle` under any costs at least `cost`, in
     any G - removed.  Capping values below `NO_POTENTIAL` keeps them
     consistent: min(h(u), c) <= cost[x] + min(h(x), c).
+
+    `warm` = (h, fell) starts from h, built here for the same targets under
+    costs that exceed `cost` only at the vertices `fell`: the BFS lowers a
+    copy of h, relaxing from those vertices, instead of starting over.  The
+    bytes are those of a cold build: costs only fell, so no vertex gains or
+    loses a path to a target, and lowering the capped values ends at the
+    new ones capped, since capping is monotone.
     """
     n, radj = g.n, g.in_adj()
     unreached = max(n, NO_POTENTIAL)  # no path has n vertices after its first
-    h = [unreached] * n
-    queue = deque(targets)
-    for t in queue:
-        h[t] = 0
+    if warm is None:
+        h = [unreached] * n
+        queue = deque(targets)
+        for t in queue:
+            h[t] = 0
+    else:
+        # a warm start is capped already, and lowering keeps it so
+        unreached = NO_POTENTIAL
+        h = list(warm[0])
+        queue = deque(warm[1])
     while queue:
         x = queue.popleft()
         step = cost[x]

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, check_weights, min_vertex_separator
-from .lp import FractionalSolution, _check_pin, verify_feasible
+from .lp import FractionalSolution, _check_pin
 from .problems import Instance, Problem, cheapest_obstacle, is_solution, listed_obstacles
 
 POINT_FOUR = Fraction(2, 5)
@@ -60,14 +60,22 @@ class RoundingCertificate:
             )
 
 
-def _check_inputs(inst: Instance, problem: Problem, v: int, x: FractionalSolution) -> None:
+def _check_inputs(
+    inst: Instance, problem: Problem, v: int, x: FractionalSolution
+) -> tuple[int, list[int]]:
+    """Refuse a rounding's preconditions, else return x's weights over their
+    least common denominator (`check_weights`, once per rounding).  x must
+    be feasible with v pinned to 0, as `lp.verify_feasible` would say."""
     if inst.problem is not problem:
         raise PreconditionError(f"expected a {problem.value} instance, got {inst.problem.value}")
     _check_pin(inst, v)
     if not is_solution(inst, {v}):
         raise PreconditionError(f"{{{v}}} does not hit every obstacle; nothing to certify")
-    if not verify_feasible(inst, x, v):
-        raise PreconditionError(f"fractional solution is not feasible with vertex {v} pinned to 0")
+    if len(x.weights) == inst.n and x.weights[v] == 0:
+        den, nums = check_weights(inst.graph, x.weights)
+        if cheapest_obstacle(inst, nums, below=den) is None:
+            return den, nums
+    raise PreconditionError(f"fractional solution is not feasible with vertex {v} pinned to 0")
 
 
 def _heavy_set(g: Graph, den: int, nums: list[int], v: int, to_v: bool = False) -> frozenset[int]:
@@ -98,9 +106,8 @@ def round_multicut(inst: Instance, v: int, x: FractionalSolution) -> RoundingCer
     separator avoiding v is a multicut.  The separator is cut in the
     instance's own graph and may contain members of D.
     """
-    _check_inputs(inst, Problem.VERTEX_MULTICUT, v, x)
     g = inst.graph
-    d_set = _heavy_set(g, *check_weights(g, x.weights), v)
+    d_set = _heavy_set(g, *_check_inputs(inst, Problem.VERTEX_MULTICUT, v, x), v)
     cut = min_vertex_separator(g, (v,), d_set, frozenset({v}))
     return RoundingCertificate(
         factor_bound=Fraction(2),
@@ -119,9 +126,8 @@ def round_directed_multicut(inst: Instance, v: int, x: FractionalSolution) -> Ro
     target in T.  A minimum (S, v) separator plus a minimum (v, T) separator
     therefore cuts every terminal path, and each half is at most 2z.
     """
-    _check_inputs(inst, Problem.DIRECTED_VERTEX_MULTICUT, v, x)
+    den, nums = _check_inputs(inst, Problem.DIRECTED_VERTEX_MULTICUT, v, x)
     g = inst.graph
-    den, nums = check_weights(g, x.weights)
     s_set = _heavy_set(g, den, nums, v, to_v=True)
     t_set = _heavy_set(g, den, nums, v)
     cut_s = min_vertex_separator(g, s_set, (v,), frozenset({v}))

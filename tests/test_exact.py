@@ -473,7 +473,7 @@ class TestLogging:
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             got = solve_exact(inst)
         [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        minimum_nodes, lex_nodes, refuted, searches, memo_hits, potentials = record.args
+        minimum_nodes, lex_nodes, refuted, searches, memo_hits, lowered, built, *_ = record.args
         search = _Search(inst, frozenset(), 10**6)
         search.minimum(None)
         assert minimum_nodes == search.nodes
@@ -481,7 +481,7 @@ class TestLogging:
         assert refuted <= len(got)
         assert (minimum_nodes, lex_nodes, refuted) == (1, 4, 2)
         # vertex cover scans its edges and runs no path search
-        assert (searches, memo_hits, potentials) == (0, 0, 0)
+        assert (searches, memo_hits, lowered, built) == (0, 0, 0, 0)
 
     def test_no_solution_logs_an_empty_second_pass(self, caplog):
         inst = gen_star_multicut(5).instance
@@ -520,7 +520,7 @@ class TestLogging:
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             solve_exact(inst)
         [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        searches, potentials = record.args[3], record.args[5]
+        searches, potentials = record.args[3], sum(record.args[5:7])
         if steered:
             assert searches > inst.n and potentials > 0
         else:
@@ -532,8 +532,25 @@ class TestLogging:
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             assert solve_exact(gen_star_multicut(5).instance) == frozenset({0})
         [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        searches, memo_hits, potentials = record.args[3:]
-        assert (searches, memo_hits, potentials) == (2, 1, 4)
+        searches, memo_hits, lowered, cold = record.args[3:7]
+        assert (searches, memo_hits, lowered, cold) == (2, 1, 0, 4)
+
+    @pytest.mark.parametrize(
+        "inst, counts",
+        [
+            (bench_multicut(Problem.DIRECTED_VERTEX_MULTICUT, 10), (1227, 174, 0, 0)),
+            (random_instance(Problem.VERTEX_COVER, 24, 2), (0, 0, 39, 3)),
+        ],
+        ids=["directed-multicut", "vertex-cover"],
+    )
+    def test_nodes_start_from_their_ancestors_state(self, caplog, inst, counts):
+        # potential vectors lowered and built cold, then matchings
+        # warm-started and built cold: a node builds cold only when no
+        # ancestor in its pass found a matching
+        with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
+            solve_exact(inst)
+        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
+        assert record.args[5:] == counts
 
     def test_silent_above_debug(self, caplog):
         inst = random_instance(Problem.VERTEX_COVER, 12, 6012)

@@ -7,6 +7,7 @@ import pytest
 from essentia.errors import InfeasibleSeparatorError, InputError
 from essentia.graphs import (
     Graph,
+    _double_cover_mates,
     check_weights,
     double_cover_matching,
     min_vertex_separator,
@@ -413,6 +414,24 @@ class TestDoubleCoverMatching:
         g = random_graph(n, rng.randrange(1 << 30), directed=directed, p=rng.choice([0.1, 0.3, 0.6]))
         removed = frozenset(u for u in range(n) if rng.random() < 0.2)
         assert double_cover_matching(g, removed) == nx_double_cover_matching(g, removed)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_a_warm_started_matching_is_maximum(self, seed):
+        # along a chain of removals, each matching starts from the last one
+        rng = random.Random(900 + seed)
+        n = rng.randint(1, 16)
+        g = random_graph(n, rng.randrange(1 << 30), directed=seed % 3 == 0, p=rng.choice([0.15, 0.3, 0.6]))
+        removed: frozenset[int] = frozenset()
+        mates = _double_cover_mates(g, removed)
+        while len(removed) < n:
+            left = sorted(set(range(n)) - removed)
+            removed |= frozenset(rng.sample(left, min(len(left), rng.randint(1, 3))))
+            mates = _double_cover_mates(g, removed, mates)
+            assert g.n - mates.count(None) == nx_double_cover_matching(g, removed)
+            assert all(m is None for u, m in enumerate(mates) if u in removed)
+            pairs = [(u, m) for u, m in enumerate(mates) if m is not None]
+            assert all(g.has_arc(u, m) and m not in removed for u, m in pairs)
+            assert len({m for _, m in pairs}) == len(pairs)
 
     def test_odd_cycle_covers_itself(self):
         # the double cover of C_5 is C_10, which has a perfect matching

@@ -381,6 +381,47 @@ class TestSteeredSearch:
                 found = cheapest_obstacle(Instance(problem, g, [(u, t) for t in targets]), cost)
                 assert h[u] == (NO_POTENTIAL if found is None else found[0] - cost[u])
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.booleans(),
+        st.integers(1, 14),
+        st.integers(0, 10**6),
+        st.sampled_from([0.1, 0.25, 0.5]),
+        st.data(),
+    )
+    def test_a_lowered_potential_is_the_cold_build(self, directed, n, seed, p, data):
+        # a chain of cost drops, each lowering the previous vector in place
+        # of a build from scratch; sparse graphs leave vertices unreached
+        g = random_graph(n, seed, directed, p)
+        vertices = st.integers(0, n - 1)
+        targets = data.draw(st.frozensets(vertices, min_size=1))
+        cost = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        h = target_potential(g, cost, targets)
+        for _ in range(data.draw(st.integers(1, 4))):
+            fell = sorted(u for u in data.draw(st.frozensets(vertices)) if cost[u])
+            for u in fell:
+                cost[u] = 0
+            h = target_potential(g, cost, targets, (h, fell))
+            assert h == target_potential(g, cost, targets)
+
+    def test_a_lowered_capped_potential_is_the_cold_build(self):
+        # a 300-vertex path into the target 0, and 20 vertices that reach
+        # nothing: values past NO_POTENTIAL - 1 are capped, and lowering the
+        # capped ones gives the bytes a cold build gives
+        n = 320
+        g = Graph(n, True, [(u + 1, u) for u in range(299)] + [(u, u + 1) for u in range(300, n - 1)])
+        rng = random.Random(7)
+        cost = [1] * n
+        h = target_potential(g, cost, {0})
+        assert h[299] == NO_POTENTIAL - 1 and h[300:] == bytes([NO_POTENTIAL]) * 20
+        for _ in range(8):
+            fell = sorted(rng.sample([u for u in range(n) if cost[u]], 4))
+            for u in fell:
+                cost[u] = 0
+            h = target_potential(g, cost, {0}, (h, fell))
+            assert h == target_potential(g, cost, {0})
+        assert NO_POTENTIAL - 1 in h
+
     def test_a_vertex_that_reaches_no_target_is_never_entered(self):
         # 0 -> 1 -> 2 with a dead end 0 -> 3 -> 4; the source is 0, the target 2
         g = Graph(5, True, [(0, 1), (1, 2), (0, 3), (3, 4)])

@@ -254,6 +254,34 @@ class TestRoundCograph:
             round_cograph(inst, 0, FractionalSolution((F(0),) * 4, F(0)))
 
 
+class TestWeightsValidatedOnce:
+    @pytest.mark.parametrize(
+        "problem, rounder",
+        [
+            (Problem.VERTEX_MULTICUT, round_multicut),
+            (Problem.DIRECTED_VERTEX_MULTICUT, round_directed_multicut),
+            (Problem.COGRAPH_DELETION, round_cograph),
+        ],
+        ids=["multicut", "directed-multicut", "cograph"],
+    )
+    def test_one_check_weights_call_per_rounding(self, monkeypatch, problem, rounder):
+        # the feasibility check and the heavy sets share one conversion
+        calls = []
+
+        def counted(g, w):
+            calls.append(w)
+            return check_weights(g, w)
+
+        for module in (essentia.rounding, essentia.problems):
+            monkeypatch.setattr(module, "check_weights", counted)
+        for seed in range(8):
+            inst, v = random_singleton_instance(problem, 7, seed)
+            x = solve(inst, v)
+            calls.clear()
+            rounder(inst, v, x)
+            assert calls == [x.weights]
+
+
 # reads an instance file and a pinned vertex, prints the multicut rounding's certificate
 OPTIMIZED_ROUNDING = """
 import json, sys

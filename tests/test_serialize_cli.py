@@ -433,7 +433,7 @@ class TestCli:
             else:
                 inst = random_instance(Problem.VERTEX_COVER, 12, 6012)
                 matchings = []
-                matching, packing_lb = exact.double_cover_matching, exact._Search._packing_lb
+                matching, packing_lb = exact._double_cover_mates, exact._Search._packing_lb
 
                 def recorded(search, removed, blocked, need, alive, first):
                     before = len(matchings)
@@ -442,7 +442,9 @@ class TestCli:
                     return lb
 
                 monkeypatch.setattr(
-                    exact, "double_cover_matching", lambda g, r: matchings.append(r) or matching(g, r)
+                    exact,
+                    "_double_cover_mates",
+                    lambda g, r, start: matchings.append(r) or matching(g, r, start),
                 )
                 monkeypatch.setattr(exact._Search, "_packing_lb", recorded)
             path = tmp_path / "g.json"
