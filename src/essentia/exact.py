@@ -8,12 +8,12 @@ deletable set refutes the branch.  Pruning combines a greedy incumbent found
 up front and a lower bound from packing violated obstacles with pairwise
 disjoint deletable sets.  On vertex cover that bound is raised to the LP
 value of the graph left: ν/2, rounded up, for the maximum matching ν of its
-bipartite double cover (`graphs.double_cover_matching`).  A node's removed
-set contains its ancestors', so its matching starts from the nearest
-ancestor's, handed down the search: the pairs that touch removed vertices
-go and only the free vertices are augmented from.  That bound ignores
-blocked vertices and choosing a leaf does not raise it, so vertex cover also
-skips the first leaf of the branch obstacle, a deletable vertex on no other
+bipartite double cover (`graphs.double_cover_matching`).  Each matching
+starts from the last one the solve found, in either pass: the pairs that
+touch removed vertices go and only the free vertices are augmented from.
+Only its size is read, the same from any start.  That bound ignores blocked
+vertices and choosing a leaf does not raise it, so vertex cover also skips
+the first leaf of the branch obstacle, a deletable vertex on no other
 surviving obstacle: a solution through it trades it for another deletable
 vertex of that obstacle at no cost.  The path and cycle
 families get their branch obstacles from `problems.cheapest_obstacle`, the
@@ -165,11 +165,10 @@ class _Search:
         self.potentials: dict[int, dict[int, bytes]] = {}
         self.potentials_built = 0
         self.potentials_lowered = 0
-        # vertex cover: the last matching `_packing_lb` found (see `_dfs`),
-        # and the matchings started from an ancestor's or from none
+        # vertex cover: the last matching `_packing_lb` found, which the
+        # next one starts from, and the matchings found
         self.matched: Optional[list[Optional[int]]] = None
-        self.matchings_warm = 0
-        self.matchings_built = 0
+        self.matchings = 0
         # the range a second-pass search must also hit, as one more obstacle
         self.target: Optional[frozenset[int]] = None
         listed = listed_obstacles(inst)
@@ -251,7 +250,6 @@ class _Search:
         found = cheapest_obstacle(self.inst, cost, removed, below, potential)
         if self.memo_size >= _MEMO_CAP:
             self.memo.clear()
-            self.potentials.clear()
             self.memo_size = 0
         hit = 0 if found is None else _mask(found[1])
         self.memo.setdefault(key, []).append((gone, hit, found, below))
@@ -314,7 +312,7 @@ class _Search:
         G - removed, which every completion covers; with blocked vertices the
         greedy count can be the larger (a star whose centre is blocked packs
         every leaf's edge), so the bound is the larger of the two.  Its
-        matching starts from `matched`, an ancestor's, and replaces it.
+        matching starts from the solve's last one, `matched`, and replaces it.
         """
         if alive is not None:
             # `used` never meets `blocked`, so it meets vs - blocked iff vs
@@ -331,10 +329,8 @@ class _Search:
                 if count >= need:
                     return count
             if self.inst.problem is Problem.VERTEX_COVER:
-                start = self.matched
-                self.matched = _double_cover_mates(self.g, removed, start)
-                self.matchings_warm += start is not None
-                self.matchings_built += start is None
+                self.matched = _double_cover_mates(self.g, removed, self.matched)
+                self.matchings += 1
                 return max(count, (self.g.n - self.matched.count(None) + 1) // 2)
             return count
         if need > self.g.n - len(removed | blocked):
@@ -379,11 +375,7 @@ class _Search:
         blocked: frozenset[int],
         max_k: Optional[int],
         alive: Optional[list[_Enumerated]],
-        matched: Optional[list[Optional[int]]] = None,
     ) -> None:
-        """Search below the node.  `matched`, the vertex-cover matching of
-        the nearest ancestor that found one, reaches `_packing_lb` through
-        `self.matched`; the children get the node's own if it found one."""
         if self.find_first and self.best is not None:
             return
         self.nodes += 1
@@ -410,10 +402,8 @@ class _Search:
                 continue
             break
         need = bound - len(chosen) + 1
-        self.matched = matched
         if self._packing_lb(removed, blocked, need, alive, vs) >= need:
             return
-        matched = self.matched
         # vertex cover's leaf rule (see the module docstring); a vertex of an
         # unhit target is on it too, so it is never the leaf of an edge
         leaf = None
@@ -422,9 +412,7 @@ class _Search:
         tried: set[int] = set()
         for u in allowed:
             if u != leaf:
-                self._dfs(
-                    chosen | {u}, blocked | frozenset(tried), max_k, _avoiding(alive, u), matched
-                )
+                self._dfs(chosen | {u}, blocked | frozenset(tried), max_k, _avoiding(alive, u))
                 if self.find_first and self.best is not None:
                     return
             tried.add(u)
@@ -495,8 +483,7 @@ def solve_exact(
     gives the nodes of each pass, the ranges the second pass refuted, the
     path or cycle searches the solve ran and the answers its memo served
     (both 0 on the enumerated families), the potential vectors it lowered
-    and built cold, and the vertex-cover matchings it warm-started and
-    built cold.
+    and built cold, and the vertex-cover matchings it found.
     """
     _check_budget(inst, budget)
     search = _Search(inst, budget.forbidden, budget.node_cap)
@@ -530,8 +517,7 @@ def solve_exact(
         _log.debug(
             "solve_exact: %d minimum-pass nodes, %d lexicographic-pass nodes, "
             "%d refuted ranges, %d obstacle searches, %d memo answers, "
-            "%d potential vectors lowered, %d built cold, "
-            "%d matchings warm-started, %d built cold",
+            "%d potential vectors lowered, %d built cold, %d matchings",
             minimum_nodes,
             search.nodes - minimum_nodes,
             refuted,
@@ -539,8 +525,7 @@ def solve_exact(
             search.memo_hits,
             search.potentials_lowered,
             search.potentials_built,
-            search.matchings_warm,
-            search.matchings_built,
+            search.matchings,
         )
     return result
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import AbstractSet, Iterable, Optional
 
 from .errors import InfeasibleSeparatorError, InputError
@@ -84,6 +84,26 @@ def _weight_tuple(w: object) -> tuple:
         return tuple(w)
     except TypeError:
         raise InputError(f"weight vector must be an iterable, got {w!r}") from None
+
+
+def _over_common_denominator(w: tuple) -> tuple[int, list[int]]:
+    """(den, nums), den the least common denominator of a weight tuple and
+    nums[u] == w[u] * den, once each entry is an exact rational (the first
+    that is not is an InputError); `check_weights` and `lp` read weights so."""
+    den = 1
+    for u, x in enumerate(w):
+        if not _is_rational(x):
+            raise InputError(f"weight of vertex {u} is not an exact rational: {x!r}")
+        if den % x.denominator:
+            den = lcm(den, x.denominator)
+    return den, [x.numerator * (den // x.denominator) for x in w]
+
+
+def _check_box(w: tuple, den: int, nums: list[int]) -> None:
+    """Refuse the first weight outside [0, 1]: its numerator over den is outside 0..den."""
+    for u, p in enumerate(nums):
+        if not 0 <= p <= den:
+            raise InputError(f"weight of vertex {u} out of [0, 1]: {w[u]}")
 
 
 def _rational(x: object, what: str) -> Fraction:
@@ -185,17 +205,9 @@ def check_weights(g: Graph, w: VertexWeights) -> tuple[int, list[int]]:
     w = _weight_tuple(w)
     if len(w) != g.n:
         raise InputError(f"weight vector has length {len(w)}, expected {g.n}")
-    den = 1
-    for u, x in enumerate(w):
-        if not _is_rational(x):
-            raise InputError(f"weight of vertex {u} is not an exact rational: {x!r}")
-        p, q = x.numerator, x.denominator
-        # a rational's denominator is positive, so 0 <= x <= 1 is 0 <= p <= q
-        if p < 0 or p > q:
-            raise InputError(f"weight of vertex {u} out of [0, 1]: {x}")
-        if den % q:
-            den = den // gcd(den, q) * q
-    return den, [x.numerator * (den // x.denominator) for x in w]
+    den, nums = _over_common_denominator(w)
+    _check_box(w, den, nums)
+    return den, nums
 
 
 def min_vertex_separator(
@@ -289,12 +301,12 @@ def _double_cover_mates(
     vertex's right mate (None when unmatched).
 
     One breadth-first augmenting-path search per free left vertex, with no
-    recursion however long the paths grow.  `start`, a matching of the
-    double cover of g in the same form (an ancestor's, in exact search),
-    warm-starts it: its pairs that touch `removed` are dropped and only the
-    left vertices it leaves free are searched from.  A root whose search
-    fails has no augmenting path after later augmentations either (Berge),
-    so the matching is maximum from any start.
+    recursion however long the paths grow.  `start`, in the same form, is
+    any matching of g's double cover (exact search passes the last one it
+    found): its pairs that touch `removed` are dropped and only the left
+    vertices it leaves free are searched from.  A root whose search fails
+    has no augmenting path after later augmentations either (Berge), so the
+    matching is maximum from any start.
     """
     adj = g.adj
     left_mate: list[Optional[int]] = [None] * g.n

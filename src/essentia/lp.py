@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from .errors import InputError, IterationCapError, PreconditionError
-from .graphs import VertexWeights, _is_rational, _vertex_set, _weight_tuple
+from .graphs import (
+    VertexWeights, _check_box, _is_rational, _over_common_denominator, _vertex_set, _weight_tuple
+)
 from .problems import Instance, cheapest_obstacle, find_violated_obstacle
 from .simplex import PackingSimplex
 
@@ -50,28 +51,15 @@ class FractionalSolution:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _weight_tuple(self.weights))
-        if not _is_rational(self.value):
-            raise InputError(f"solution value is not an exact rational: {self.value!r}")
-        # One pass in ints: the weight total accumulates as num / den over
-        # the least common denominator so far.  The total is checked before
-        # the range, so the first out-of-range vertex is only remembered.
-        num, den, bad = 0, 1, None
-        for u, x in enumerate(self.weights):
-            if not _is_rational(x):
-                raise InputError(f"weight of vertex {u} is not an exact rational: {x!r}")
-            p, q = x.numerator, x.denominator
-            if bad is None and (p < 0 or p > q):
-                bad = u
-            if den % q:
-                m = q // gcd(den, q)
-                den *= m
-                num *= m
-            num += p * (den // q)
-        total = Fraction(num, den)
-        if total != self.value:
-            raise InputError(f"solution value {self.value} != weight total {total}")
-        if bad is not None:
-            raise InputError(f"weight of vertex {bad} out of [0, 1]: {self.weights[bad]}")
+        value = self.value
+        if not _is_rational(value):
+            raise InputError(f"solution value is not an exact rational: {value!r}")
+        # the total, num / den, is checked before the range
+        den, nums = _over_common_denominator(self.weights)
+        num = sum(nums)
+        if num * value.denominator != value.numerator * den:
+            raise InputError(f"solution value {value} != weight total {Fraction(num, den)}")
+        _check_box(self.weights, den, nums)
 
 
 def _check_pin(inst: Instance, pinned: Optional[int]) -> None:

@@ -35,6 +35,17 @@ from oracles import (
 
 PATH_FAMILIES = (Problem.DFVS, Problem.VERTEX_MULTICUT, Problem.DIRECTED_VERTEX_MULTICUT)
 
+# the counts of `solve_exact`'s DEBUG record, in its order
+RECORD_FIELDS = (
+    "minimum_nodes", "lex_nodes", "refuted", "searches", "memo_hits", "lowered", "built", "matchings",
+)
+
+
+def debug_counts(caplog) -> dict[str, int]:
+    """The counts of the one DEBUG record `solve_exact` logged, by name."""
+    [record] = [r for r in caplog.records if r.name == "essentia.exact"]
+    return dict(zip(RECORD_FIELDS, record.args, strict=True))
+
 
 class TestExamples:
     def test_p4_deletion_picks_lex_least_single_vertex(self):
@@ -293,8 +304,8 @@ class TestObstacleMemo:
         inst = random_instance(Problem.DIRECTED_VERTEX_MULTICUT, 14, 0)
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             got = solve_exact(inst)
-        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        assert record.args[2] >= 1 and record.args[4] > 0
+        counts = debug_counts(caplog)
+        assert counts["refuted"] >= 1 and counts["memo_hits"] > 0
         src = Path(essentia.__file__).resolve().parent.parent
         proc = subprocess.run(
             [sys.executable, "-O", "-c", OPTIMIZED_SOLVE],
@@ -302,7 +313,7 @@ class TestObstacleMemo:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        want = {"debug": False, "solution": sorted(got), "counts": list(record.args)}
+        want = {"debug": False, "solution": sorted(got), "counts": list(counts.values())}
         assert json.loads(proc.stdout) == want
 
 
@@ -472,23 +483,23 @@ class TestLogging:
         inst = random_instance(Problem.VERTEX_COVER, 12, 6012)
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             got = solve_exact(inst)
-        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        minimum_nodes, lex_nodes, refuted, searches, memo_hits, lowered, built, *_ = record.args
+        counts = debug_counts(caplog)
         search = _Search(inst, frozenset(), 10**6)
         search.minimum(None)
-        assert minimum_nodes == search.nodes
+        assert counts["minimum_nodes"] == search.nodes
         # the second pass refutes at most one range per vertex it keeps
-        assert refuted <= len(got)
-        assert (minimum_nodes, lex_nodes, refuted) == (1, 4, 2)
+        assert counts["refuted"] <= len(got)
+        assert (counts["minimum_nodes"], counts["lex_nodes"], counts["refuted"]) == (1, 4, 2)
         # vertex cover scans its edges and runs no path search
-        assert (searches, memo_hits, lowered, built) == (0, 0, 0, 0)
+        path_counts = ("searches", "memo_hits", "lowered", "built")
+        assert [counts[name] for name in path_counts] == [0, 0, 0, 0]
 
     def test_no_solution_logs_an_empty_second_pass(self, caplog):
         inst = gen_star_multicut(5).instance
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             assert solve_exact(inst, SolveBudget(max_k=0)) is None
-        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        assert record.args[1:3] == (0, 0)
+        counts = debug_counts(caplog)
+        assert (counts["lex_nodes"], counts["refuted"]) == (0, 0)
 
     def test_searches_and_memo_answers_count_every_query(self, caplog, monkeypatch):
         inst = random_instance(Problem.DIRECTED_VERTEX_MULTICUT, 14, 0)
@@ -500,8 +511,8 @@ class TestLogging:
         monkeypatch.setattr(_Search, "_cheapest", lambda s, *a: queries.append(a) or cheapest(s, *a))
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             solve_exact(inst)
-        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        searches, memo_hits = record.args[3:5]
+        counts = debug_counts(caplog)
+        searches, memo_hits = counts["searches"], counts["memo_hits"]
         assert searches == len(calls) and searches + memo_hits == len(queries)
         assert memo_hits > 0
 
@@ -519,10 +530,10 @@ class TestLogging:
         # the cycle and listed families are never steered
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             solve_exact(inst)
-        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        searches, potentials = record.args[3], sum(record.args[5:7])
+        counts = debug_counts(caplog)
+        potentials = counts["lowered"] + counts["built"]
         if steered:
-            assert searches > inst.n and potentials > 0
+            assert counts["searches"] > inst.n and potentials > 0
         else:
             assert potentials == 0
 
@@ -531,26 +542,42 @@ class TestLogging:
         # vector per source (1-4) under the empty blocked set, the second reuses them
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             assert solve_exact(gen_star_multicut(5).instance) == frozenset({0})
-        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        searches, memo_hits, lowered, cold = record.args[3:7]
-        assert (searches, memo_hits, lowered, cold) == (2, 1, 0, 4)
+        counts = debug_counts(caplog)
+        steering = ("searches", "memo_hits", "lowered", "built")
+        assert [counts[name] for name in steering] == [2, 1, 0, 4]
 
     @pytest.mark.parametrize(
         "inst, counts",
-        [
-            (bench_multicut(Problem.DIRECTED_VERTEX_MULTICUT, 10), (1227, 174, 0, 0)),
-            (random_instance(Problem.VERTEX_COVER, 24, 2), (0, 0, 39, 3)),
-        ],
-        ids=["directed-multicut", "vertex-cover"],
+        [(bench_multicut(Problem.DIRECTED_VERTEX_MULTICUT, 10), (1227, 174, 0))],
+        ids=["directed-multicut"],
     )
     def test_nodes_start_from_their_ancestors_state(self, caplog, inst, counts):
-        # potential vectors lowered and built cold, then matchings
-        # warm-started and built cold: a node builds cold only when no
-        # ancestor in its pass found a matching
+        # potential vectors lowered from an earlier blocked set inside the
+        # new one, and built cold; a multicut finds no matching
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
             solve_exact(inst)
-        [record] = [r for r in caplog.records if r.name == "essentia.exact"]
-        assert record.args[5:] == counts
+        got = debug_counts(caplog)
+        assert (got["lowered"], got["built"], got["matchings"]) == counts
+
+    def test_only_the_first_matching_of_a_solve_starts_cold(self, caplog, monkeypatch):
+        # every vertex-cover matching after the solve's first starts from
+        # the last one, in the lexicographic pass too
+        starts = []
+        mates = exact._double_cover_mates
+        monkeypatch.setattr(
+            exact, "_double_cover_mates", lambda g, r, start: starts.append(start) or mates(g, r, start)
+        )
+        completable = _Search.completable
+        first_lex = []
+        monkeypatch.setattr(
+            _Search, "completable", lambda s, *a: first_lex.append(len(starts)) or completable(s, *a)
+        )
+        with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
+            solve_exact(random_instance(Problem.VERTEX_COVER, 24, 2))
+        assert debug_counts(caplog)["matchings"] == len(starts) == 42
+        assert starts[0] is None and None not in starts[1:]
+        # both passes find matchings
+        assert 0 < first_lex[0] < len(starts)
 
     def test_silent_above_debug(self, caplog):
         inst = random_instance(Problem.VERTEX_COVER, 12, 6012)

@@ -415,9 +415,19 @@ class TestDoubleCoverMatching:
         removed = frozenset(u for u in range(n) if rng.random() < 0.2)
         assert double_cover_matching(g, removed) == nx_double_cover_matching(g, removed)
 
+    @staticmethod
+    def assert_maximum(g, removed, mates):
+        assert g.n - mates.count(None) == nx_double_cover_matching(g, removed)
+        assert all(m is None for u, m in enumerate(mates) if u in removed)
+        pairs = [(u, m) for u, m in enumerate(mates) if m is not None]
+        assert all(g.has_arc(u, m) and m not in removed for u, m in pairs)
+        assert len({m for _, m in pairs}) == len(pairs)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_a_warm_started_matching_is_maximum(self, seed):
-        # along a chain of removals, each matching starts from the last one
+        # along a chain of removals, each matching starts from the last one;
+        # a matching made for an unrelated removed set, neither inside nor
+        # containing this one, is a start as good as any
         rng = random.Random(900 + seed)
         n = rng.randint(1, 16)
         g = random_graph(n, rng.randrange(1 << 30), directed=seed % 3 == 0, p=rng.choice([0.15, 0.3, 0.6]))
@@ -427,11 +437,13 @@ class TestDoubleCoverMatching:
             left = sorted(set(range(n)) - removed)
             removed |= frozenset(rng.sample(left, min(len(left), rng.randint(1, 3))))
             mates = _double_cover_mates(g, removed, mates)
-            assert g.n - mates.count(None) == nx_double_cover_matching(g, removed)
-            assert all(m is None for u, m in enumerate(mates) if u in removed)
-            pairs = [(u, m) for u, m in enumerate(mates) if m is not None]
-            assert all(g.has_arc(u, m) and m not in removed for u, m in pairs)
-            assert len({m for _, m in pairs}) == len(pairs)
+            self.assert_maximum(g, removed, mates)
+            outside = sorted(set(range(n)) - removed)
+            if outside:  # `other` keeps a vertex of `removed` and removes one outside it
+                other = frozenset(u for u in range(n) if rng.random() < 0.3) | {rng.choice(outside)}
+                other -= {rng.choice(sorted(removed))}
+                unrelated = _double_cover_mates(g, other)
+                self.assert_maximum(g, removed, _double_cover_mates(g, removed, unrelated))
 
     def test_odd_cycle_covers_itself(self):
         # the double cover of C_5 is C_10, which has a perfect matching
