@@ -15,7 +15,9 @@ Only its size is read, the same from any start.  That bound ignores blocked
 vertices and choosing a leaf does not raise it, so vertex cover also skips
 the first leaf of the branch obstacle, a deletable vertex on no other
 surviving obstacle: a solution through it trades it for another deletable
-vertex of that obstacle at no cost.  The path and cycle
+vertex of that obstacle at no cost.  The listed families' obstacles (edges,
+induced P4s) are held as witness and bitmask: an obstacle's deletable count
+is one `&` with the unblocked vertices and a popcount.  The path and cycle
 families get their branch obstacles from `problems.cheapest_obstacle`, the
 search the separation oracle uses, with deletable vertices costing 1: its
 answer is the globally least (cost, order) path or cycle.
@@ -100,8 +102,8 @@ class SolveBudget:
             raise InputError(f"node_cap must be a nonnegative int, got {self.node_cap!r}")
 
 
-# An enumerated obstacle: its vertices in witness order, and as a set.
-_Enumerated = tuple[tuple[int, ...], frozenset[int]]
+# An enumerated obstacle: its vertices in witness order, and as a bitmask.
+_Enumerated = tuple[tuple[int, ...], int]
 
 
 # A path or cycle search of one solve: the removed vertices and the found
@@ -132,7 +134,8 @@ def _avoiding(alive: Optional[list[_Enumerated]], u: int) -> Optional[list[_Enum
     """The obstacles of `alive` that survive deleting u, in their order."""
     if alive is None:
         return None
-    return [ob for ob in alive if u not in ob[1]]
+    bit = 1 << u
+    return [ob for ob in alive if not ob[1] & bit]
 
 
 class _Search:
@@ -140,10 +143,10 @@ class _Search:
 
     A search node is (chosen, blocked, alive): the deleted vertices, the
     vertices no branch below may delete, and, for the finitely enumerated
-    families, the obstacles that survive `chosen` in their enumeration order
-    (None for the path families, whose obstacles are searched for).  A child
-    filters its parent's `alive` by the one vertex it adds, so no node scans
-    the whole obstacle list.
+    families, the obstacles that survive `chosen` in their enumeration order,
+    each as its witness and bitmask (None for the path families, whose
+    obstacles are searched for).  A child filters its parent's `alive` by the
+    one vertex it adds, so no node scans the whole obstacle list.
     """
 
     def __init__(self, inst: Instance, forbidden: frozenset[int], node_cap: int):
@@ -173,7 +176,7 @@ class _Search:
         self.target: Optional[frozenset[int]] = None
         listed = listed_obstacles(inst)
         self.obstacles: Optional[list[_Enumerated]] = (
-            None if listed is None else [(ob, frozenset(ob)) for ob in listed]
+            None if listed is None else [(ob, _mask(ob)) for ob in listed]
         )
 
     # -- violated obstacle with fewest deletable vertices ---------------------
@@ -193,17 +196,19 @@ class _Search:
         search stops at the first one it closes.
         """
         if alive is not None:
+            free = ~_mask(blocked)
             best = None
-            for order, vs in alive:
-                key = (len(vs - blocked), order)
-                if best is None or key < best[0]:
-                    best = (key, vs)
-                    if key[0] <= 1:
+            least = self.g.n + 1  # above any count
+            for ob in alive:
+                count = (ob[1] & free).bit_count()
+                if count < least or (count == least and ob[0] < best[0]):
+                    best, least = ob, count
+                    if count <= 1:
                         break
             if best is None:
                 return None
-            vs = best[1]
-            return sorted(vs - blocked), vs
+            order = best[0]
+            return sorted(u for u in order if u not in blocked), frozenset(order)
         # cheapest surviving path or cycle, counting only deletable vertices;
         # an unhit target wins unless a path has at most as many
         target = self.target
@@ -315,13 +320,15 @@ class _Search:
         matching starts from the solve's last one, `matched`, and replaces it.
         """
         if alive is not None:
-            # `used` never meets `blocked`, so it meets vs - blocked iff vs
-            used: set[int] = set()
+            # `used` never meets `blocked`, so it meets the deletable part
+            # of an obstacle iff it meets the obstacle
+            free = ~_mask(blocked)
+            used = 0
             count = 0
             for _, vs in alive:
-                if not used.isdisjoint(vs):
+                if used & vs:
                     continue
-                allowed = vs - blocked
+                allowed = vs & free
                 if not allowed:
                     return _INFEASIBLE
                 used |= allowed
@@ -367,7 +374,8 @@ class _Search:
         """The enumerated obstacles that survive deleting `gone`."""
         if self.obstacles is None:
             return None
-        return [ob for ob in self.obstacles if ob[1].isdisjoint(gone)]
+        hit = _mask(gone)
+        return [ob for ob in self.obstacles if not ob[1] & hit]
 
     def _dfs(
         self,
@@ -408,7 +416,7 @@ class _Search:
         # unhit target is on it too, so it is never the leaf of an edge
         leaf = None
         if self.inst.problem is Problem.VERTEX_COVER:
-            leaf = next((u for u in allowed if sum(u in ob for _, ob in alive) == 1), None)
+            leaf = next((u for u in allowed if sum(mask >> u & 1 for _, mask in alive) == 1), None)
         tried: set[int] = set()
         for u in allowed:
             if u != leaf:
@@ -457,7 +465,7 @@ class _Search:
         self.target = target
         alive = self._alive(prefix)
         if alive is not None:
-            alive.insert(0, (tuple(sorted(target)), target))
+            alive.insert(0, (tuple(sorted(target)), _mask(target)))
         self._dfs(set(prefix), self.forbidden | ruled_out, size_cap, alive)
         return self.best is not None
 

@@ -16,10 +16,10 @@ obstacle search, one `cheapest_paths` search per source or least vertex,
 kept to check that one heap for every origin changed no answer; for vertex
 cover and cograph deletion it scans every vertex pair and quadruple.
 So are `scan_violated` and
-`scan_packing_lb`: exact search's earlier full scans, kept to check that
-per-node surviving obstacles and bounded path searches changed no answer;
-the packing's vertex-cover LP bound there comes from the networkx
-matching.  And so is `dovetail_reduce`: the driver's
+`scan_packing_lb`: exact search's earlier full scans over vertex sets, kept
+to check that per-node surviving obstacles held as bitmasks and bounded path
+searches changed no answer; the packing's vertex-cover LP bound there comes
+from the networkx matching.  And so is `dovetail_reduce`: the driver's
 earlier loop over a residual budget, kept to check that one ascending sweep
 over the guess k reaches the same first success with the same exact solver.
 So are `min_weight_cycle_through`, the oracle's earlier cycle search over
@@ -67,6 +67,7 @@ from essentia.problems import (
     Problem,
     all_induced_p4s,
     find_violated_obstacle,
+    listed_obstacles,
 )
 from essentia.simplex import PackingSimplex
 
@@ -722,6 +723,8 @@ def scan_violated(search, removed, blocked):
     The scan `_Search._violated` made before each search node kept its
     surviving obstacles: every enumerated obstacle is tested against
     `removed`, and every path or cycle search runs to its first target.
+    The enumerated obstacles are rebuilt as vertex sets from
+    `problems.listed_obstacles`, not read from the search's own list.
     DFVS searches the cheapest cycle through each vertex over the whole
     graph, with no least-vertex restriction, and compares cycles in their
     canonical rotation.  Returns (sorted deletable vertices, obstacle vertex
@@ -732,9 +735,11 @@ def scan_violated(search, removed, blocked):
     """
     p = search.inst.problem
     g = search.g
-    if search.obstacles is not None:
+    listed = listed_obstacles(search.inst)
+    if listed is not None:
         best = None
-        for order, vs in search.obstacles:
+        for order in listed:
+            vs = frozenset(order)
             if vs & removed:
                 continue
             allowed = [u for u in order if u not in blocked]
@@ -778,10 +783,11 @@ def scan_packing_lb(search, removed, blocked, need, infeasible):
     undeletable one.  On vertex cover a count short of `need` is raised to
     ceil(ν/2) for the double cover's matching ν of G - removed.
     """
-    if search.obstacles is not None:
+    listed = listed_obstacles(search.inst)
+    if listed is not None:
         used = set()
         count = 0
-        for _, vs in search.obstacles:
+        for vs in map(frozenset, listed):
             if vs & removed:
                 continue
             allowed = vs - blocked

@@ -21,7 +21,7 @@ from essentia.exact import (
 )
 from essentia.graphs import Graph
 from essentia.lab import gen_matching_apex, gen_star_multicut
-from essentia.problems import Instance, Problem, cheapest_obstacle, is_solution
+from essentia.problems import Instance, Problem, cheapest_obstacle, is_solution, listed_obstacles
 
 from conftest import random_graph, random_instance
 from oracles import (
@@ -443,11 +443,31 @@ class TestNodeStateMatchesScan:
         else:
             assert got == path
 
+    def test_a_wide_range_is_still_branched_on(self, monkeypatch):
+        # once the prefix {0} covers every edge of a star, the second pass's
+        # range of 129 deletable vertices is the only surviving obstacle: a
+        # count that large must still be the node's branch obstacle and pack
+        n = 130
+        inst = Instance(Problem.VERTEX_COVER, Graph(n, False, [(0, v) for v in range(1, n)]))
+        search = _Search(inst, frozenset(), 10**6)
+        target = frozenset(range(1, n))
+        roots = []
+        dfs = _Search._dfs
+        monkeypatch.setattr(_Search, "_dfs", lambda s, *a: roots.append(a) or dfs(s, *a))
+        assert search.completable({0}, set(), target, 2)
+        assert 0 in search.best and len(search.best) == 2 and not search.best.isdisjoint(target)
+        chosen, blocked, _, alive = roots[0]
+        removed = frozenset(chosen)
+        assert search._violated(removed, blocked, alive) == (sorted(target), target)
+        assert search._packing_lb(removed, blocked, 2, alive, target) == 1
+
     @staticmethod
     def check(search, removed, blocked, need):
+        # the surviving enumerated obstacles, judged on their vertex sets
         alive = None
-        if search.obstacles is not None:
-            alive = [ob for ob in search.obstacles if not ob[1] & removed]
+        listed = listed_obstacles(search.inst)
+        if listed is not None:
+            alive = [ob for ob, vs in zip(search.obstacles, listed, strict=True) if removed.isdisjoint(vs)]
         got = search._violated(removed, blocked, alive)
         assert got == scan_violated(search, removed, blocked)
         if got is None or not got[0]:
@@ -465,7 +485,7 @@ class TestVertexCoverLpBound:
     def bound(g, blocked):
         search = _Search(Instance(Problem.VERTEX_COVER, g), frozenset(), 10**6)
         alive = search.obstacles
-        return search._packing_lb(frozenset(), blocked, g.n + 1, alive, alive[0][1])
+        return search._packing_lb(frozenset(), blocked, g.n + 1, alive, frozenset(alive[0][0]))
 
     def test_odd_cycle_takes_the_matching_bound(self):
         # greedy packs two disjoint edges of C5; its LP value is 5/2
@@ -558,6 +578,14 @@ class TestLogging:
             solve_exact(inst)
         got = debug_counts(caplog)
         assert (got["lowered"], got["built"], got["matchings"]) == counts
+
+    def test_cograph_search_tree_is_pinned(self, caplog):
+        # bench-size cograph (n = 16): nodes of both passes and refuted
+        # ranges; how the listed obstacles are held must not move the tree
+        with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
+            solve_exact(random_instance(Problem.COGRAPH_DELETION, 16, 3))
+        got = debug_counts(caplog)
+        assert (got["minimum_nodes"], got["lex_nodes"], got["refuted"]) == (222, 218, 5)
 
     def test_only_the_first_matching_of_a_solve_starts_cold(self, caplog, monkeypatch):
         # every vertex-cover matching after the solve's first starts from

@@ -415,21 +415,32 @@ class TestCli:
             "reduce-dfvs-gadget",
             "solve-multicut",
             "solve-vertex-cover",
+            "solve-cograph",
         ],
     )
     def test_optimized_mode_matches_in_process(self, tmp_path, capsys, monkeypatch, command):
         # `python -O` strips assert statements; the package's invariants
         # must not rest on them, so its output must not change
         pruned = []  # per packing bound: did the vertex-cover matching prune?
-        if command in ("reduce-dfvs-gadget", "solve-multicut", "solve-vertex-cover"):
+        ranges = []  # the ranges the lexicographic pass asked to meet
+        if command in ("reduce-dfvs-gadget", "solve-multicut", "solve-vertex-cover", "solve-cograph"):
             # the one-heap path and cycle search, from many origins at once,
-            # and exact search's vertex-cover LP bound, ceil(ν/2)
+            # exact search's vertex-cover LP bound, ceil(ν/2), and its
+            # bitmask scan of cograph's P4s with the second pass's range
             if command == "reduce-dfvs-gadget":
                 arcs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)]
                 base = Instance(Problem.DFVS, Graph(4, True, arcs))
                 inst = gen_dfvs_gadget(base, F(1)).instance
             elif command == "solve-multicut":
                 inst = random_instance(Problem.VERTEX_MULTICUT, 14, 5)
+            elif command == "solve-cograph":
+                # a bench-size cograph instance; the lexicographic pass must
+                # insert at least one range into the listed obstacles
+                inst = random_instance(Problem.COGRAPH_DELETION, 16, 3)
+                completable = exact._Search.completable
+                monkeypatch.setattr(
+                    exact._Search, "completable", lambda s, *a: ranges.append(a[2]) or completable(s, *a)
+                )
             else:
                 inst = random_instance(Problem.VERTEX_COVER, 12, 6012)
                 matchings = []
@@ -471,6 +482,8 @@ class TestCli:
             assert any(1 < e != p for _, _, D, d, p, dens in log for e in dens)
         if command == "solve-vertex-cover":
             assert any(pruned)
+        if command == "solve-cograph":
+            assert ranges
         src = Path(essentia.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(
