@@ -22,7 +22,7 @@ class InfeasibleSeparatorError(EssentiaError):
 
 
 class PinInfeasibleError(EssentiaError):
-    """A pooled constraint consists of the pinned vertex alone."""
+    """A constraint consists of the pinned vertex alone."""
 
 
 class ResourceCapError(EssentiaError):

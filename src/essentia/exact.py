@@ -29,8 +29,11 @@ contains the kept prefix.  The next vertex is the least b of base beyond
 the prefix, unless a vertex below it can take its place: one search asks
 for a minimum solution that contains the prefix, avoids every vertex
 already ruled out and meets the range of vertices between the prefix and b.
-That range enters the search as one more obstacle.  A witness becomes the
-new base and lowers b; a refutation keeps b and rules out the whole range.
+That range enters the search as one more listed obstacle, first in every
+node's list on every family until a chosen vertex hits it; a path or cycle
+beats it only with at most as many deletable vertices.  A witness becomes
+the new base and lowers b; a refutation keeps b and rules out the whole
+range.
 
 The second pass walks much of the minimum pass's tree again, so one solve
 keeps a memo of its path and cycle searches, keyed by the blocked set, which
@@ -130,10 +133,8 @@ def _mask(vertices: Iterable[int]) -> int:
     return sum(map((1).__lshift__, vertices))
 
 
-def _avoiding(alive: Optional[list[_Enumerated]], u: int) -> Optional[list[_Enumerated]]:
+def _avoiding(alive: list[_Enumerated], u: int) -> list[_Enumerated]:
     """The obstacles of `alive` that survive deleting u, in their order."""
-    if alive is None:
-        return None
     bit = 1 << u
     return [ob for ob in alive if not ob[1] & bit]
 
@@ -142,11 +143,13 @@ class _Search:
     """One branch-and-bound run over a fixed instance and forbidden set.
 
     A search node is (chosen, blocked, alive): the deleted vertices, the
-    vertices no branch below may delete, and, for the finitely enumerated
-    families, the obstacles that survive `chosen` in their enumeration order,
-    each as its witness and bitmask (None for the path families, whose
-    obstacles are searched for).  A child filters its parent's `alive` by the
-    one vertex it adds, so no node scans the whole obstacle list.
+    vertices no branch below may delete, and the listed obstacles that
+    survive `chosen`, each as its witness and bitmask.  In the second pass
+    the range to meet comes first in that list while unhit; after it come
+    the enumerated family's obstacles in their order (none on the path
+    families, whose obstacles are searched for).  A child filters its
+    parent's `alive` by the one vertex it adds, so no node scans the whole
+    obstacle list.  `max_k`, `best` and `find_first` are per-pass state.
     """
 
     def __init__(self, inst: Instance, forbidden: frozenset[int], node_cap: int):
@@ -155,6 +158,7 @@ class _Search:
         self.forbidden = forbidden
         self.node_cap = node_cap
         self.nodes = 0
+        self.max_k = self.g.n
         self.best: Optional[frozenset[int]] = None
         self.find_first = False
         # path and cycle searches run and answered from the memo: blocked
@@ -172,56 +176,41 @@ class _Search:
         # next one starts from, and the matchings found
         self.matched: Optional[list[Optional[int]]] = None
         self.matchings = 0
-        # the range a second-pass search must also hit, as one more obstacle
-        self.target: Optional[frozenset[int]] = None
         listed = listed_obstacles(inst)
-        self.obstacles: Optional[list[_Enumerated]] = (
-            None if listed is None else [(ob, _mask(ob)) for ob in listed]
-        )
+        self.paths = listed is None  # obstacles searched for, not listed
+        self.obstacles = [(ob, _mask(ob)) for ob in listed or ()]
 
     # -- violated obstacle with fewest deletable vertices ---------------------
 
     def _violated(
-        self,
-        removed: frozenset[int],
-        blocked: frozenset[int],
-        alive: Optional[list[_Enumerated]],
-    ) -> Optional[tuple[list[int], frozenset[int]]]:
-        """(deletable vertices, obstacle vertex set) minimizing the deletable
-        count, ties to the least witness, or None when no obstacle survives
-        `removed`; `alive` is the node's surviving enumerated obstacles.  The
-        scan of the enumerated ones stops early once a count <= 1 shows up: a
-        forced or refuting obstacle is as good a branch point as any.  The
-        path families take the least (count, order) path or cycle, whose
-        search stops at the first one it closes.
+        self, removed: frozenset[int], blocked: frozenset[int], alive: list[_Enumerated]
+    ) -> Optional[list[int]]:
+        """The deletable vertices, ascending, of a surviving obstacle with
+        the fewest of them, or None when no obstacle survives `removed`;
+        `alive` is the node's surviving listed obstacles.  Their scan takes
+        the least count, ties to the least witness, and stops early once a
+        count <= 1 shows up: a forced or refuting obstacle is as good a
+        branch point as any.  The path families then search for the least
+        (count, order) path or cycle, which beats the scan's pick when its
+        count is at most as large; the search stops at the first one it
+        closes.
         """
-        if alive is not None:
-            free = ~_mask(blocked)
-            best = None
-            least = self.g.n + 1  # above any count
-            for ob in alive:
-                count = (ob[1] & free).bit_count()
-                if count < least or (count == least and ob[0] < best[0]):
-                    best, least = ob, count
-                    if count <= 1:
-                        break
-            if best is None:
-                return None
-            order = best[0]
-            return sorted(u for u in order if u not in blocked), frozenset(order)
-        # cheapest surviving path or cycle, counting only deletable vertices;
-        # an unhit target wins unless a path has at most as many
-        target = self.target
-        below = None
-        if target is not None and target.isdisjoint(removed):
-            below = len(target - blocked) + 1
-        found = self._cheapest(removed, blocked, below)
-        if found is None:
-            if below is None:
-                return None
-            return sorted(target - blocked), target
-        vs = frozenset(found[1])
-        return sorted(u for u in vs if u not in blocked), vs
+        free = ~_mask(blocked)
+        best = None
+        least = self.g.n + 1  # above any count
+        for ob in alive:
+            count = (ob[1] & free).bit_count()
+            if count < least or (count == least and ob[0] < best[0]):
+                best, least = ob, count
+                if count <= 1:
+                    break
+        if self.paths:
+            found = self._cheapest(removed, blocked, None if best is None else least + 1)
+            if found is not None:
+                return sorted(u for u in found[1] if u not in blocked)
+        if best is None:
+            return None
+        return sorted(u for u in best[0] if u not in blocked)
 
     def _cheapest(
         self, removed: frozenset[int], blocked: frozenset[int], below: Optional[int]
@@ -302,24 +291,24 @@ class _Search:
         removed: frozenset[int],
         blocked: frozenset[int],
         need: int,
-        alive: Optional[list[_Enumerated]],
-        first: frozenset[int],
+        alive: list[_Enumerated],
+        first: list[int],
     ) -> int:
         """Greedy count of violated obstacles with pairwise disjoint deletable
         sets; each needs its own deletion.  Stops once `need` is reached; an
         undeletable violated obstacle yields an effectively infinite bound.
-        The path families start from `first`, the node's branch obstacle (its
-        `_violated` answer, with a deletable vertex), then the unhit target
-        when its deletable set misses `first`'s, and search each next
+        The path families start from `first`, the deletable vertices of the
+        node's branch obstacle (its `_violated` answer, not empty), then pack
+        the unhit range of `alive` when it misses them, and search each next
         obstacle with the packed deletable vertices removed; the enumerated
-        ones scan `alive` in order, where the target comes first.  On vertex
+        ones scan `alive` in order, where the range comes first.  On vertex
         cover a count short of `need` is raised to ceil(ν/2), the LP value of
         G - removed, which every completion covers; with blocked vertices the
         greedy count can be the larger (a star whose centre is blocked packs
         every leaf's edge), so the bound is the larger of the two.  Its
         matching starts from the solve's last one, `matched`, and replaces it.
         """
-        if alive is not None:
+        if not self.paths:
             # `used` never meets `blocked`, so it meets the deletable part
             # of an obstacle iff it meets the obstacle
             free = ~_mask(blocked)
@@ -344,18 +333,17 @@ class _Search:
             return 0  # each packed obstacle needs a deletable vertex of its own
         # `gone` holds the removed vertices and the packed deletable ones;
         # blocked vertices stay usable, since no packed obstacle counts on them
-        gone = removed | (first - blocked)
+        gone = removed.union(first)
         count = 1
-        target = self.target
-        if target is not None and count < need and target.isdisjoint(gone):
-            # deletable: an undeletable unhit target is the node's branch obstacle
-            gone |= target - blocked
-            count += 1
+        for order, vs in alive:
+            # deletable: an undeletable unhit range is the node's branch obstacle
+            if count < need and not vs & _mask(first):
+                gone = gone.union(u for u in order if u not in blocked)
+                count += 1
         while count < need:
-            res = self._violated(gone, blocked, None)
-            if res is None:
+            allowed = self._violated(gone, blocked, [])
+            if allowed is None:
                 break
-            allowed, _ = res
             if not allowed:
                 return _INFEASIBLE
             gone = gone.union(allowed)
@@ -364,42 +352,22 @@ class _Search:
 
     # -- search ------------------------------------------------------------------
 
-    def _bound(self, max_k: Optional[int]) -> int:
-        b = self.g.n if max_k is None else max_k
-        if self.best is not None:
-            b = min(b, len(self.best) - 1)
-        return b
-
-    def _alive(self, gone: set[int]) -> Optional[list[_Enumerated]]:
-        """The enumerated obstacles that survive deleting `gone`."""
-        if self.obstacles is None:
-            return None
-        hit = _mask(gone)
-        return [ob for ob in self.obstacles if not ob[1] & hit]
-
-    def _dfs(
-        self,
-        chosen: set[int],
-        blocked: frozenset[int],
-        max_k: Optional[int],
-        alive: Optional[list[_Enumerated]],
-    ) -> None:
+    def _dfs(self, chosen: set[int], blocked: frozenset[int], alive: list[_Enumerated]) -> None:
         if self.find_first and self.best is not None:
             return
         self.nodes += 1
         if self.nodes > self.node_cap:
             raise NodeCapError(f"search exceeded {self.node_cap} nodes")
         while True:
-            bound = self._bound(max_k)
+            bound = self.max_k if self.best is None else min(self.max_k, len(self.best) - 1)
             if len(chosen) > bound:
                 return
             removed = frozenset(chosen)
-            res = self._violated(removed, blocked, alive)
-            if res is None:
+            allowed = self._violated(removed, blocked, alive)
+            if allowed is None:
                 if self.best is None or len(chosen) < len(self.best):
                     self.best = removed
                 return
-            allowed, vs = res
             if not allowed:
                 return
             if len(chosen) + 1 > bound:
@@ -410,17 +378,17 @@ class _Search:
                 continue
             break
         need = bound - len(chosen) + 1
-        if self._packing_lb(removed, blocked, need, alive, vs) >= need:
+        if self._packing_lb(removed, blocked, need, alive, allowed) >= need:
             return
         # vertex cover's leaf rule (see the module docstring); a vertex of an
-        # unhit target is on it too, so it is never the leaf of an edge
+        # unhit range is on it too, so it is never the leaf of an edge
         leaf = None
         if self.inst.problem is Problem.VERTEX_COVER:
             leaf = next((u for u in allowed if sum(mask >> u & 1 for _, mask in alive) == 1), None)
         tried: set[int] = set()
         for u in allowed:
             if u != leaf:
-                self._dfs(chosen | {u}, blocked | frozenset(tried), max_k, _avoiding(alive, u))
+                self._dfs(chosen | {u}, blocked | frozenset(tried), _avoiding(alive, u))
                 if self.find_first and self.best is not None:
                     return
             tried.add(u)
@@ -429,10 +397,9 @@ class _Search:
         chosen: set[int] = set()
         alive = self.obstacles
         while True:
-            res = self._violated(frozenset(chosen), self.forbidden, alive)
-            if res is None:
+            allowed = self._violated(frozenset(chosen), self.forbidden, alive)
+            if allowed is None:
                 break
-            allowed, _ = res
             if not allowed:
                 return None
             chosen |= set(allowed)
@@ -448,10 +415,11 @@ class _Search:
         incumbent = self._greedy()
         if incumbent is None:
             return None
+        self.max_k = self.g.n if max_k is None else max_k
         self.best = incumbent
         self.find_first = False
-        self._dfs(set(), self.forbidden, max_k, self.obstacles)
-        if self.best is not None and (max_k is None or len(self.best) <= max_k):
+        self._dfs(set(), self.forbidden, self.obstacles)
+        if len(self.best) <= self.max_k:
             return self.best
         return None
 
@@ -460,13 +428,13 @@ class _Search:
     ) -> bool:
         """Is there a solution of size <= size_cap containing `prefix` and
         meeting `target` that avoids `ruled_out`?  On yes, `best` is one."""
+        self.max_k = size_cap
         self.best = None
         self.find_first = True
-        self.target = target
-        alive = self._alive(prefix)
-        if alive is not None:
-            alive.insert(0, (tuple(sorted(target)), _mask(target)))
-        self._dfs(set(prefix), self.forbidden | ruled_out, size_cap, alive)
+        hit = _mask(prefix)
+        alive = [(tuple(sorted(target)), _mask(target))]
+        alive += (ob for ob in self.obstacles if not ob[1] & hit)
+        self._dfs(set(prefix), self.forbidden | ruled_out, alive)
         return self.best is not None
 
 

@@ -3,7 +3,7 @@
 The LP relaxation minimises the total vertex mass subject to every obstacle
 carrying mass at least 1, with box constraints 0 <= x_u <= 1 and optionally
 the pin x_v = 0.  The obstacle families are implicit and possibly huge, so the
-solver alternates an exact restricted solve over a growing constraint pool
+solver alternates an exact restricted solve over a growing set of constraints
 with the separation oracle: when the oracle certifies the restricted optimum
 feasible for the full family, that optimum is also the full optimum (the
 restricted value can only underestimate it).  All values are exact rationals.

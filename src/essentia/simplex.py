@@ -1,6 +1,6 @@
 """Exact simplex for hitting-set covering LPs.
 
-The LP to solve is  min sum(x_u)  s.t.  sum(x_u for u in S) >= 1 per pooled
+The LP to solve is  min sum(x_u)  s.t.  sum(x_u for u in S) >= 1 per
 constraint set S, 0 <= x <= 1, optionally x_pin = 0.  Because the constraint
 matrix is 0/1, any optimal solution automatically satisfies x <= 1 (capping a
 variable at 1 keeps every covering constraint satisfied while lowering the
@@ -87,7 +87,7 @@ class PackingSimplex:
         self.pivots = 0
 
     def _new_row(self, u: int) -> None:
-        # A fresh vertex appears in no pooled constraint, so its new slack
+        # A fresh vertex appears in no constraint yet, so its new slack
         # stays basic and the inverse-basis block extends by an identity
         # row/column: the new row is 0 at every nonbasic position, and the
         # basis determinant does not change.
@@ -258,7 +258,7 @@ class PackingSimplex:
 
         den is the objective row's denominator, positive but not necessarily
         the least; vertices without a row (the pinned one, and those in no
-        pooled constraint) and vertices whose slack is basic get 0.  At an
+        constraint) and vertices whose slack is basic get 0.  At an
         optimum 0 <= nums[u] <= den.
         """
         nums = [0] * n

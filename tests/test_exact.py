@@ -15,6 +15,7 @@ from essentia.errors import InputError, NodeCapError
 from essentia.exact import (
     _INFEASIBLE,
     SolveBudget,
+    _mask,
     _Search,
     opt_value,
     solve_exact,
@@ -435,13 +436,14 @@ class TestNodeStateMatchesScan:
         n = search.g.n
         target = data.draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n // 2))
         path = scan_violated(search, removed, blocked)
-        search.target = target
-        got = search._violated(removed, blocked, None)
+        unhit = target.isdisjoint(removed)
+        alive = [(tuple(sorted(target)), _mask(target))] if unhit else []
+        got = search._violated(removed, blocked, alive)
         deletable = sorted(target - blocked)
-        if target.isdisjoint(removed) and (path is None or len(deletable) < len(path[0])):
-            assert got == (deletable, target)
+        if unhit and (path is None or len(deletable) < len(path[0])):
+            assert got == deletable
         else:
-            assert got == path
+            assert got == (None if path is None else path[0])
 
     def test_a_wide_range_is_still_branched_on(self, monkeypatch):
         # once the prefix {0} covers every edge of a star, the second pass's
@@ -456,24 +458,24 @@ class TestNodeStateMatchesScan:
         monkeypatch.setattr(_Search, "_dfs", lambda s, *a: roots.append(a) or dfs(s, *a))
         assert search.completable({0}, set(), target, 2)
         assert 0 in search.best and len(search.best) == 2 and not search.best.isdisjoint(target)
-        chosen, blocked, _, alive = roots[0]
+        chosen, blocked, alive = roots[0]
         removed = frozenset(chosen)
-        assert search._violated(removed, blocked, alive) == (sorted(target), target)
-        assert search._packing_lb(removed, blocked, 2, alive, target) == 1
+        assert search._violated(removed, blocked, alive) == sorted(target)
+        assert search._packing_lb(removed, blocked, 2, alive, sorted(target)) == 1
 
     @staticmethod
     def check(search, removed, blocked, need):
         # the surviving enumerated obstacles, judged on their vertex sets
-        alive = None
-        listed = listed_obstacles(search.inst)
-        if listed is not None:
-            alive = [ob for ob, vs in zip(search.obstacles, listed, strict=True) if removed.isdisjoint(vs)]
+        # (none on the path families)
+        listed = listed_obstacles(search.inst) or ()
+        alive = [ob for ob, vs in zip(search.obstacles, listed, strict=True) if removed.isdisjoint(vs)]
         got = search._violated(removed, blocked, alive)
-        assert got == scan_violated(search, removed, blocked)
-        if got is None or not got[0]:
+        want = scan_violated(search, removed, blocked)
+        assert got == (None if want is None else want[0])
+        if not got:
             return
         # the packing starts from the branch obstacle the node just found
-        assert search._packing_lb(removed, blocked, need, alive, got[1]) == scan_packing_lb(
+        assert search._packing_lb(removed, blocked, need, alive, got) == scan_packing_lb(
             search, removed, blocked, need, _INFEASIBLE
         )
 
@@ -485,7 +487,8 @@ class TestVertexCoverLpBound:
     def bound(g, blocked):
         search = _Search(Instance(Problem.VERTEX_COVER, g), frozenset(), 10**6)
         alive = search.obstacles
-        return search._packing_lb(frozenset(), blocked, g.n + 1, alive, frozenset(alive[0][0]))
+        first = sorted(u for u in alive[0][0] if u not in blocked)
+        return search._packing_lb(frozenset(), blocked, g.n + 1, alive, first)
 
     def test_odd_cycle_takes_the_matching_bound(self):
         # greedy packs two disjoint edges of C5; its LP value is 5/2
@@ -579,13 +582,25 @@ class TestLogging:
         got = debug_counts(caplog)
         assert (got["lowered"], got["built"], got["matchings"]) == counts
 
-    def test_cograph_search_tree_is_pinned(self, caplog):
-        # bench-size cograph (n = 16): nodes of both passes and refuted
-        # ranges; how the listed obstacles are held must not move the tree
+    @pytest.mark.parametrize(
+        "inst, counts",
+        [
+            (random_instance(Problem.COGRAPH_DELETION, 16, 3), (222, 218, 5, 0, 0)),
+            (random_instance(Problem.DFVS, 26, 3), (191, 102, 5, 810, 347)),
+            (bench_multicut(Problem.VERTEX_MULTICUT, 0), (51, 102, 5, 304, 119)),
+            (bench_multicut(Problem.DIRECTED_VERTEX_MULTICUT, 10), (119, 529, 6, 929, 461)),
+        ],
+        ids=["cograph", "dfvs", "multicut", "directed-multicut"],
+    )
+    def test_search_tree_is_pinned(self, caplog, inst, counts):
+        # bench-size trees: nodes of both passes, refuted ranges, path and
+        # cycle searches and memo answers; how the listed obstacles and the
+        # second pass's range are held must not move the tree
         with caplog.at_level(logging.DEBUG, logger="essentia.exact"):
-            solve_exact(random_instance(Problem.COGRAPH_DELETION, 16, 3))
+            solve_exact(inst)
         got = debug_counts(caplog)
-        assert (got["minimum_nodes"], got["lex_nodes"], got["refuted"]) == (222, 218, 5)
+        pinned = ("minimum_nodes", "lex_nodes", "refuted", "searches", "memo_hits")
+        assert tuple(got[name] for name in pinned) == counts
 
     def test_only_the_first_matching_of_a_solve_starts_cold(self, caplog, monkeypatch):
         # every vertex-cover matching after the solve's first starts from

@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import csv
 import io
 import json
@@ -8,11 +10,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import essentia
 from essentia import cli, exact, serialize
 from essentia.cli import _build_parser, _check_jobs, run
-from essentia.detection import DEFAULT_SIZE_CAP
+from essentia.detection import DEFAULT_SIZE_CAP, detect
 from essentia.errors import InputError, ResourceCapError
 from essentia.graphs import Graph
 from essentia.lab import gen_dfvs_gadget, gen_gnp, gen_matching_apex, gen_star_multicut
@@ -543,3 +546,96 @@ class TestCli:
         text = capsys.readouterr().out
         inst = serialize.loads_instance(text)
         assert inst == gen_star_multicut(7).instance
+
+
+# odd values a mutated document may hold anywhere
+FUZZ_VALUES = (None, True, -1, 0, 41, 2**70, 1.5, "", "1/2", "x", [], [0], [0, 1, 2], {}, {"0": 1})
+
+
+def _positions(doc, at=()):
+    """Every position below the root of a JSON document, as the keys and
+    indices down to it."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield at + (key,)
+        yield from _positions(value, at + (key,))
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """A subcommand's argv over a small valid instance and, for `verify`, a
+    detection certificate of it, with one of the two documents mutated up
+    to three times (odd types, missing keys, out-of-range ids, odd pairs,
+    another n up to 40) and its text perhaps truncated.  Returns (argv
+    without its files, instance text, certificate text or None)."""
+    problem = draw(st.sampled_from(list(Problem)))
+    inst = random_instance(problem, draw(st.integers(3, 7)), draw(st.integers(0, 99)))
+    command = draw(st.sampled_from(["solve", "detect", "reduce", "gap", "convert", "verify"]))
+    docs = [serialize.instance_to_dict(inst)]
+    if command == "verify":
+        docs.append(serialize.detection_result_to_dict(detect(inst, 1)))
+    doc = docs[draw(st.integers(0, len(docs) - 1))]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.sampled_from(list(_positions(doc))))
+        parent = doc
+        for key in at[:-1]:
+            parent = parent[key]
+        kind = draw(st.sampled_from(["value", "drop", "id", "pair", "n"]))
+        if kind == "drop" and isinstance(parent, dict):
+            del parent[at[-1]]
+        elif kind == "n" or at == ("n",):
+            # a vertex count above 40 is the open size fault (ROADMAP)
+            n = draw(st.sampled_from([None, True, 1.5, "4", [], draw(st.integers(-2, 40))]))
+            if "n" in doc:
+                doc["n"] = n
+        elif kind == "id":
+            parent[at[-1]] = draw(st.sampled_from([-1, inst.n, inst.n + 1, 40, 10**9]))
+        elif kind == "pair":
+            a, b = draw(st.integers(-1, 8)), draw(st.integers(-1, 8))
+            parent[at[-1]] = draw(st.sampled_from([[a], [a, b, a], [a, a], [str(a), b], a, [a, None]]))
+        else:
+            parent[at[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+        if not list(_positions(doc)):
+            break
+    texts = [json.dumps(d) for d in docs]
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(texts) - 1))
+        texts[i] = texts[i][: draw(st.integers(0, len(texts[i])))]
+    cap = ["--node-cap", draw(st.sampled_from(["2", "50"]))]
+    argv = {
+        "solve": ["solve", *cap],
+        "detect": ["detect", "--k", "1", *cap],
+        "reduce": ["reduce", *cap],
+        "gap": ["gap", *cap],
+        "convert": ["convert", "--to", draw(st.sampled_from([p.value for p in Problem]))],
+        "verify": ["verify", "--kind", "detection", "--k", "1"],
+    }[command]
+    return argv, texts[0], texts[1] if len(texts) > 1 else None
+
+
+class TestBoundaryFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(fuzzed_runs())
+    def test_mutated_input_fails_cleanly(self, tmp_path_factory, case):
+        # whatever the input, a subcommand exits 0, 1 or 2 and a failure
+        # says why on one line; a `verify` whose check fails exits 1 with
+        # its report instead
+        argv, inst_text, cert_text = case
+        folder = tmp_path_factory.getbasetemp()
+        files = [(folder / "fuzz.json", inst_text), (folder / "fuzz-cert.json", cert_text)]
+        for path, text in files:
+            if text is not None:
+                path.write_text(text)
+                argv = argv + [str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        lines = err.getvalue().splitlines()
+        if code == 0 or (code == 1 and argv[0] == "verify" and not lines):
+            assert not lines
+            report = json.loads(out.getvalue())
+            assert argv[0] != "verify" or report["ok"] is (code == 0)
+        else:
+            assert code in (1, 2)
+            prefix = "resource cap exceeded: " if code == 2 else "error: "
+            assert len(lines) == 1 and lines[0].startswith(prefix), lines
