@@ -38,4 +38,5 @@ class NodeCapError(ResourceCapError):
 
 
 class SizeCapError(ResourceCapError):
-    """Instance too large for an exhaustive ground-truth computation."""
+    """A graph above `graphs.MAX_VERTICES` vertices, or an instance too large
+    for an exhaustive ground-truth computation."""

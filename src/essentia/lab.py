@@ -9,7 +9,8 @@ dominates which vertices become unavoidable; their structural claims are
 checked empirically at small scale by the test suite.  `measure_gap`
 reports the exact fractional and integral optima of one instance, pinned
 or not, and `gen_gnp` draws the seeded random graphs of the standard-LP
-gap experiment in the test suite.
+gap experiment in the test suite.  Every generator checks the vertex count
+of the graph it builds against `graphs.MAX_VERTICES` before building it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError
 from .exact import DEFAULT_NODE_CAP, SolveBudget, opt_value
-from .graphs import Graph, _is_int, _rational
+from .graphs import Graph, _check_vertex_count, _is_int, _rational
 from .lp import solve
 from .problems import Instance, Problem
 
@@ -52,6 +53,7 @@ def gen_star_multicut(m: int) -> LabeledInstance:
     """Star with m leaves; every leaf pair is a terminal pair; center is 0."""
     if not _is_int(m) or m < 2:
         raise InputError(f"star generator needs an int m >= 2 leaves, got {m!r}")
+    _check_vertex_count(m + 1)
     g = Graph(m + 1, False, [(0, i) for i in range(1, m + 1)])
     terms = tuple((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))
     inst = Instance(Problem.VERTEX_MULTICUT, g, terms)
@@ -66,6 +68,7 @@ def gen_matching_apex(m: int) -> LabeledInstance:
     """
     if not _is_int(m) or m < 2:
         raise InputError(f"matching generator needs an int m >= 2 edges, got {m!r}")
+    _check_vertex_count(2 * m + 1)
     edges = []
     for i in range(1, m + 1):
         a, b = 2 * i - 1, 2 * i
@@ -116,6 +119,7 @@ def gen_dfvs_gadget(base: Instance, eps: Fraction) -> LabeledInstance:
     t = _pad_multiplier(base.n, c)
     np = t * base.n
     m = int(c * np)
+    _check_vertex_count(np + 2 * m)
     arcs = _padded_copies(base.graph, t)
     q_in = tuple(range(np, np + m))
     q_out = tuple(range(np + m, np + 2 * m))
@@ -151,6 +155,7 @@ def gen_vc_gadget(base: Instance, eps: Fraction) -> LabeledInstance:
     t = _pad_multiplier(base.n, c)
     np = t * base.n
     m = int(c * np)
+    _check_vertex_count(np + m)
     edges = _padded_copies(base.graph, t)
     q = tuple(range(np, np + m))
     for p in range(np):
@@ -186,6 +191,7 @@ def gen_gnp(n: int, seed: int) -> Instance:
     """Seeded Erdos-Renyi graph with edge probability 1/2, as a P4-hitting instance."""
     if not _is_int(n) or n < 4:
         raise InputError(f"random graph generator needs an int n >= 4, got {n!r}")
+    _check_vertex_count(n)
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
     return Instance(Problem.COGRAPH_DELETION, Graph(n, False, edges))

@@ -14,14 +14,17 @@ starts a pinned LP from an unpinned optimal tableau with no dual phase.
 
 Arithmetic is exact over Python ints by integer-preserving (Bareiss)
 pivoting on dense rows.  `obj_den` is D = |det B| of the current basis B,
-and the objective row holds D times the reduced costs.  Row k holds the
-entries of d·B^-1 A for d = den[k], the value D had when row k was last
-rewritten (1 for a fresh slack row).  Each such entry is a minor of the 0/1
-constraint matrix (Cramer's rule), hence an integer.  A pivot on entry p of
-the pivot row in D's scale makes p the new determinant, and every row it
-rewrites comes out as p times a new entry of B^-1 A, again a minor.  So
-every `//` in this module divides exactly, and no common factor is ever
-searched for.
+and the objective row holds D times the reduced costs, then D times the
+negated objective value.  Row k holds the entries of d·B^-1 A, then d·B^-1 b
+(its right-hand side), for d = den[k], the value D had when row k was last
+rewritten (1 for a fresh slack row).  Each such entry is a minor of the
+0/1 matrix [A b], b all ones (Cramer's rule), hence an integer.  A pivot
+on entry p of the pivot row in D's scale makes p the new determinant, and
+every row it rewrites comes out as p times a new entry of B^-1 [A b],
+again a minor.  So every `//` in this module divides exactly, and no
+common factor is ever searched for.  The right-hand side and the value
+end their rows, as in a textbook tableau, so the pivot's one row formula
+rewrites them with the entries.
 
 The rows store only the nonbasic columns.  A basic column of B^-1 A is a
 unit vector, so in row k's scale the column basic in row k is den[k] there
@@ -62,12 +65,12 @@ class PackingSimplex:
     Only nonbasic columns are stored.  `cols[j]` is the id of the column at
     position j, and `basis[k]` the id of row k's basic column, which is
     implied: `den[k]` in row k and 0 in every other row and the objective.
-    Row k is a list over the positions holding the entries `tab[k][j] /
-    den[k]` and the right-hand side `rhs[k] / den[k]`; the reduced cost at
-    position j is `obj[j] / obj_den` and the objective value `value_num /
-    obj_den`.  `obj_den` is the basis determinant D, and `den[k]` is the
-    value D had when row k was last rewritten, so every denominator is
-    positive and every numerator is a minor of the constraint matrix.
+    Row k holds the entries `tab[k][j] / den[k]` at the positions j of
+    `cols`, then its right-hand side `tab[k][-1] / den[k]`; the reduced cost
+    at position j is `obj[j] / obj_den`, and `obj[-1] / obj_den` is the
+    negated objective value.  `obj_den` is the basis determinant D, and
+    `den[k]` is the value D had when row k was last rewritten, so every
+    denominator is positive and every numerator is a minor of [A b].
     `pivots` counts the pivots this engine has made.
     """
 
@@ -77,10 +80,8 @@ class PackingSimplex:
         self.slack_vertex: dict[int, int] = {}  # the inverse map
         self.tab: list[list[int]] = []
         self.den: list[int] = []
-        self.rhs: list[int] = []
-        self.obj: list[int] = []
+        self.obj: list[int] = [0]
         self.obj_den = 1
-        self.value_num = 0
         self.cols: list[int] = []  # column id at each nonbasic position
         self.basis: list[int] = []  # basic column id of each row
         self.ncols = 0  # ids handed out so far
@@ -89,15 +90,14 @@ class PackingSimplex:
     def _new_row(self, u: int) -> None:
         # A fresh vertex appears in no constraint yet, so its new slack
         # stays basic and the inverse-basis block extends by an identity
-        # row/column: the new row is 0 at every nonbasic position, and the
-        # basis determinant does not change.
+        # row/column: the new row is 0 at every nonbasic position with
+        # right-hand side 1, and the basis determinant does not change.
         col = self.ncols
         self.ncols += 1
         self.slack_col[u] = col
         self.slack_vertex[col] = u
-        self.tab.append([0] * len(self.cols))
+        self.tab.append([0] * len(self.cols) + [1])
         self.den.append(1)
-        self.rhs.append(1)
         self.basis.append(col)
 
     def add_constraint(self, vertices: Iterable[int]) -> None:
@@ -113,7 +113,8 @@ class PackingSimplex:
         # New packing column in current-basis coordinates: B^-1 a equals the
         # sum of the members' slack columns, since a is their 0/1 indicator.
         # Row numerators share the row's denominator, so they simply add up;
-        # a basic member slack adds den[k] to its own row k only.
+        # a basic member slack adds den[k] to its own row k only.  The new
+        # position goes just before each row's right-hand side.
         cols, basis = self.cols, self.basis
         pos, rows = [], []
         for u in members:
@@ -124,30 +125,30 @@ class PackingSimplex:
                 pos.append(cols.index(c))
         tab, den = self.tab, self.den
         for row in tab:
-            row.append(sum(map(row.__getitem__, pos)))
+            row.insert(-1, sum(map(row.__getitem__, pos)))
         for k in rows:
-            tab[k][-1] += den[k]
+            tab[k][-2] += den[k]
         obj = self.obj
-        obj.append(self.obj_den + sum(map(obj.__getitem__, pos)))
+        obj.insert(-1, self.obj_den + sum(map(obj.__getitem__, pos)))
         cols.append(self.ncols)
         self.ncols += 1
 
     def _pivot(self, i: int, j: int) -> None:
         # Lift the pivot row to the current determinant D; its entry p at
         # position j is the new determinant, and the row becomes itself over p.
-        tab, den, rhs = self.tab, self.den, self.rhs
+        tab, den = self.tab, self.den
         d = self.obj_den
-        prow, prhs = tab[i], rhs[i]
+        prow = tab[i]
         if den[i] != d:
             e = den[i]
             prow = [a * d // e for a in prow]
-            prhs = prhs * d // e
         p = prow[j]
         # Row k with entry t at position j becomes (row·p − t·prow) / den[k]
-        # over p; rows with no entry there are unchanged.  The column that
-        # leaves the basis takes over position j: it was D in the lifted
-        # pivot row and 0 elsewhere, so the same formula gives it −t·D / den[k]
-        # in row k, −f in the objective row and D in the pivot row.
+        # over p, right-hand side included, and so does the objective row
+        # over D, value included; rows with no entry there are unchanged.
+        # The column that leaves the basis takes over position j: it was D in
+        # the lifted pivot row and 0 elsewhere, so the same formula gives it
+        # −t·D / den[k] in row k, −f in the objective row and D in the pivot row.
         for k, row in enumerate(tab):
             t = row[j]
             if t and k != i:
@@ -155,35 +156,33 @@ class PackingSimplex:
                 row = [(a * p - t * b) // e for a, b in zip(row, prow)]
                 row[j] = -t * d // e
                 tab[k] = row
-                rhs[k] = (rhs[k] * p - t * prhs) // e
                 den[k] = p
         f = self.obj[j]
         obj = [(a * p - f * b) // d for a, b in zip(self.obj, prow)]
         obj[j] = -f
         self.obj = obj
-        self.value_num = (self.value_num * p + f * prhs) // d
         self.obj_den = p
         prow[j] = d
-        tab[i], den[i], rhs[i] = prow, p, prhs
+        tab[i], den[i] = prow, p
         self.cols[j], self.basis[i] = self.basis[i], self.cols[j]
         self.pivots += 1
 
     def _leaving_row(self, j: int) -> int:
         """The ratio test's row for the column at position j, or -1 if no entry is positive."""
-        # Ratio rhs/a per row: the row denominator cancels, so rows i and l
-        # compare as rhs_i·a_l against rhs_l·a_i (a_i, a_l > 0); ties break
-        # on the lower basic column id.
-        rhs, basis = self.rhs, self.basis
+        # Ratio r/a per row, r the row's right-hand side (its last entry): the
+        # row denominator cancels, so rows i and l compare as r_i·a_l against
+        # r_l·a_i (a_i, a_l > 0); ties break on the lower basic column id.
+        basis = self.basis
         leave = -1
         best_r = best_a = 0
         for i, row in enumerate(self.tab):
             a = row[j]
             if a > 0:
                 if leave >= 0:
-                    lhs, rhs_l = rhs[i] * best_a, best_r * a
-                    if lhs > rhs_l or (lhs == rhs_l and basis[i] > basis[leave]):
+                    left, right = row[-1] * best_a, best_r * a
+                    if left > right or (left == right and basis[i] > basis[leave]):
                         continue
-                leave, best_r, best_a = i, rhs[i], a
+                leave, best_r, best_a = i, row[-1], a
         return leave
 
     def optimize(self) -> None:
@@ -226,10 +225,8 @@ class PackingSimplex:
         new.slack_vertex = dict(self.slack_vertex)
         new.tab = [row[:] for row in self.tab]
         new.den = list(self.den)
-        new.rhs = list(self.rhs)
         new.obj = list(self.obj)
         new.obj_den = self.obj_den
-        new.value_num = self.value_num
         new.cols = list(self.cols)
         new.basis = list(self.basis)
         new.ncols = self.ncols
@@ -250,7 +247,7 @@ class PackingSimplex:
                 # unpinned row, and every obstacle has >= 2 vertices
                 raise AssertionError("pinned packing LP reported unbounded")
             new._pivot(i, j)
-        del new.tab[i], new.den[i], new.rhs[i], new.basis[i]
+        del new.tab[i], new.den[i], new.basis[i]
         return new
 
     def covering_numerators(self, n: int) -> tuple[int, list[int]]:
@@ -274,4 +271,4 @@ class PackingSimplex:
         return tuple(Fraction(a, den) if a else ZERO for a in nums)
 
     def objective(self) -> Fraction:
-        return Fraction(self.value_num, self.obj_den)
+        return Fraction(-self.obj[-1], self.obj_den)

@@ -127,12 +127,14 @@ def random_singleton_instance(problem, n, seed):
 
 
 def engine_snapshot(engine):
-    """A `PackingSimplex`'s whole state, copied: its int values first, then its layout.
+    """A `PackingSimplex`'s whole state, copied: its int values first, then
+    its layout, the pin, the column ids handed out and the pivots made.
 
-    The layout names column ids: the id at each nonbasic position, each
-    row's basic id, and the slack ids of the vertices.
+    The values hold the objective row and every row, each ending with its
+    right-hand side.  The layout names column ids: the id at each nonbasic
+    position, each row's basic id, and the slack ids of the vertices.
     """
-    values = [engine.obj_den, engine.value_num, *engine.obj, *engine.den, *engine.rhs]
+    values = [engine.obj_den, *engine.obj, *engine.den]
     values += [a for row in engine.tab for a in row]
     layout = (
         [len(row) for row in engine.tab],
@@ -141,7 +143,7 @@ def engine_snapshot(engine):
         dict(engine.slack_col),
         dict(engine.slack_vertex),
     )
-    return values, layout, engine.pinned, engine.ncols
+    return values, layout, engine.pinned, engine.ncols, engine.pivots
 
 
 def record_pivots(monkeypatch):

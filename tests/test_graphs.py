@@ -4,9 +4,11 @@ from math import gcd
 
 import pytest
 
-from essentia.errors import InfeasibleSeparatorError, InputError
+from essentia.errors import InfeasibleSeparatorError, InputError, SizeCapError
 from essentia.graphs import (
     Graph,
+    MAX_VERTICES,
+    _check_vertex_count,
     _double_cover_mates,
     check_weights,
     double_cover_matching,
@@ -503,6 +505,15 @@ class TestGraphValidation:
     def test_rejects_vertex_count_that_is_not_an_int(self, n):
         with pytest.raises(InputError, match=r"^vertex count must be a nonnegative int"):
             Graph(n, False, [])
+
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 10**30])
+    def test_refuses_a_vertex_count_above_the_cap(self, n):
+        # refused before anything is allocated per vertex
+        with pytest.raises(SizeCapError, match=rf"^vertex count {n} exceeds the cap of {MAX_VERTICES}$"):
+            Graph(n, False, [])
+
+    def test_cap_admits_its_own_count(self):
+        _check_vertex_count(MAX_VERTICES)  # does not raise
 
     def test_rejects_string_endpoint(self):
         with pytest.raises(InputError, match=r"^edges\[0\]: vertex ids must be ints, got \('0', 1\)$"):

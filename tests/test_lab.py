@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from essentia.errors import InputError
+from essentia.errors import InputError, SizeCapError
 from essentia.exact import SolveBudget, opt_value, solve_exact
 from essentia.lab import (
     _pad_multiplier,
@@ -20,7 +20,7 @@ from essentia.lab import (
     gen_vc_gadget,
     measure_gap,
 )
-from essentia.graphs import Graph
+from essentia.graphs import MAX_VERTICES, Graph
 from essentia.lp import FractionalSolution, solve, verify_feasible
 from essentia.problems import Instance, Problem, is_solution
 
@@ -148,6 +148,24 @@ def test_gadget_eps_must_be_an_exact_rational(gadget, eps):
         build, base = gen_vc_gadget, Instance(Problem.VERTEX_COVER, Graph(2, False, [(0, 1)]))
     with pytest.raises(InputError, match=rf"^eps must be an int or a Fraction, got {re.escape(repr(eps))}$"):
         build(base, eps)
+
+
+class TestVertexCap:
+    """Each generator refuses a graph above the vertex cap before building any of
+    it; gnp and star are checked through the CLI."""
+
+    def test_matching_apex(self):
+        with pytest.raises(SizeCapError, match=rf"^vertex count {MAX_VERTICES + 1} exceeds the cap"):
+            gen_matching_apex(MAX_VERTICES // 2)
+
+    @pytest.mark.parametrize("problem, build", [(Problem.DFVS, gen_dfvs_gadget), (Problem.VERTEX_COVER, gen_vc_gadget)])
+    def test_gadget_padding(self, problem, build):
+        # eps = 1/807 pads a 100-vertex base with 807 copies, 80,700
+        # vertices, and Q takes the count past the cap; without the check
+        # the gadget would build billions of edges
+        base = Instance(problem, Graph(100, problem.directed, [(0, 1)]))
+        with pytest.raises(SizeCapError, match=r"exceeds the cap"):
+            build(base, F(1, 807))
 
 
 class TestPadMultiplier:

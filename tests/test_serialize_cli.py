@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from essentia import cli, exact, serialize
 from essentia.cli import _build_parser, _check_jobs, run
 from essentia.detection import DEFAULT_SIZE_CAP, detect
 from essentia.errors import InputError, ResourceCapError
-from essentia.graphs import Graph
+from essentia.graphs import MAX_VERTICES, Graph
 from essentia.lab import gen_dfvs_gadget, gen_gnp, gen_matching_apex, gen_star_multicut
 from essentia.lp import solve
 from essentia.problems import Instance, Problem
@@ -248,6 +249,26 @@ class TestCli:
     def test_resource_cap_exit_code(self, tmp_path):
         path = self.write_star(tmp_path, m=8)
         assert run(["solve", "--forbid", "0", "--node-cap", "1", path]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["solve", "{huge}"], 10**8),
+            (["generate", "--family", "gnp", "--n", "100000000"], 10**8),
+            (["generate", "--family", "star", "--m", "100000000"], 10**8 + 1),
+        ],
+        ids=["solve", "gnp", "star"],
+    )
+    def test_huge_vertex_count_exits_2_at_once(self, tmp_path, capsys, argv, count):
+        # refused before anything is allocated per vertex or per pair
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"problem": "vertex-cover", "directed": false, "n": 100000000, "edges": []}\n')
+        argv = [arg.format(huge=huge) for arg in argv]
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err == f"resource cap exceeded: vertex count {count} exceeds the cap of {MAX_VERTICES}\n"
 
     def test_negative_node_cap_exits_1(self, tmp_path, capsys):
         assert run(["solve", "--node-cap", "-1", self.write_star(tmp_path)]) == 1
@@ -566,8 +587,9 @@ def fuzzed_runs(draw):
     """A subcommand's argv over a small valid instance and, for `verify`, a
     detection certificate of it, with one of the two documents mutated up
     to three times (odd types, missing keys, out-of-range ids, odd pairs,
-    another n up to 40) and its text perhaps truncated.  Returns (argv
-    without its files, instance text, certificate text or None)."""
+    another n up to 400 or one past the vertex cap) and its text perhaps
+    truncated.  Returns (argv without its files, instance text, certificate
+    text or None)."""
     problem = draw(st.sampled_from(list(Problem)))
     inst = random_instance(problem, draw(st.integers(3, 7)), draw(st.integers(0, 99)))
     command = draw(st.sampled_from(["solve", "detect", "reduce", "gap", "convert", "verify"]))
@@ -584,8 +606,8 @@ def fuzzed_runs(draw):
         if kind == "drop" and isinstance(parent, dict):
             del parent[at[-1]]
         elif kind == "n" or at == ("n",):
-            # a vertex count above 40 is the open size fault (ROADMAP)
-            n = draw(st.sampled_from([None, True, 1.5, "4", [], draw(st.integers(-2, 40))]))
+            small, large = draw(st.integers(-2, 40)), draw(st.integers(41, 400))
+            n = draw(st.sampled_from([None, True, 1.5, "4", [], small, large, MAX_VERTICES + 1]))
             if "n" in doc:
                 doc["n"] = n
         elif kind == "id":

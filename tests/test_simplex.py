@@ -54,27 +54,29 @@ def expand(engine):
 
 
 def assert_compact_layout(engine, dropped=None):
-    """Positions and basis split the live column ids (all but `dropped`), and every row spans the positions."""
+    """Positions and basis split the live column ids (all but `dropped`), and
+    every row, the objective's included, spans the positions and then its
+    right-hand side."""
     cols, basis = engine.cols, engine.basis
     assert len(set(cols)) == len(cols) and len(set(basis)) == len(basis)
     assert not set(cols) & set(basis)
     assert set(cols) | set(basis) == set(range(engine.ncols)) - {dropped}
-    assert len(engine.obj) == len(cols)
-    assert all(len(row) == len(cols) for row in engine.tab)
+    assert len(engine.obj) == len(cols) + 1
+    assert all(len(row) == len(cols) + 1 for row in engine.tab)
     assert engine.slack_vertex == {c: u for u, c in engine.slack_col.items()}
 
 
 def assert_same_tableau(fast, ref):
     """Every entry, rhs and reduced cost of `fast`'s full tableau equals the reference's."""
-    assert len(fast.tab) == len(ref.tab) == len(fast.den) == len(fast.rhs)
+    assert len(fast.tab) == len(ref.tab) == len(fast.den)
     assert fast.ncols == ref.ncols
     rows, obj = expand(fast)
-    for row, den, rhs, ref_row, ref_rhs in zip(rows, fast.den, fast.rhs, ref.tab, ref.rhs):
-        assert den > 0 and all(type(a) is int for a in row)
+    for row, den, packed, ref_row, ref_rhs in zip(rows, fast.den, fast.tab, ref.tab, ref.rhs):
+        assert den > 0 and all(type(a) is int for a in packed)
         assert [F(a, den) for a in row] == ref_row
-        assert F(rhs, den) == ref_rhs
+        assert F(packed[-1], den) == ref_rhs
     assert [F(a, fast.obj_den) for a in obj] == ref.obj
-    assert F(fast.value_num, fast.obj_den) == ref.value
+    assert F(-fast.obj[-1], fast.obj_den) == ref.value
 
 
 def run_both(n, pinned, batches):
@@ -186,6 +188,31 @@ def test_kernel_builds_no_fraction_inside():
     assert engine.objective() == F(5, 3)
 
 
+def containers(engine):
+    """The ids of every list and dict an engine's attributes hold, nested ones included."""
+    found, todo = set(), list(vars(engine).values())
+    while todo:
+        value = todo.pop()
+        if isinstance(value, (list, dict)):
+            found.add(id(value))
+            todo.extend(value.values() if isinstance(value, dict) else value)
+    return found
+
+
+def test_snapshot_reads_every_field():
+    # a field the snapshot skips would let a test miss a write to it
+    engine = optimum([[0, 1], [1, 2], [0, 2]]).with_pin(1)
+    read = set()
+
+    class Recorder:
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(engine, name)
+
+    assert engine_snapshot(Recorder()) == engine_snapshot(engine)
+    assert read == set(vars(engine))
+
+
 def optimum(pool, pinned=None):
     engine = PackingSimplex().with_pin(pinned)
     for members in pool:
@@ -205,6 +232,7 @@ class TestWithPin:
         basic = v in top.slack_col and top.slack_col[v] in top.basis
         pinned = top.with_pin(v)
         assert engine_snapshot(top) == before  # a new engine; the source is only read
+        assert not containers(pinned) & containers(top)
         assert pinned.pinned == v and v not in pinned.slack_col
         assert_compact_layout(pinned, dropped=top.slack_col.get(v))
         pinned.optimize()
@@ -254,16 +282,17 @@ class TestWithPin:
     def test_vertex_without_a_row_only_becomes_the_pin(self):
         pool = [[0, 1], [1, 2], [0, 2]]
         top = optimum(pool)
-        assert engine_snapshot(top.with_pin(3)) == engine_snapshot(top)[:2] + (3, top.ncols)
+        assert engine_snapshot(top.with_pin(3)) == engine_snapshot(top)[:2] + (3, top.ncols, 0)
         assert top.pinned is None
         assert not self.check(4, pool, 3)
 
     def test_none_gives_a_copy(self):
         top = optimum([list(t) for t in combinations(range(5), 3)])
         copy = top.with_pin(None)
-        assert engine_snapshot(copy) == engine_snapshot(top)
-        # no row list is shared, so growing or pivoting the copy leaves top alone
-        assert not {id(row) for row in copy.tab} & {id(row) for row in top.tab}
+        # the copy has made no pivot of its own
+        assert engine_snapshot(copy) == engine_snapshot(top)[:-1] + (0,)
+        # no list or dict is shared, so growing or pivoting the copy leaves top alone
+        assert not containers(copy) & containers(top)
 
     def test_pinned_engine_refuses_a_second_pin(self):
         engine = optimum([[0, 1], [1, 2]], pinned=1)
