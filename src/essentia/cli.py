@@ -143,10 +143,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance, args.format, args.problem)
-    try:
-        cert_data = json.loads(_read_text(args.certificate))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed certificate JSON: {exc}") from None
+    cert_data = serialize.loads_json(_read_text(args.certificate), "certificate JSON")
     checks: dict[str, bool] = {}
     if args.kind == "rounding":
         # untrusted input: check the raw fields rather than constructing the

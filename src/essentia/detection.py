@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .errors import InputError, SizeCapError
 from .exact import DEFAULT_NODE_CAP, opt_value
-from .graphs import _is_int, _rational, double_cover_matching
+from .graphs import _double_cover_mates, _is_int, _rational
 from .lp import FractionalSolution, solve
 from .problems import Instance, Problem
 
@@ -107,26 +107,26 @@ def lp_values(inst: Instance, jobs: int = 1) -> tuple[Fraction, ...]:
     """Value of the v-pinned LP for every vertex v (the f_v vector).
 
     Vertex cover solves no LP: f_v = |N(v)| + nu/2, with nu the maximum
-    matching of the double cover of G - N[v].  Every other family solves
-    the unpinned LP, settles each vertex at 0 in its optimum (and in any
-    pinned optimum of value LP*) with f_v = LP*, and starts each pinned LP
-    left from the unpinned LP's optimal tableau.  jobs > 1 splits those LPs
-    over at most min(jobs, CPU count, LPs left) processes, each sent the
-    unpinned solution; jobs that is not an int >= 1 (a bool included) is
-    an InputError.  One DEBUG record on the "essentia.detection" logger
-    gives the LP solves, the simplex pivots they made (workers' included)
-    and the vertices settled by the zero rule.
+    matching of the double cover of G - N[v], each started from the
+    previous vertex's.  Every other family solves the unpinned LP, settles
+    each vertex at 0 in its optimum (and in any pinned optimum of value
+    LP*) with f_v = LP*, and starts each pinned LP left from the unpinned
+    LP's optimal tableau.  jobs > 1 splits those LPs over at most
+    min(jobs, CPU count, LPs left) processes, each sent the unpinned
+    solution; jobs that is not an int >= 1 (a bool included) is an
+    InputError.  One DEBUG record on the "essentia.detection" logger gives
+    the LP solves, the simplex pivots they made (workers' included) and
+    the vertices settled by the zero rule.
     """
     if not _is_int(jobs) or jobs < 1:
         raise InputError(f"jobs must be an int >= 1, got {jobs!r}")
     n = inst.n
     if inst.problem is Problem.VERTEX_COVER:
-        nbrs = inst.graph.neighbors
-        values = tuple(
-            len(nbrs(v)) + Fraction(double_cover_matching(inst.graph, nbrs(v) | {v}), 2)
-            for v in range(n)
-        )
-        solves = pivots = settled = 0
+        g, mates, values = inst.graph, None, []
+        for v in range(n):
+            mates = _double_cover_mates(g, g.neighbors(v) | {v}, mates)
+            values.append(len(g.neighbors(v)) + Fraction(n - mates.count(None), 2))
+        values, solves, pivots, settled = tuple(values), 0, 0, 0
     else:
         top = solve(inst)
         todo = [v for v, x in enumerate(top.weights) if x != 0]

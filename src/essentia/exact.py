@@ -8,7 +8,7 @@ deletable set refutes the branch.  Pruning combines a greedy incumbent found
 up front and a lower bound from packing violated obstacles with pairwise
 disjoint deletable sets.  On vertex cover that bound is raised to the LP
 value of the graph left: ν/2, rounded up, for the maximum matching ν of its
-bipartite double cover (`graphs.double_cover_matching`).  Each matching
+bipartite double cover (`graphs._double_cover_mates`).  Each matching
 starts from the last one the solve found, in either pass: the pairs that
 touch removed vertices go and only the free vertices are augmented from.
 Only its size is read, the same from any start.  That bound ignores blocked
@@ -38,14 +38,13 @@ range.
 The second pass walks much of the minimum pass's tree again, so one solve
 keeps a memo of its path and cycle searches, keyed by the blocked set, which
 fixes the costs (1 off it, 0 on it); `cheapest_obstacle` runs only on a
-question the memo cannot answer.  The memo is exact.  The search returns the
-least (cost, order) obstacle P of G - R: a smaller label at a vertex of P
-would give, by a shortcut, a smaller simple obstacle.  Removing vertices only
-shrinks the set of candidates, so P is also the answer for every R' ⊇ R that
-P avoids, once the query's own `below` is applied to it.  Likewise a None
-found under `below` b holds for every R' ⊇ R under a `below` of at most b,
-or under none if b was none.  Search trees, node counts and solutions are
-those without the memo.
+question the memo cannot answer.  Every question is unbounded, so the memo
+has one rule and is exact.  The search returns the least (cost, order)
+obstacle P of G - R: a smaller label at a vertex of P would give, by a
+shortcut, a smaller simple obstacle.  Removing vertices only shrinks the set
+of candidates, so P is also the answer for every R' ⊇ R that P avoids, and a
+None for R holds for every R' ⊇ R.  Search trees, node counts and solutions
+are those without the memo.
 
 Every multicut search is steered with potentials (A*, see
 `cheapest_obstacle`), made per blocked set and source on first use and
@@ -110,9 +109,9 @@ _Enumerated = tuple[tuple[int, ...], int]
 
 
 # A path or cycle search of one solve: the removed vertices and the found
-# obstacle's vertices as bitmasks, the answer of `cheapest_obstacle`, and the
-# `below` it ran under.
-_MemoEntry = tuple[int, int, Optional[tuple[int, tuple[int, ...]]], Optional[int]]
+# obstacle's vertices (0 for None) as bitmasks, and the answer of
+# `cheapest_obstacle`.
+_MemoEntry = tuple[int, int, Optional[tuple[int, tuple[int, ...]]]]
 
 # Searches one solve keeps in its memo before it clears it.  On solve-exact
 # seed 21, ops 0-599, a solve kept at most 1,118 entries, and at most 35
@@ -162,7 +161,7 @@ class _Search:
         self.best: Optional[frozenset[int]] = None
         self.find_first = False
         # path and cycle searches run and answered from the memo: blocked
-        # mask -> (removed mask, obstacle mask, answer, below) per search
+        # mask -> (removed mask, obstacle mask, answer) per search
         self.searches = 0
         self.memo_hits = 0
         self.memo: dict[int, list[_MemoEntry]] = {}
@@ -205,48 +204,39 @@ class _Search:
                 if count <= 1:
                     break
         if self.paths:
-            found = self._cheapest(removed, blocked, None if best is None else least + 1)
-            if found is not None:
+            found = self._cheapest(removed, blocked)
+            if found is not None and (best is None or found[0] <= least):
                 return sorted(u for u in found[1] if u not in blocked)
         if best is None:
             return None
         return sorted(u for u in best[0] if u not in blocked)
 
     def _cheapest(
-        self, removed: frozenset[int], blocked: frozenset[int], below: Optional[int]
+        self, removed: frozenset[int], blocked: frozenset[int]
     ) -> Optional[tuple[int, tuple[int, ...]]]:
         """`cheapest_obstacle` with cost 1 on the vertices outside `blocked`
         and 0 on those inside, answered from the memo when an earlier search
         of this solve under the same blocked set settles it (see the module
-        docstring): an obstacle found with fewer removed vertices that
-        avoids all of `removed`, or a None found with fewer removed vertices
-        under a `below` at least this one.
+        docstring): one whose removed set lies inside `removed` and whose
+        answer, None or an obstacle, avoids all of `removed`.
         """
         key = _mask(blocked)
         gone = _mask(removed)
-        entries = self.memo.get(key, ())
-        for done, hit, found, bound in entries:
-            if done & ~gone:
-                continue  # that search kept a vertex this one removes
-            if found is not None:
-                if hit & gone:
-                    continue
+        for done, hit, found in self.memo.get(key, ()):
+            if not done & ~gone and not hit & gone:
                 self.memo_hits += 1
-                return found if below is None or found[0] < below else None
-            if bound is None or (below is not None and below <= bound):
-                self.memo_hits += 1
-                return None
+                return found
         cost = [0 if u in blocked else 1 for u in range(self.g.n)]
         potential = None
         if self.inst.problem.uses_terminals:
             potential = self._potentials(key, blocked, cost, removed)
         self.searches += 1
-        found = cheapest_obstacle(self.inst, cost, removed, below, potential)
+        found = cheapest_obstacle(self.inst, cost, removed, potential=potential)
         if self.memo_size >= _MEMO_CAP:
             self.memo.clear()
             self.memo_size = 0
         hit = 0 if found is None else _mask(found[1])
-        self.memo.setdefault(key, []).append((gone, hit, found, below))
+        self.memo.setdefault(key, []).append((gone, hit, found))
         self.memo_size += 1
         return found
 

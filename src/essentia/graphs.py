@@ -300,30 +300,23 @@ def min_vertex_separator(
     return cut
 
 
-def double_cover_matching(g: Graph, removed: AbstractSet[int] = frozenset()) -> int:
-    """Size of a maximum matching in the bipartite double cover of g - removed.
-
-    The cover joins a left copy of u to a right copy of v for every arc
-    u->v (both ways for an undirected edge), for u, v outside `removed`.
-    Its maximum matching is twice the vertex-cover LP value of g - removed
-    (Nemhauser-Trotter); `_double_cover_mates` finds one.
-    """
-    return g.n - _double_cover_mates(g, removed).count(None)
-
-
 def _double_cover_mates(
     g: Graph, removed: AbstractSet[int] = frozenset(), start: Optional[list] = None
 ) -> list[Optional[int]]:
-    """A maximum matching of the double cover of g - removed, as each left
-    vertex's right mate (None when unmatched).
+    """A maximum matching of the bipartite double cover of g - removed, as
+    each left vertex's right mate (None when unmatched).  The cover joins a
+    left copy of u to a right copy of v for every arc u->v (both ways for an
+    undirected edge), for u, v outside `removed`; its maximum matching is
+    twice the vertex-cover LP value of g - removed (Nemhauser-Trotter).
 
     One breadth-first augmenting-path search per free left vertex, with no
     recursion however long the paths grow.  `start`, in the same form, is
     any matching of g's double cover (exact search passes the last one it
-    found): its pairs that touch `removed` are dropped and only the left
-    vertices it leaves free are searched from.  A root whose search fails
-    has no augmenting path after later augmentations either (Berge), so the
-    matching is maximum from any start.
+    found, `detection` the previous vertex's): its pairs that touch
+    `removed` are dropped and only the left vertices it leaves free are
+    searched from.  A root whose search fails has no augmenting path after
+    later augmentations either (Berge), so the matching is maximum from any
+    start.
     """
     adj = g.adj
     left_mate: list[Optional[int]] = [None] * g.n

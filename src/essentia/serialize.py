@@ -101,12 +101,22 @@ def dumps_instance(inst: Instance, labels: Optional[dict] = None) -> str:
     return json.dumps(instance_to_dict(inst, labels), indent=2)
 
 
-def loads_instance(text: str) -> Instance:
+def loads_json(text: str, what: str = "JSON"):
+    """The document `text` holds, or InputError "malformed <what>: ...".
+
+    Besides a syntax error (`JSONDecodeError`), Python's reader raises a
+    plain ValueError on an integer longer than its digit limit and a
+    RecursionError on arrays or objects nested too deep; all three are
+    malformed input.
+    """
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc}") from None
-    return instance_from_dict(data)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"malformed {what}: {exc}") from None
+
+
+def loads_instance(text: str) -> Instance:
+    return instance_from_dict(loads_json(text))
 
 
 def parse_dimacs_edges(text: str, problem: Problem) -> Instance:

@@ -291,6 +291,21 @@ class TestVertexCoverLpByMatching:
         got = self.check(Instance(Problem.VERTEX_COVER, g))
         assert got[5] == got[6] == F(5, 2)
 
+    def test_each_matching_starts_from_the_previous_vertexs(self, monkeypatch):
+        starts, ends = [], []
+        mates = detection._double_cover_mates
+
+        def recorded(g, removed, start):
+            starts.append(start)
+            ends.append(mates(g, removed, start))
+            return ends[-1]
+
+        monkeypatch.setattr(detection, "_double_cover_mates", recorded)
+        inst = random_instance(Problem.VERTEX_COVER, 9, 4)
+        assert self.check(inst)
+        assert len(starts) == 9 and starts[0] is None
+        assert all(start is end for start, end in zip(starts[1:], ends))
+
     def test_triangle_left_over_is_half_integral(self):
         # an edge 0-1 beside a triangle 2-3-4: pinning 0 or 1 forces the other
         # and leaves the triangle (LP 3/2); pinning a triangle vertex forces

@@ -264,12 +264,12 @@ class TestObstacleMemo:
         inst, forbidden, slack = case
         cheapest = _Search._cheapest
 
-        def checked(search, removed, blocked, below):
+        def checked(search, removed, blocked):
             hits = search.memo_hits
-            got = cheapest(search, removed, blocked, below)
+            got = cheapest(search, removed, blocked)
             if search.memo_hits > hits:
                 cost = [0 if u in blocked else 1 for u in range(search.g.n)]
-                assert got == cheapest_obstacle(search.inst, cost, removed, below)
+                assert got == cheapest_obstacle(search.inst, cost, removed)
             return got
 
         with pytest.MonkeyPatch.context() as patch:
@@ -297,6 +297,21 @@ class TestObstacleMemo:
         searches, hits = search.searches, search.memo_hits
         assert not search.completable(set(), set(), frozenset(range(6)), len(base))
         assert (search.searches - searches, search.memo_hits - hits) == (1, 20)
+
+    def test_a_path_that_loses_to_the_range_serves_later_questions(self):
+        # the range {0, 1} has 2 deletable vertices and the only cycle 3: the
+        # node branches on the range, yet the cycle its search found answers
+        # the packing's next question under the same blocked set
+        inst = Instance(Problem.DFVS, Graph(5, True, [(2, 3), (3, 4), (4, 2)]))
+        search = _Search(inst, frozenset(), 10**6)
+        alive = [((0, 1), _mask({0, 1}))]
+        assert search._violated(frozenset(), frozenset(), alive) == [0, 1]
+        assert (search.searches, search.memo_hits) == (1, 0)
+        assert search._packing_lb(frozenset(), frozenset(), 2, alive, [0, 1]) == 2
+        assert (search.searches, search.memo_hits) == (1, 1)
+        # served again, the cycle still loses to the range
+        assert search._violated(frozenset(), frozenset(), alive) == [0, 1]
+        assert (search.searches, search.memo_hits) == (1, 2)
 
     def test_optimized_mode_matches_in_process(self, caplog):
         # `python -O` strips assert statements: a directed multicut whose
@@ -351,10 +366,10 @@ class TestSteeredSearches:
         cheapest = _Search._cheapest
         built = 0
 
-        def checked(search, removed, blocked, below):
-            got = cheapest(search, removed, blocked, below)
+        def checked(search, removed, blocked):
+            got = cheapest(search, removed, blocked)
             cost = [0 if u in blocked else 1 for u in range(search.g.n)]
-            assert got == cheapest_obstacle(search.inst, cost, removed, below)
+            assert got == cheapest_obstacle(search.inst, cost, removed)
             return got
 
         for seed in range(12):
@@ -586,9 +601,9 @@ class TestLogging:
         "inst, counts",
         [
             (random_instance(Problem.COGRAPH_DELETION, 16, 3), (222, 218, 5, 0, 0)),
-            (random_instance(Problem.DFVS, 26, 3), (191, 102, 5, 810, 347)),
+            (random_instance(Problem.DFVS, 26, 3), (191, 102, 5, 808, 349)),
             (bench_multicut(Problem.VERTEX_MULTICUT, 0), (51, 102, 5, 304, 119)),
-            (bench_multicut(Problem.DIRECTED_VERTEX_MULTICUT, 10), (119, 529, 6, 929, 461)),
+            (bench_multicut(Problem.DIRECTED_VERTEX_MULTICUT, 10), (119, 529, 6, 928, 462)),
         ],
         ids=["cograph", "dfvs", "multicut", "directed-multicut"],
     )

@@ -11,7 +11,6 @@ from essentia.graphs import (
     _check_vertex_count,
     _double_cover_mates,
     check_weights,
-    double_cover_matching,
     min_vertex_separator,
 )
 from essentia.lab import gen_star_multicut
@@ -407,6 +406,11 @@ class TestMinVertexSeparator:
             min_vertex_separator(g, [0], [2], forbidden)
 
 
+def matching_size(g, removed=frozenset()):
+    """The size of the maximum double-cover matching `_double_cover_mates` finds."""
+    return g.n - _double_cover_mates(g, removed).count(None)
+
+
 class TestDoubleCoverMatching:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_networkx(self, seed):
@@ -415,7 +419,7 @@ class TestDoubleCoverMatching:
         directed = seed % 3 == 0
         g = random_graph(n, rng.randrange(1 << 30), directed=directed, p=rng.choice([0.1, 0.3, 0.6]))
         removed = frozenset(u for u in range(n) if rng.random() < 0.2)
-        assert double_cover_matching(g, removed) == nx_double_cover_matching(g, removed)
+        assert matching_size(g, removed) == nx_double_cover_matching(g, removed)
 
     @staticmethod
     def assert_maximum(g, removed, mates):
@@ -450,20 +454,20 @@ class TestDoubleCoverMatching:
     def test_odd_cycle_covers_itself(self):
         # the double cover of C_5 is C_10, which has a perfect matching
         g = Graph(5, False, [(i, (i + 1) % 5) for i in range(5)])
-        assert double_cover_matching(g) == 5
-        assert double_cover_matching(g, frozenset({0})) == 4  # two copies of P_4
+        assert matching_size(g) == 5
+        assert matching_size(g, frozenset({0})) == 4  # two copies of P_4
 
     def test_removed_and_isolated_vertices_are_unmatched(self):
-        assert double_cover_matching(star(4), frozenset({0})) == 0
-        assert double_cover_matching(Graph(3, False, [])) == 0
-        assert double_cover_matching(Graph(0, False, [])) == 0
+        assert matching_size(star(4), frozenset({0})) == 0
+        assert matching_size(Graph(3, False, [])) == 0
+        assert matching_size(Graph(0, False, [])) == 0
 
     def test_long_path_needs_no_recursion(self):
         # two copies of P_5000 with 2,500 edges matched in each; a recursive
         # augmenting-path search recurses past Python's default limit here
         n = 5000
         g = Graph(n, False, [(i, i + 1) for i in range(n - 1)])
-        assert double_cover_matching(g) == n
+        assert matching_size(g) == n
 
 
 class TestGraphDerivedViews:

@@ -368,6 +368,41 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "document, key, raw",
+        [
+            ("instance", "n", "1" + "0" * 5000),
+            ("instance", "edges", "[" * 100_000 + "]" * 100_000),
+            ("certificate", "pinned_vertex", "1" + "0" * 5000),
+        ],
+        ids=["huge-int", "deep-nesting", "huge-int-certificate"],
+    )
+    def test_json_past_the_readers_limits_is_malformed(self, tmp_path, document, key, raw):
+        # Python's JSON reader raises ValueError on an integer past its
+        # digit limit and RecursionError on deep nesting; both are bad input
+        docs = {
+            "instance": serialize.instance_to_dict(gen_star_multicut(3).instance),
+            "certificate": {
+                "factor_bound": "2/1", "fractional_value": "1/1", "integral_set": [0],
+                "witness_sets": {}, "pinned_vertex": 0,
+            },
+        }
+        docs[document][key] = "@"
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc).replace('"@"', raw))
+        argv = ["solve", str(tmp_path / "instance.json")]
+        if document == "certificate":
+            argv[0:1] = ["verify", "--kind", "rounding"]
+            argv.append(str(tmp_path / "certificate.json"))
+        src = Path(essentia.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "essentia.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: malformed ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
         "terminals", [5, True, 0, False, {}, "xy"], ids=["5", "true", "0", "false", "object", "xy"]
     )
     def test_non_list_terminals_are_an_input_error(self, tmp_path, capsys, terminals):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -161,6 +162,26 @@ def test_lp_names_no_problem():
         elif isinstance(node, ast.ImportFrom):
             found += [f"lp.py:{node.lineno}: import {a.name}" for a in node.names if a.name == "Problem"]
     assert not found, f"lp.py names problems: {found}"
+
+
+def test_exact_search_asks_no_bounded_question():
+    # exact search's memo serves an answer to every later question under
+    # the same blocked set only because no question carries a `below`
+    # bound, neither by keyword nor in its positional slot
+    path = PACKAGE / "exact.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    slot = list(inspect.signature(problems.cheapest_obstacle).parameters).index("below")
+    found, calls = [], 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or getattr(node.func, "id", None) != "cheapest_obstacle":
+            continue
+        calls += 1
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        keywords = {kw.arg for kw in node.keywords}
+        if len(node.args) > slot or starred or "below" in keywords or None in keywords:
+            found.append(f"exact.py:{node.lineno}")
+    assert calls > 0
+    assert not found, f"exact.py passes a bound to cheapest_obstacle: {found}"
 
 
 def test_detection_ties_no_start_rule_to_a_problem():
